@@ -31,6 +31,7 @@ class FastContext:
     rays: tuple[Point, ...]
     ray_elements: tuple[Point, ...]
     core: frozenset[Point]
+    core_nonzero: frozenset[Point]
 
     @property
     def cone(self):
@@ -57,6 +58,7 @@ def precompute(S, ray_order=None) -> FastContext:
         rays=rays,
         ray_elements=tuple(elements[d] for d in rays),
         core=ctx.core,
+        core_nonzero=ctx.core - {zero(S.dim)},
     )
 
 
@@ -89,7 +91,6 @@ def fast_member(ctx: FastContext, x) -> FastResult:
         return FastResult(True, "zero")
     if min(x) < 0 or not ctx.cone.contains(x):
         return FastResult(False, "outside-cone")
-    core_nonzero = ctx.core - {zero(len(x))}
     t = len(ctx.rays)
     v = [0] * t
     y = x
@@ -98,7 +99,7 @@ def fast_member(ctx: FastContext, x) -> FastResult:
             nxt = vsub(y, n)
             if min(nxt) < 0 or not ctx.cone.contains(nxt):
                 break
-            if nxt in core_nonzero:
+            if nxt in ctx.core_nonzero:
                 coeffs = list(v)
                 coeffs[i] += 1
                 return FastResult(

@@ -1,9 +1,13 @@
 """Exact integer and rational lattice primitives.
 
 Points are plain tuples of arbitrary-precision integers.  All arithmetic in
-this module (and in the rest of the package) is exact: monomial-order
-comparisons, cone membership and ray extremality are decided with integer
-and ``fractions.Fraction`` computations, never with floating point.
+this module (and in the rest of the package) is exact, never floating point.
+Monomial-order comparisons and cone membership use integers only: one
+fraction-free elimination (:func:`bareiss`) gives each simplicial cone an
+integer adjugate solver, so a membership test is a few integer dot products
+and sign tests.  ``fractions.Fraction`` appears only in the coordinates
+:meth:`Cone.coordinates` returns and in the simplex that decides ray
+extremality.
 
 Every object defined here is immutable after construction and all functions
 are pure, so values can be shared freely across threads.
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd
+from operator import mul
 
 from .errors import DimensionMismatch, NonSimplicialCone, ZeroCone
 
@@ -139,48 +144,43 @@ class Grading:
         return sum(w * x for w, x in zip(self.weights, a))
 
 
-def _fraction_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def bareiss(rows):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss 1968).
 
-
-def _rank(rows) -> int:
-    """Rank of an integer matrix via exact Gaussian elimination."""
-    m = _fraction_rows(rows)
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+    Returns ``(rank, cols, det, adj)``.  ``cols`` are the pivot columns, in
+    order.  When the rows are linearly independent, ``det`` and ``adj`` are
+    the determinant and the integer adjugate of the square submatrix on
+    ``cols`` (for a nonsingular square matrix: of the matrix itself);
+    otherwise ``det`` is 0 and ``adj`` is None.  Every intermediate entry is
+    a minor of the input augmented by the identity, so each division is
+    exact.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    # augmenting with the identity accumulates det·M_cols⁻¹ on the right
+    a = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
+    rank, cols, prev, sign = 0, [], 1, 1
+    for c in range(n):
+        if rank == m:
+            break
+        pivot = next((r for r in range(rank, m) if a[r][c]), None)
         if pivot is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [inv * x for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        if pivot != rank:
+            a[rank], a[pivot] = a[pivot], a[rank]
+            sign = -sign
+        prow = a[rank]
+        p = prow[c]
+        for r in range(m):
+            if r != rank:
+                f = a[r][c]
+                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], prow)]
+        prev = p
+        cols.append(c)
         rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
-def _invert(matrix):
-    """Inverse of a square Fraction matrix, or None if singular."""
-    n = len(matrix)
-    m = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [inv * x for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
+    if rank < m:
+        return rank, tuple(cols), 0, None
+    return rank, tuple(cols), sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
 def _nonneg_combination_exists(columns, target) -> bool:
@@ -269,9 +269,13 @@ class Cone:
         return cls(dim, tuple(extremal))
 
     @cached_property
+    def _elimination(self):
+        return bareiss(self.rays)
+
+    @cached_property
     def simplicial(self) -> bool:
         """True when the ray directions are linearly independent."""
-        return _rank(self.rays) == len(self.rays)
+        return self._elimination[0] == len(self.rays)
 
     def _require_simplicial(self):
         if not self.simplicial:
@@ -282,28 +286,38 @@ class Cone:
 
     @cached_property
     def _solver(self):
-        """Exact solver data for `x = D α`, columns of D being the rays."""
+        """Integer solver for ``x = Σ α_i r_i``: ``det·α = A·x``, det > 0.
+
+        The rays have a nonzero t×t minor on the pivot coordinates of their
+        elimination (all coordinates when the cone is full-dimensional); the
+        rows of A carry that minor's adjugate there and 0 elsewhere.  The
+        other coordinates, ``rest``, are checked by exact reconstruction.
+        """
         self._require_simplicial()
-        t = len(self.rays)
-        if t == self.dim:
-            # integer scaled inverse: α_i = (adj·x)_i / det with det > 0
-            mat = [[Fraction(self.rays[j][i]) for j in range(t)] for i in range(self.dim)]
-            det = abs(_det(mat))
-            inv = _invert(mat)
-            adj_rows = [tuple(int(x * det) for x in row) for row in inv]
-            return ("square", adj_rows, int(det))
-        # t < dim: pseudo-inverse (DᵀD)⁻¹Dᵀ plus a residual check
-        d_cols = self.rays
-        gram = [
-            [Fraction(sum(a * b for a, b in zip(d_cols[i], d_cols[j]))) for j in range(t)]
-            for i in range(t)
-        ]
-        gram_inv = _invert(gram)
-        pseudo = [
-            [sum(gram_inv[i][k] * d_cols[k][c] for k in range(t)) for c in range(self.dim)]
-            for i in range(t)
-        ]
-        return ("rect", pseudo, None)
+        _, sel, det, adj = self._elimination
+        # x_sel = Mᵀα with M[i][j] = rays[i][sel[j]], so det·α = adj(M)ᵀ·x_sel
+        s = 1 if det > 0 else -1
+        pos = {c: j for j, c in enumerate(sel)}
+        rows = tuple(
+            tuple(s * adj[pos[c]][i] if c in pos else 0 for c in range(self.dim))
+            for i in range(len(adj))
+        )
+        rest = tuple(c for c in range(self.dim) if c not in pos)
+        return rows, s * det, rest
+
+    def _numerators(self, x):
+        """``det·α`` for the ray coordinates α of ``x``, or None when outside."""
+        rows, det, rest = self._solver
+        nums = []
+        for row in rows:
+            n = sum(map(mul, row, x))
+            if n < 0:
+                return None
+            nums.append(n)
+        for c in rest:
+            if sum(n * r[c] for n, r in zip(nums, self.rays)) != det * x[c]:
+                return None
+        return nums
 
     def coordinates(self, x) -> tuple[Fraction, ...] | None:
         """Rational ray coordinates of ``x``, or None when ``x`` is outside.
@@ -313,27 +327,18 @@ class Cone:
         None.
         """
         _check_dim(x, self.dim)
-        kind, data, det = self._solver
-        if kind == "square":
-            nums = [sum(a * c for a, c in zip(row, x)) for row in data]
-            if any(n < 0 for n in nums):
-                return None
-            return tuple(Fraction(n, det) for n in nums)
-        alphas = [sum(m * c for m, c in zip(row, x)) for row in data]
-        if any(a < 0 for a in alphas):
+        nums = self._numerators(x)
+        if nums is None:
             return None
-        # consistency: the candidate combination must reproduce x exactly
-        for c in range(self.dim):
-            if sum(alphas[i] * self.rays[i][c] for i in range(len(self.rays))) != x[c]:
-                return None
-        return tuple(alphas)
+        det = self._solver[1]
+        return tuple(Fraction(n, det) for n in nums)
 
     def contains(self, x) -> bool:
         """Exact membership of an integer vector in the cone (within ℕ^p)."""
         _check_dim(x, self.dim)
         if min(x) < 0:
             return False
-        return self.coordinates(x) is not None
+        return self._numerators(x) is not None
 
     @cached_property
     def _graded_cache(self):
@@ -355,27 +360,6 @@ class Cone:
     def points_upto(self, max_grade: int):
         for g in range(max_grade + 1):
             yield from self.graded_points(g)
-
-
-def _det(matrix) -> Fraction:
-    """Determinant of a square Fraction matrix by exact elimination."""
-    n = len(matrix)
-    m = [list(row) for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
 
 
 def _graded_tuples(weights, total):

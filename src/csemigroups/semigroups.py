@@ -28,7 +28,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     BudgetExceeded,
@@ -455,7 +455,8 @@ def apery_context(S, M, multiplier_cap=DEFAULT_MULTIPLIER_CAP) -> AperyContext:
     """Build the finite Apery-core context for ray elements ``M``.
 
     ``S`` may be either representation; membership tests use the generated
-    form.  Each multiplier is found by a plain incremental search, capped by
+    form.  Each multiplier is the lcm of the reduced denominators of the
+    generator's ray coordinates over the ray multiples of ``M``, capped by
     ``multiplier_cap`` (raises :class:`BudgetExceeded` beyond it).
     """
     S = _as_generated(S)
@@ -469,15 +470,12 @@ def apery_context(S, M, multiplier_cap=DEFAULT_MULTIPLIER_CAP) -> AperyContext:
     multipliers = []
     for n in S.generators:
         coords = S.cone.coordinates(n)
-        fracs = [a / c for a, c in zip(coords, ray_mult)]
-        for q in range(1, multiplier_cap + 1):
-            if all((q * f).denominator == 1 for f in fracs):
-                multipliers.append(q)
-                break
-        else:
+        q = lcm(*((a / c).denominator for a, c in zip(coords, ray_mult)))
+        if q > multiplier_cap:
             raise BudgetExceeded(
                 f"no multiplier for generator {n} up to {multiplier_cap}"
             )
+        multipliers.append(q)
     # layered sums with deduplication: the raw combination count is the
     # product of the multipliers, but the distinct sums stay confined to a
     # bounded cone region

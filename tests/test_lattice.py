@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from csemigroups import (
@@ -20,7 +21,7 @@ from csemigroups import (
     enumerate_cone_points,
 )
 from bruteforce import in_fixture_cone
-from csemigroups.lattice import primitive
+from csemigroups.lattice import bareiss, primitive
 
 ORDERS = [
     MonomialOrder("lex"),
@@ -211,3 +212,154 @@ def test_grading_validation():
     assert Grading.standard(3).of((1, 2, 3)) == 6
     with pytest.raises(DimensionMismatch):
         Grading.standard(2).of((1, 2, 3))
+
+
+def cofactor_det(m):
+    """Determinant by Laplace expansion along the first row."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
+def cofactor_adjugate(m):
+    n = len(m)
+    return [
+        [
+            (-1) ** (i + j)
+            * cofactor_det(
+                [row[:i] + row[i + 1:] for k, row in enumerate(m) if k != j]
+            )
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def submatrix(m, rows, cols):
+    return [[m[r][c] for c in cols] for r in rows]
+
+
+def largest_nonzero_minor(m):
+    n_rows, n_cols = len(m), len(m[0])
+    for k in range(min(n_rows, n_cols), 0, -1):
+        for rows in combinations(range(n_rows), k):
+            for cols in combinations(range(n_cols), k):
+                if cofactor_det(submatrix(m, rows, cols)):
+                    return k
+    return 0
+
+
+def matrices(min_cols=1, max_cols=4, lo=-4, hi=4):
+    return st.integers(1, 4).flatmap(
+        lambda r: st.integers(min_cols, max_cols).flatmap(
+            lambda c: st.lists(
+                st.lists(st.integers(lo, hi), min_size=c, max_size=c),
+                min_size=r,
+                max_size=r,
+            )
+        )
+    )
+
+
+square_matrices = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+@given(m=square_matrices)
+@settings(max_examples=300, deadline=None)
+def test_bareiss_det_and_adjugate_match_cofactor_expansion(m):
+    rank, cols, det, adj = bareiss(m)
+    assert det == cofactor_det(m)
+    if det:
+        assert rank == len(m) and cols == tuple(range(len(m)))
+        assert adj == cofactor_adjugate(m)
+    else:
+        assert rank < len(m) and adj is None
+
+
+@given(m=matrices())
+@settings(max_examples=300, deadline=None)
+def test_bareiss_rank_is_largest_nonzero_minor(m):
+    rank, cols, det, adj = bareiss(m)
+    assert rank == largest_nonzero_minor(m) == len(cols)
+    if rank == len(m):
+        # independent rows: det and adjugate of the minor on the pivot columns
+        minor = submatrix(m, range(len(m)), cols)
+        assert det == cofactor_det(minor) != 0
+        assert adj == cofactor_adjugate(minor)
+
+
+def test_bareiss_empty_matrix():
+    assert bareiss([]) == (0, (), 1, [])
+
+
+def cramer_coordinates(rays, x):
+    """Fraction coordinates of ``x`` in the span of independent ``rays``.
+
+    Solves on the first t coordinates (in combination order) where the rays
+    have a nonzero t×t minor, by Cramer's rule, then requires the solution
+    to reproduce every coordinate of ``x``.
+    """
+    t, dim = len(rays), len(x)
+    for cols in combinations(range(dim), t):
+        # columns of the system matrix are the rays restricted to cols
+        system = [[rays[i][c] for i in range(t)] for c in cols]
+        det = cofactor_det(system)
+        if det:
+            break
+    alphas = []
+    for i in range(t):
+        replaced = [row[:i] + [x[c]] + row[i + 1:] for row, c in zip(system, cols)]
+        alphas.append(Fraction(cofactor_det(replaced), det))
+    for c in range(dim):
+        if sum(a * r[c] for a, r in zip(alphas, rays)) != x[c]:
+            return None
+    return tuple(alphas)
+
+
+@st.composite
+def simplicial_cones(draw):
+    dim = draw(st.integers(1, 3))
+    t = draw(st.integers(1, dim))
+    vec = st.lists(st.integers(0, 6), min_size=dim, max_size=dim).filter(any)
+    rays = draw(st.lists(vec, min_size=t, max_size=t, unique_by=tuple))
+    # independent rays: some t×t minor is nonzero
+    assume(largest_nonzero_minor(rays) == t)
+    points = st.lists(
+        st.lists(st.integers(-3, 15), min_size=dim, max_size=dim).map(tuple),
+        min_size=1,
+        max_size=12,
+    )
+    return Cone(dim, tuple(map(tuple, rays))), draw(points)
+
+
+@given(data=simplicial_cones())
+@settings(max_examples=300, deadline=None)
+def test_cone_matches_cramer_oracle(data):
+    cone, points = data
+    assert cone.simplicial
+    # include lattice points of the cone itself, not only random ones
+    points = points + [tuple(map(sum, zip(*cone.rays)))]
+    for x in points:
+        alphas = cramer_coordinates(cone.rays, x)
+        inside = alphas is not None and min(alphas) >= 0
+        assert cone.coordinates(x) == (alphas if inside else None), x
+        assert cone.contains(x) == (inside and min(x) >= 0), x
+        assert cone_contains(cone, x) == (inside, alphas if inside else None)
+    with pytest.raises(DimensionMismatch):
+        cone.contains(points[0] + (0,))
+    with pytest.raises(DimensionMismatch):
+        cone.coordinates(points[0] + (0,))
+
+
+@given(m=matrices(min_cols=2, max_cols=3, lo=0, hi=4))
+@settings(max_examples=150, deadline=None)
+def test_simplicial_flag_is_full_row_rank(m):
+    cone = Cone(len(m[0]), tuple(map(tuple, m)))
+    assert cone.simplicial == (largest_nonzero_minor(m) == len(m))

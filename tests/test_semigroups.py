@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from csemigroups import (
@@ -132,6 +134,46 @@ def test_apery_context_s2(s2_gen):
     assert by_gen == {(5, 1): 1, (6, 2): 1, (8, 2): 2, (9, 2): 4, (12, 3): 4}
     assert ctx.sum_box == frozenset(EXPECTED_SUM_BOX_S2)
     assert ctx.core == {(0, 0), (8, 2), (9, 2), (12, 3)}
+
+
+def least_lattice_multiple(n, ray_elements, cap=50):
+    """Least q >= 1 with q*n a non-negative integer combination of ray elements."""
+    for q in range(1, cap + 1):
+        target = tuple(q * x for x in n)
+        bounds = [
+            min(t // c for t, c in zip(target, m) if c) for m in ray_elements
+        ]
+        for ks in product(*(range(b + 1) for b in bounds)):
+            combo = tuple(
+                sum(k * m[c] for k, m in zip(ks, ray_elements))
+                for c in range(len(n))
+            )
+            if combo == target:
+                return q
+    return None
+
+
+@pytest.mark.parametrize(
+    "gens, M",
+    [
+        (S1_GENS, [(5, 1), (6, 2)]),
+        (S1_GENS, [(10, 2), (6, 2)]),
+        (S2_GENS, [(5, 1), (6, 2)]),
+        (S2_GENS, [(15, 3), (12, 4)]),
+        (((3,), (5,), (7,)), [(6,)]),
+        (
+            ((2, 0, 0), (3, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1)),
+            [(2, 0, 0), (0, 2, 0), (0, 0, 1)],
+        ),
+    ],
+)
+def test_apery_multipliers_are_least_lattice_multiples(gens, M):
+    S = GenSemigroup(gens)
+    ctx = apery_context(S, M)
+    expected = [least_lattice_multiple(n, ctx.ray_elements) for n in S.generators]
+    assert list(ctx.multipliers) == expected
+    with pytest.raises(BudgetExceeded):
+        apery_context(S, M, multiplier_cap=max(expected) - 1)
 
 
 def test_apery_core_matches_bruteforce(s2_gen):
