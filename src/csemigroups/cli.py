@@ -20,7 +20,7 @@ from . import enumeration, fastmember, med, plot, semigroups, serialize
 from .errors import BudgetExceeded, InvalidSemigroupFile, SemigroupError
 from .ideals import ideal_from_set, ideal_is_csemigroup, isemigroup_from_ideal
 from .lattice import MonomialOrder
-from .semigroups import GapSemigroup, GenSemigroup, gaps
+from .semigroups import GapSemigroup, gaps
 
 DEFAULT_ORDER = MonomialOrder("deglex")
 
@@ -40,7 +40,7 @@ def _budget():
     return value
 
 
-def _parse_point(text):
+def _parse_point(text, dim):
     try:
         coords = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
@@ -49,6 +49,10 @@ def _parse_point(text):
         ) from exc
     if any(c < 0 for c in coords):
         raise InvalidSemigroupFile(f"{text!r} has negative coordinates", "point")
+    if len(coords) != dim:
+        raise InvalidSemigroupFile(
+            f"{text!r} does not have dimension {dim}", "dimension"
+        )
     return coords
 
 
@@ -101,8 +105,8 @@ def cmd_msg(args):
 
 def cmd_member(args):
     S, _ = _load(args.semigroup)
-    Sg = S if isinstance(S, GenSemigroup) else S.as_generated()
-    point = _parse_point(args.point)
+    Sg = semigroups._as_generated(S)
+    point = _parse_point(args.point, S.dim)
     inside = Sg.contains(point)
     doc = {"member": inside}
     if inside:
@@ -117,7 +121,7 @@ def cmd_member(args):
 def cmd_fast_member(args):
     S, _ = _load(args.semigroup)
     ctx = fastmember.precompute(S)
-    result = fastmember.fast_member(ctx, _parse_point(args.point))
+    result = fastmember.fast_member(ctx, _parse_point(args.point, S.dim))
     doc = {
         "member": result.member,
         "reason": result.reason,
@@ -133,7 +137,7 @@ def cmd_fast_member(args):
 
 def _apery_ctx(args):
     S, _ = _load(args.semigroup)
-    M = [_parse_point(m) for m in args.m] if args.m else S.multiplicities()
+    M = [_parse_point(m, S.dim) for m in args.m] if args.m else S.multiplicities()
     return semigroups.apery_context(S, M)
 
 
@@ -165,7 +169,7 @@ def cmd_pf(args):
 def cmd_ideal(args):
     S, _ = _load(args.semigroup)
     G = _gap_rep(S, _budget())
-    X = [_parse_point(p) for p in args.points]
+    X = [_parse_point(p, S.dim) for p in args.points]
     P = ideal_from_set(G, X)
     doc = {
         "imsg": _points(P.gens),
@@ -205,7 +209,7 @@ def cmd_tree(args):
 def cmd_frobenius_fixed(args):
     S, order = _load(args.semigroup)
     G = _gap_rep(S, _budget())
-    fiber = enumeration.with_frobenius(G, _parse_point(args.f), order)
+    fiber = enumeration.with_frobenius(G, _parse_point(args.f, S.dim), order)
     return {
         "f": list(fiber.f),
         "candidates": _points(fiber.candidates),
@@ -217,7 +221,7 @@ def cmd_frobenius_fixed(args):
 def cmd_mult_fixed(args):
     S, _ = _load(args.semigroup)
     G = _gap_rep(S, _budget())
-    M = [_parse_point(m) for m in args.m]
+    M = [_parse_point(m, S.dim) for m in args.m]
     results = enumeration.with_multiplicities(
         G, M, verify_multiplicities=args.verify_multiplicities
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import NotDegreeCompatible, SemigroupError
 from .lattice import GT, LT, MonomialOrder, Point, vadd, vsub, zero
 from .semigroups import GapSemigroup, apery_context
-from .ideals import IdealSemigroup, minimal_elements, verify_isemigroup
+from .ideals import Ideal, IdealSemigroup, minimal_elements, verify_isemigroup
 
 
 def _result_key(T: IdealSemigroup):
@@ -77,12 +77,7 @@ def children(S: GapSemigroup, T: IdealSemigroup, order: MonomialOrder, *, verify
             continue
         child_gaps = T.gaps | {x}
         child_msg = _msg_after_removal(T, x, child_gaps)
-        child = IdealSemigroup(
-            S,
-            child_gaps,
-            minimal_elements(S, child_msg),
-            msg=child_msg,
-        )
+        child = IdealSemigroup(S, child_gaps, msg=child_msg)
         if verify and not verify_isemigroup(S, child):
             raise SemigroupError(f"removal of {x} produced an invalid ideal")
         out.append(child)
@@ -109,12 +104,7 @@ def enumerate_tree(
     g0 = S.genus
     if max_genus < g0:
         raise ValueError(f"max_genus {max_genus} is below the root genus {g0}")
-    root = IdealSemigroup(
-        S,
-        S.gaps,
-        minimal_elements(S, S.minimal_generators()),
-        msg=S.minimal_generators(),
-    )
+    root = IdealSemigroup(S, S.gaps, msg=S.minimal_generators())
     levels = [[TreeNode(root, None, g0)]]
     for genus in range(g0 + 1, max_genus + 1):
         level = []
@@ -185,12 +175,7 @@ def with_frobenius(S: GapSemigroup, f, order: MonomialOrder) -> FrobeniusFiber:
         )
         if not closed:
             continue
-        gap_set = frozenset(region - chosen - {origin})
-        gap_sg = GapSemigroup(S.cone, gap_set)
-        msg = gap_sg.minimal_generators()
-        results.append(
-            IdealSemigroup(S, gap_set, minimal_elements(S, msg), msg=msg)
-        )
+        results.append(IdealSemigroup(S, region - chosen - {origin}))
     results.sort(key=_result_key)
     return FrobeniusFiber(f, frozenset(candidates), tuple(results))
 
@@ -219,19 +204,11 @@ def with_multiplicities(
 
     results = []
     for gens in by_gens:
-        def in_ideal(b):
-            return any(
-                min(d := vsub(b, y)) >= 0 and S.contains(d) for y in gens
-            )
-
-        gap_set = S.gaps | frozenset(b for b in pool if not in_ideal(b))
-        results.append(IdealSemigroup(S, gap_set, gens))
+        P = Ideal(S, gens)
+        lost = {b for b in pool if not P.contains(b)}
+        results.append(IdealSemigroup(S, S.gaps | lost, gens))
     if verify_multiplicities:
         target = frozenset(ray_elements)
-        results = [
-            T
-            for T in results
-            if frozenset(T.as_gap_semigroup().multiplicities()) == target
-        ]
+        results = [T for T in results if frozenset(T.multiplicities()) == target]
     results.sort(key=_result_key)
     return tuple(results)

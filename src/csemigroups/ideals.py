@@ -5,16 +5,19 @@ unique "incomparable" finite X ⊂ S (no difference of two members lies in
 S), which therefore serves as a canonical form: two ideals are equal
 exactly when their canonical generating sets are.  Adjoining 0 to an ideal
 yields a new affine semigroup whenever the ideal still meets every extremal
-ray, and for C-semigroup bases the result is again a C-semigroup whose gap
-set extends the base's by the lost elements.
+ray, and for C-semigroup bases the result is again a C-semigroup over the
+same cone whose gap set extends the base's by the lost elements.  It is
+therefore represented as a :class:`GapSemigroup`, the subclass
+:class:`IdealSemigroup`, that also knows its base and the canonical
+generating set of its ideal part.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ConeMismatch, NotCSemigroup, NotInSemigroup
+from .errors import ConeMismatch, NotCSemigroup, NotInSemigroup, SemigroupError
 from .lattice import Point, primitive, scale, vadd, vsub, zero
 from .semigroups import (
     DEFAULT_BUDGET,
@@ -102,52 +105,31 @@ def ideal_is_csemigroup(P: Ideal) -> bool:
     return all(d in on_ray for d in base.cone.rays)
 
 
-@dataclass(frozen=True)
-class IdealSemigroup:
-    """The affine semigroup P ∪ {0} for an ideal P of the base, as a gap set.
+class IdealSemigroup(GapSemigroup):
+    """The C-semigroup P ∪ {0} for an ideal P of a C-semigroup base.
 
-    ``gens`` is the canonical generating set of the ideal part (P itself
-    when proper, otherwise of base minus zero).  Equality and hashing use
-    the base and the gap set only; ``gens`` and the optional ``msg`` hint
-    are derived data.
+    It is a :class:`GapSemigroup` over the base's cone that also knows its
+    ``base`` and ``gens``, the canonical generating set of the ideal part
+    (P itself when proper, otherwise of base minus zero).  ``gens`` and
+    ``msg``, when given, pre-fill the caches; otherwise ``gens`` is derived
+    from the minimal generators, which the inherited scan computes.
+    Equality and hashing are those of the gap set.
     """
 
-    base: GapSemigroup
-    gaps: frozenset[Point]
-    gens: frozenset[Point] = field(compare=False)
-    msg: frozenset[Point] | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def cone(self):
-        return self.base.cone
-
-    @property
-    def dim(self):
-        return self.base.dim
-
-    @property
-    def genus(self) -> int:
-        return len(self.gaps)
-
-    def contains(self, x) -> bool:
-        x = tuple(x)
-        if len(x) != self.dim or min(x) < 0:
-            return False
-        return x not in self.gaps and self.cone.contains(x)
-
-    __contains__ = contains
+    def __init__(self, base: GapSemigroup, gap_set, gens=None, msg=None):
+        super().__init__(base.cone, gap_set)
+        self.base = base
+        if gens is not None:
+            self.gens = frozenset(gens)
+        if msg is not None:
+            self._msg = frozenset(msg)
 
     @cached_property
-    def _gap_semigroup(self) -> GapSemigroup:
-        return GapSemigroup(self.cone, self.gaps)
+    def gens(self) -> frozenset[Point]:
+        return imsg_of_isemigroup(self)
 
     def as_gap_semigroup(self) -> GapSemigroup:
-        return self._gap_semigroup
-
-    def minimal_generators(self) -> frozenset[Point]:
-        if self.msg is not None:
-            return self.msg
-        return self.as_gap_semigroup().minimal_generators()
+        return self
 
 
 def isemigroup_from_ideal(P: Ideal, budget=DEFAULT_BUDGET) -> IdealSemigroup:
@@ -161,12 +143,7 @@ def isemigroup_from_ideal(P: Ideal, budget=DEFAULT_BUDGET) -> IdealSemigroup:
     if not ideal_is_csemigroup(P):
         raise NotCSemigroup("the ideal misses an extremal ray; gaps are infinite")
     if P.is_whole_semigroup:
-        return IdealSemigroup(
-            base,
-            base.gaps,
-            minimal_elements(base, base.minimal_generators()),
-            msg=base.minimal_generators(),
-        )
+        return IdealSemigroup(base, base.gaps, msg=base.minimal_generators())
     origin = zero(base.dim)
     mults = []
     for d in base.cone.rays:
@@ -189,46 +166,30 @@ def imsg_of_isemigroup(T: IdealSemigroup) -> frozenset[Point]:
     return minimal_elements(T.base, T.minimal_generators())
 
 
-def _gap_view(T):
-    if isinstance(T, (IdealSemigroup, GapSemigroup)):
-        return T.cone, T.gaps, T
-    raise TypeError(f"expected a gap representation, got {type(T).__name__}")
-
-
-def verify_isemigroup(S: GapSemigroup, T) -> bool:
+def verify_isemigroup(S: GapSemigroup, T: GapSemigroup) -> bool:
     """Decide whether the candidate's nonzero part is an ideal of S.
 
     Checks containment (gaps of S persist in T) and the ideal axiom
     against the minimal generators of S; translating any element by a
     generator can only fall into a gap of T when the element's grade is
     below the largest gap grade, so the scan is finite and complete.  When
-    the answer is positive the sandwich T ⊆ S ⊆ T ∪ PF(T) is asserted as a
-    cross-check.
+    the answer is positive the sandwich T ⊆ S ⊆ T ∪ PF(T) is cross-checked:
+    every element S lost must be pseudo-Frobenius in T, otherwise
+    :class:`SemigroupError` is raised.
     """
-    cone, gaps_t, t_obj = _gap_view(T)
-    if cone != S.cone:
-        raise ConeMismatch(f"candidate cone {cone.rays} differs from {S.cone.rays}")
-    if not S.gaps <= gaps_t:
+    if T.cone != S.cone:
+        raise ConeMismatch(f"candidate cone {T.cone.rays} differs from {S.cone.rays}")
+    if not S.gaps <= T.gaps:
         return False
     msg_s = S.minimal_generators()
-    max_grade = max((sum(h) for h in gaps_t), default=-1)
-    for g in range(1, max_grade + 1):
-        for x in cone.graded_points(g):
-            if x in gaps_t:
+    for g in range(1, T.max_gap_grade + 1):
+        for x in T.cone.graded_points(g):
+            if x in T.gaps:
                 continue
             for n in msg_s:
-                if vadd(x, n) in gaps_t:
+                if vadd(x, n) in T.gaps:
                     return False
-    # sandwich cross-check: every element S lost must be pseudo-Frobenius in T
-    lost = gaps_t - S.gaps
-    if lost:
-        t_gap = (
-            t_obj.as_gap_semigroup()
-            if isinstance(t_obj, IdealSemigroup)
-            else t_obj
-        )
-        msg_t = t_obj.minimal_generators()
-        assert all(
-            all(t_gap.contains(vadd(h, n)) for n in msg_t) for h in lost
-        ), "sandwich property violated by a verified ideal"
+    lost = T.gaps - S.gaps
+    if not all(T.contains(vadd(h, n)) for h in lost for n in T.minimal_generators()):
+        raise SemigroupError("sandwich property violated by a verified ideal")
     return True

@@ -13,7 +13,6 @@ enumeration.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
 
 from .lattice import Point, vadd, vsub, zero
@@ -117,9 +116,7 @@ def med_construct(S, M) -> MedConstruction:
             min(d := vsub(t, p)) >= 0 and base.contains(d) for p in pairs
         )
     ]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        T = GenSemigroup(reduced, warn_redundant=False)
+    T = GenSemigroup(reduced, warn_redundant=False)
     iso = None
     if gap_base is not None:
         iso = IdealSemigroup(

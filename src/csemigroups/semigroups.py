@@ -5,7 +5,9 @@ holds a finite minimal generating set and answers membership through a
 memoized descent on the coordinate-sum grading (every generator has
 positive grade, so the descent terminates).  :class:`GapSemigroup`
 represents a C-semigroup as its cone plus the finite, explicitly listed gap
-set, making membership an O(1) lookup.
+set, making membership an O(1) lookup.  It is the package's one gap-set
+type: the ideal-derived semigroups of :mod:`.ideals` are GapSemigroups
+that also carry their base and canonical ideal generators.
 
 The translation ``gaps()`` from the generated form to the gap form is the
 delicate step: the gap set has no a-priori size bound, so the scan is

@@ -11,8 +11,8 @@ plus an optional monomial order:
 
 Coordinates are JSON arrays of non-negative integers, never strings.
 Loading validates the schema invariants (gap closure, ray extremality,
-dimensions) and raises :class:`InvalidSemigroupFile` naming the violated
-invariant.
+simplicial rays, dimensions, a priority that permutes the p coordinates)
+and raises :class:`InvalidSemigroupFile` naming the violated invariant.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ def _point_list(doc, key, dim):
     for entry in raw:
         if (
             not isinstance(entry, list)
-            or not all(isinstance(c, int) and not isinstance(c, bool) for c in entry)
+            or not all(map(_is_int, entry))
             or any(c < 0 for c in entry)
         ):
             raise InvalidSemigroupFile(
@@ -50,7 +50,11 @@ def _point_list(doc, key, dim):
     return points
 
 
-def load_order(doc) -> MonomialOrder | None:
+def _is_int(c) -> bool:
+    return isinstance(c, int) and not isinstance(c, bool)
+
+
+def load_order(doc, dim) -> MonomialOrder | None:
     if "order" not in doc:
         return None
     kind = doc["order"]
@@ -58,8 +62,10 @@ def load_order(doc) -> MonomialOrder | None:
         raise InvalidSemigroupFile(f"unknown order kind {kind!r}", "order-kind")
     priority = doc.get("priority")
     if priority is not None:
-        if not isinstance(priority, list) or sorted(priority) != list(
-            range(len(priority))
+        if (
+            not isinstance(priority, list)
+            or not all(map(_is_int, priority))
+            or sorted(priority) != list(range(dim))
         ):
             raise InvalidSemigroupFile(
                 f"priority {priority!r} is not a coordinate permutation",
@@ -74,7 +80,7 @@ def load_document(doc):
     if not isinstance(doc, dict):
         raise InvalidSemigroupFile("document must be a JSON object", "document")
     dim = doc.get("p")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise InvalidSemigroupFile('"p" must be a positive integer', "dimension")
     has_gen = "generators" in doc
     has_gap = "rays" in doc or "gaps" in doc
@@ -83,7 +89,7 @@ def load_document(doc):
             'exactly one of "generators" or "rays"+"gaps" must be present',
             "exactly-one-representation",
         )
-    order = load_order(doc)
+    order = load_order(doc, dim)
     if has_gen:
         generators = _point_list(doc, "generators", dim)
         if not generators:
@@ -103,6 +109,10 @@ def load_document(doc):
             f"rays {rays} are not the primitive extremal directions "
             f"{list(canonical.rays)}",
             "ray-extremality",
+        )
+    if not canonical.simplicial:
+        raise InvalidSemigroupFile(
+            f"rays {rays} are linearly dependent", "simplicial-cone"
         )
     try:
         sgp = GapSemigroup(canonical, gap_points)

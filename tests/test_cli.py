@@ -100,10 +100,22 @@ def test_member_and_fast_member_agree(capsys, s2_file):
     assert doc["member"] is False
 
 
-def test_bad_point_exit_2(capsys, s2_file):
+def test_bad_point_exit_2(capsys, s1_file, s2_file):
     code, doc = run_json(capsys, "member", s2_file, "xx")
     assert code == 2
     assert doc["error"] == "InvalidSemigroupFile"
+    # a 3-D point against a 2-D semigroup is refused by every point parser
+    for argv in (
+        ("member", s2_file, "3,1,0"),
+        ("fast-member", s2_file, "3,1,0"),
+        ("apery", s2_file, "--m", "5,1,0", "--m", "6,2"),
+        ("ideal", s1_file, "5"),
+        ("frobenius-fixed", s1_file, "--f", "11,3,0"),
+    ):
+        code, doc = run_json(capsys, *argv)
+        assert code == 2
+        assert doc["error"] == "InvalidSemigroupFile"
+        assert doc["invariant"] == "dimension"
 
 
 def test_apery_and_gamma(capsys, s2_file, s2_gen):

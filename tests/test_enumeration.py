@@ -11,11 +11,14 @@ from csemigroups import (
     frobenius,
     ideal_from_set,
     isemigroup_from_ideal,
+    med_construct,
     minimal_elements,
+    pseudo_frobenius,
     verify_isemigroup,
     with_frobenius,
     with_multiplicities,
 )
+from csemigroups.serialize import load_document, semigroup_to_document
 from bruteforce import fixture_cone_points, removable_pairs
 
 EXPECTED_POOL = [
@@ -113,12 +116,30 @@ def test_tree_parent_edge_rule(s1, deglex):
 
 def test_tree_incremental_msg_matches_scratch(s1, deglex):
     levels = enumerate_tree(s1, 7, deglex)
-    for lvl in levels:
-        for node in lvl:
-            sg = node.semigroup
-            scratch = GapSemigroup(s1.cone, sg.gaps).minimal_generators()
-            assert sg.minimal_generators() == scratch
-            assert sg.gens == minimal_elements(s1, scratch)
+    built = [node.semigroup for lvl in levels for node in lvl]
+    built += with_frobenius(s1, (11, 3), deglex).results
+    built += [
+        med_construct(s1, M).isemigroup
+        for M in (s1.multiplicities(), [(10, 2), (6, 2)])
+    ]
+    for sg in built:
+        scratch = GapSemigroup(s1.cone, sg.gaps).minimal_generators()
+        assert sg.minimal_generators() == scratch
+        assert sg.gens == minimal_elements(s1, scratch)
+
+
+def test_tree_nodes_are_gap_semigroups(s1, deglex):
+    levels = enumerate_tree(s1, 6, deglex)
+    for node in (n for lvl in levels for n in lvl):
+        T = node.semigroup
+        scratch = GapSemigroup(s1.cone, T.gaps)
+        assert isinstance(T, GapSemigroup)
+        assert T == scratch and hash(T) == hash(scratch)
+        loaded, order = load_document(semigroup_to_document(T))
+        assert type(loaded) is GapSemigroup and loaded == scratch and order is None
+        assert pseudo_frobenius(T) == pseudo_frobenius(scratch)
+        if T.gaps:
+            assert frobenius(T, deglex) == frobenius(scratch, deglex)
 
 
 def test_genus_existence(s1, deglex):

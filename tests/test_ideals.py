@@ -5,8 +5,10 @@ import pytest
 from csemigroups import (
     ConeMismatch,
     GapSemigroup,
+    IdealSemigroup,
     NotCSemigroup,
     NotInSemigroup,
+    SemigroupError,
     apery_context,
     ideal_from_set,
     ideal_is_csemigroup,
@@ -152,6 +154,16 @@ def test_verify_isemigroup(s1):
     assert verify_isemigroup(s1, T)
     # removing a non-generator breaks closure under translation
     assert not verify_isemigroup(s1, GapSemigroup(s1.cone, s1.gaps | {(10, 2)}))
+
+
+def test_verify_isemigroup_sandwich_check_raises(s1):
+    T = isemigroup_from_ideal(ideal_from_set(s1, [(5, 1), (6, 2)]))
+    # a msg value holding the gap (3,1): the lost element (9,2) then steps to
+    # the gap (12,3), so it no longer looks pseudo-Frobenius in T
+    wrong = IdealSemigroup(s1, T.gaps, msg=T.minimal_generators() | {(3, 1)})
+    assert wrong == T
+    with pytest.raises(SemigroupError, match="sandwich"):
+        verify_isemigroup(s1, wrong)
 
 
 def test_verify_isemigroup_requires_containment(s1):

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csemigroups import GapSemigroup, InvalidSemigroupFile, MonomialOrder
 from csemigroups.serialize import (
@@ -78,6 +80,10 @@ def test_gap_validation():
     _expect_invariant(
         {"p": 2, "rays": [[1, 0], [0, 1]], "gaps": [[1, 1]]}, "gap-closure"
     )
+    # four extremal rays in dimension 3: gap membership needs a simplicial cone
+    square = [[0, 1, 0], [0, 1, 1], [1, 0, 0], [1, 0, 1]]
+    for gap_list in ([], [[1, 1, 1]]):
+        _expect_invariant({"p": 3, "rays": square, "gaps": gap_list}, "simplicial-cone")
 
 
 def test_valid_gap_document():
@@ -102,6 +108,19 @@ def test_order_validation():
         {"p": 2, "generators": [[1, 0]], "order": "lex", "priority": [1, 2]},
         "priority-permutation",
     )
+    # entries that are not ints cannot be sorted against ints, or compare
+    # equal to them as bools and floats do
+    for priority in ([0, "a"], [True, False], [0.0, 1.0]):
+        _expect_invariant(
+            {"p": 2, "generators": [[1, 0]], "order": "deglex", "priority": priority},
+            "priority-permutation",
+        )
+    # a permutation of the wrong number of coordinates
+    for priority in ([0], [0, 1, 2]):
+        _expect_invariant(
+            {"p": 2, "generators": [[1, 0]], "order": "deglex", "priority": priority},
+            "priority-permutation",
+        )
 
 
 def test_unreadable_file(tmp_path):
@@ -113,3 +132,39 @@ def test_unreadable_file(tmp_path):
     with pytest.raises(InvalidSemigroupFile) as info:
         load_semigroup(bad)
     assert info.value.invariant == "json"
+
+
+# JSON-shaped values: small ints, strings, bools, nulls and nested lists
+_scalars = st.one_of(
+    st.integers(-1, 6), st.sampled_from(["a", "1", ""]), st.booleans(), st.none()
+)
+_junk = st.recursive(_scalars, lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+_points = st.lists(st.lists(st.integers(-1, 6), max_size=4) | _junk, max_size=4)
+_representations = st.sampled_from(
+    [("generators",), ("rays", "gaps"), ("generators", "rays", "gaps"), ("rays",), ()]
+)
+
+
+# the priority is checked only once p, the representation keys and the order
+# kind are valid, so most documents get an order and a priority
+@st.composite
+def _documents(draw):
+    doc = {"p": draw(st.integers(0, 3))}
+    for key in draw(_representations):
+        doc[key] = draw(_points | _junk)
+    if draw(st.integers(0, 3)):
+        doc["order"] = draw(st.sampled_from(["lex", "deglex", "degrevlex"]) | _junk)
+    if draw(st.integers(0, 3)):
+        doc["priority"] = draw(
+            st.lists(st.integers(-1, 3) | _scalars, max_size=4) | _junk
+        )
+    return doc
+
+
+@given(doc=_documents())
+@settings(max_examples=400, deadline=None)
+def test_loader_only_raises_invalid_file(doc):
+    try:
+        load_document(doc)
+    except InvalidSemigroupFile:
+        pass
