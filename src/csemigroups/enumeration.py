@@ -4,8 +4,11 @@ Three engines are provided: a breadth-first walk of the genus tree (each
 node is obtained from its parent by removing one canonical ideal generator
 larger than the element that produced the parent), the fiber of semigroups
 sharing a prescribed Frobenius element, and the fiber sharing prescribed
-per-ray multiplicities.  Results are emitted in a canonical order (genus,
-then sorted gap set) so counts and golden files are stable.
+per-ray multiplicities.  P ⊆ S∖{0} is an ideal exactly when it is an
+up-set of (S∖{0}, ≤_S), where x ≤_S y means y − x ∈ S, so both fibers are
+the up-sets of a finite poset and cost time in proportion to their results.
+Results are emitted in a canonical order (genus, then sorted gap set) so
+counts and golden files are stable.
 """
 
 from __future__ import annotations
@@ -15,11 +18,26 @@ from dataclasses import dataclass
 from .errors import NotDegreeCompatible, SemigroupError
 from .lattice import GT, LT, MonomialOrder, Point, vadd, vsub, zero
 from .semigroups import GapSemigroup, apery_context
-from .ideals import Ideal, IdealSemigroup, minimal_elements, verify_isemigroup
+from .ideals import IdealSemigroup, minimal_elements, verify_isemigroup
 
 
 def _result_key(T: IdealSemigroup):
     return (T.genus, tuple(sorted(T.gaps)))
+
+
+def _up_sets(S: GapSemigroup, points) -> list[frozenset[Point]]:
+    """Every subset of ``points`` closed upward under ≤_S.
+
+    Points are taken from the highest grade down, and a partial set takes a
+    point only when it already holds every point above it; every partial
+    set is then an up-set of all the points, so the work grows with the
+    number of results rather than with the number of subsets.
+    """
+    ups = [frozenset()]
+    for p in sorted(points, key=lambda x: (sum(x), x), reverse=True):
+        above = {q for q in points if q != p and S.contains(vsub(q, p))}
+        ups += [U | {p} for U in ups if above <= U]
+    return ups
 
 
 def big_o(S: GapSemigroup, T, order: MonomialOrder) -> Point | None:
@@ -34,50 +52,23 @@ def big_o(S: GapSemigroup, T, order: MonomialOrder) -> Point | None:
     return order.max(diff)
 
 
-def _msg_after_removal(parent: IdealSemigroup, x: Point, child_gaps) -> frozenset[Point]:
-    """Minimal generating set of parent minus {x}, for x a minimal generator.
-
-    Removing one generator can only promote translates of x by generators
-    (or drop x itself), so the candidate pool below is complete; candidates
-    are then reduced by greedy subtraction in increasing grade.
-    """
-    parent_msg = parent.minimal_generators()
-    cone = parent.cone
-    candidates = {m for m in parent_msg if m != x}
-    candidates.update(vadd(x, m) for m in parent_msg)
-    # every decomposition of a promoted generator splits off x itself, which
-    # forces the shapes x + (old generator), 2x, or 3x; nothing else
-    candidates.add(vadd(x, vadd(x, x)))
-
-    def member(y):
-        return min(y) >= 0 and any(y) and y not in child_gaps and cone.contains(y)
-
-    accepted: list[Point] = []
-    for c in sorted(candidates, key=lambda p: (sum(p), p)):
-        if not member(c):
-            continue
-        for m in accepted:
-            if member(vsub(c, m)):
-                break
-        else:
-            accepted.append(c)
-    return frozenset(accepted)
-
-
 def children(S: GapSemigroup, T: IdealSemigroup, order: MonomialOrder, *, verify=True):
     """Child nodes of T in the genus tree of S.
 
     Exactly the removals of a canonical ideal generator exceeding
     ``big_o(S, T)``; each child is re-verified unless ``verify`` is False.
+    Removing x promotes exactly the x + n, n a minimal generator of S, that
+    no other generator of the ideal divides.
     """
     threshold = big_o(S, T, order)
     out = []
     for x in sorted(T.gens):
         if threshold is not None and order.compare(x, threshold) != GT:
             continue
-        child_gaps = T.gaps | {x}
-        child_msg = _msg_after_removal(T, x, child_gaps)
-        child = IdealSemigroup(S, child_gaps, msg=child_msg)
+        rest = T.gens - {x}
+        steps = {vadd(x, n) for n in S.minimal_generators()}
+        promoted = {y for y in steps if not any(S.contains(vsub(y, g)) for g in rest)}
+        child = IdealSemigroup(S, T.gaps | {x}, rest | promoted)
         if verify and not verify_isemigroup(S, child):
             raise SemigroupError(f"removal of {x} produced an invalid ideal")
         out.append(child)
@@ -104,7 +95,7 @@ def enumerate_tree(
     g0 = S.genus
     if max_genus < g0:
         raise ValueError(f"max_genus {max_genus} is below the root genus {g0}")
-    root = IdealSemigroup(S, S.gaps, msg=S.minimal_generators())
+    root = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
     levels = [[TreeNode(root, None, g0)]]
     for genus in range(g0 + 1, max_genus + 1):
         level = []
@@ -121,8 +112,8 @@ class FrobeniusFiber:
     """Fiber of semigroups whose largest gap is the prescribed element.
 
     ``candidates`` holds the elements of the base below the target that
-    cannot reach it inside the base; results are exactly the closure-closed
-    subsets of the candidates, completed with everything above the target.
+    cannot reach it inside the base; each result keeps one up-set of the
+    nonzero candidates and everything above the target.
     """
 
     f: Point
@@ -134,7 +125,9 @@ def with_frobenius(S: GapSemigroup, f, order: MonomialOrder) -> FrobeniusFiber:
     """All ideal-derived semigroups of S with Frobenius element ``f``.
 
     Requires a degree-compatible order so that the region below ``f`` is
-    finite; plain lex is rejected.
+    finite; plain lex is rejected.  The origin is a candidate when ``f`` is
+    a gap of S, but keeping it keeps every candidate, which is S itself and
+    already the up-set of all nonzero candidates.
     """
     f = tuple(f)
     if not order.degree_compatible:
@@ -155,29 +148,22 @@ def with_frobenius(S: GapSemigroup, f, order: MonomialOrder) -> FrobeniusFiber:
         if order.compare(x, f) == LT
     ]
     in_s = [x for x in below if S.contains(x)]
-    nonzero_in_s = [x for x in in_s if any(x)]
-    candidates = [
+    candidates = frozenset(
         x for x in in_s if not (min(d := vsub(f, x)) >= 0 and S.contains(d))
-    ]
+    )
     region = set(below) | {f}
     origin = zero(S.dim)
-
-    results = []
-    for mask in range(1 << len(candidates)):
-        chosen = frozenset(
-            candidates[i] for i in range(len(candidates)) if mask >> i & 1
-        )
-        closed = all(
-            vadd(x, s) in chosen
-            for x in chosen
-            for s in nonzero_in_s
-            if order.compare(vadd(x, s), f) == LT
-        )
-        if not closed:
-            continue
-        results.append(IdealSemigroup(S, region - chosen - {origin}))
+    # the minimal elements of {x ∈ S : x > f} are y + n, y ∈ S up to f and
+    # n a minimal generator of S
+    not_above = in_s + [f] if S.contains(f) else in_s
+    steps = {vadd(y, n) for y in not_above for n in S.minimal_generators()}
+    above_f = minimal_elements(S, {x for x in steps if order.compare(x, f) == GT})
+    results = [
+        IdealSemigroup(S, region - U - {origin}, minimal_elements(S, U | above_f))
+        for U in _up_sets(S, candidates - {origin})
+    ]
     results.sort(key=_result_key)
-    return FrobeniusFiber(f, frozenset(candidates), tuple(results))
+    return FrobeniusFiber(f, candidates, tuple(results))
 
 
 def with_multiplicities(
@@ -185,30 +171,21 @@ def with_multiplicities(
 ) -> tuple[IdealSemigroup, ...]:
     """All ideal-derived semigroups of S with the given per-ray elements M.
 
-    Scans every subset of the finite pool B (base elements missing from the
-    smallest such semigroup), deduplicating by the canonical ideal
-    generating set.  With ``verify_multiplicities`` the results are
-    post-filtered to those whose per-ray least elements equal M exactly;
-    the raw scan can produce semigroups whose multiplicity drops below M
-    when the pool itself contains a ray point.
+    Every element of S outside the finite pool B (the nonzero Apery core of
+    M) lies in M + S, so each result is fixed by the up-set U of B its ideal
+    keeps: it adds B − U to the gaps of S, and its ideal is generated by the
+    minimal elements of M ∪ U.  With ``verify_multiplicities`` the results
+    are post-filtered to those whose per-ray least elements equal M exactly;
+    the others lost a multiplicity because the pool holds a ray point.
     """
     ctx = apery_context(S, M)
-    ray_elements = ctx.ray_elements
-    pool = sorted(ctx.core - {zero(S.dim)})
-
-    by_gens: dict[frozenset, None] = {}
-    for mask in range(1 << len(pool)):
-        chosen = [pool[i] for i in range(len(pool)) if mask >> i & 1]
-        gens = minimal_elements(S, frozenset(ray_elements) | frozenset(chosen))
-        by_gens.setdefault(gens, None)
-
-    results = []
-    for gens in by_gens:
-        P = Ideal(S, gens)
-        lost = {b for b in pool if not P.contains(b)}
-        results.append(IdealSemigroup(S, S.gaps | lost, gens))
+    ray_elements = frozenset(ctx.ray_elements)
+    pool = ctx.core - {zero(S.dim)}
+    results = [
+        IdealSemigroup(S, S.gaps | (pool - U), minimal_elements(S, ray_elements | U))
+        for U in _up_sets(S, pool)
+    ]
     if verify_multiplicities:
-        target = frozenset(ray_elements)
-        results = [T for T in results if frozenset(T.multiplicities()) == target]
+        results = [T for T in results if frozenset(T.multiplicities()) == ray_elements]
     results.sort(key=_result_key)
     return tuple(results)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import DimensionMismatch, NonSimplicialCone, ZeroCone
 
@@ -32,12 +32,12 @@ _ORDER_KINDS = ("lex", "deglex", "degrevlex")
 
 
 def vadd(a: Point, b: Point) -> Point:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vsub(a: Point, b: Point) -> tuple[int, ...]:
     """Componentwise difference; coordinates may be negative."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def scale(k: int, a: Point) -> Point:

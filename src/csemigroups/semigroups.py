@@ -280,22 +280,33 @@ class GapSemigroup:
 
     @cached_property
     def _msg(self) -> frozenset[Point]:
-        # Any element above sum_i w(n_i) + (largest gap grade) splits off a
-        # ray multiplicity, so the generator scan below is complete.
-        mults = self.multiplicities()
-        bound = sum(sum(n) for n in mults) + max(self.max_gap_grade, 0)
-        found: list[Point] = []
+        # A generator x either lies in the box sum_i [0, 1) n_i of the ray
+        # multiplicities, below grade sum_i w(n_i), or x - n_i is in the cone
+        # for some i and then 0 or a gap, so w(x) <= w(n_i) + (largest gap
+        # grade); the scan below stops there.  Each sum of a nonzero element
+        # and a generator is marked before the scan reaches its grade; both
+        # lists ascend in grade.
+        weights = [sum(n) for n in self.multiplicities()]
+        bound = max(sum(weights) - 1, max(weights) + max(self.max_gap_grade, 0))
+        found: list[tuple[Point, int]] = []
+        elements: list[tuple[Point, int]] = []
+        sums: set[Point] = set()
         for g in range(1, bound + 1):
             for x in self.cone.graded_points(g):
                 if x in self.gaps:
                     continue
-                for m in found:
-                    y = vsub(x, m)
-                    if min(y) >= 0 and any(y) and self.contains(y):
+                if x not in sums:
+                    found.append((x, g))
+                    for y, gy in elements:
+                        if gy + g > bound:
+                            break
+                        sums.add(vadd(y, x))
+                elements.append((x, g))
+                for m, gm in found:
+                    if g + gm > bound:
                         break
-                else:
-                    found.append(x)
-        return frozenset(found)
+                    sums.add(vadd(x, m))
+        return frozenset(x for x, _ in found)
 
     def minimal_generators(self) -> frozenset[Point]:
         return self._msg

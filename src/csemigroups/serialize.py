@@ -20,10 +20,8 @@ from __future__ import annotations
 import json
 
 from .errors import InvalidSemigroupFile
-from .lattice import Cone, MonomialOrder
+from .lattice import _ORDER_KINDS, Cone, MonomialOrder
 from .semigroups import GapSemigroup, GenSemigroup
-
-_ORDER_KINDS = ("lex", "deglex", "degrevlex")
 
 
 def _point_list(doc, key, dim):

@@ -2,8 +2,9 @@
 
 Nothing here reuses the library's algorithms: membership is decided by a
 forward closure (breadth-first sums of generators), cone membership for the
-two fixture cones by explicit inequalities, and minimality/decomposition
-questions by direct definition scans.
+two fixture cones by explicit inequalities, minimality/decomposition
+questions by direct definition scans, and the two fibers by scanning every
+subset of their candidates.
 """
 
 from itertools import combinations
@@ -136,3 +137,66 @@ def removable_pairs(member, cone_points, base_gaps):
         if ok:
             valid.add(frozenset(base_gaps | {a, b}))
     return valid
+
+
+def _sub(a, b):
+    return tuple(u - v for u, v in zip(a, b))
+
+
+def _add(a, b):
+    return tuple(u + v for u, v in zip(a, b))
+
+
+def frobenius_fiber_by_masks(member, points, f, precedes):
+    """Gap sets of every ideal-derived semigroup with Frobenius element f.
+
+    ``points`` must hold every cone point up to the grade of f and of the
+    largest gap; ``precedes(x)`` says whether x comes before f in the
+    (degree-compatible) order.  A gap of S above f leaves the fiber empty.
+    Otherwise a semigroup of the fiber keeps, below f, a subset of the
+    candidates (elements x with f - x outside S) that is closed under adding
+    nonzero elements while below f, and loses every other point below f,
+    plus f.  Every subset of the candidates is tried, by mask.
+    """
+    if any(not member(x) and not precedes(x) and x != f for x in points):
+        return set()
+    below = [x for x in points if precedes(x)]
+    elems = [x for x in below if member(x)]
+    cand = sorted(x for x in elems if not member(_sub(f, x)))
+    origin = tuple(0 for _ in f)
+    results = set()
+    for mask in range(1 << len(cand)):
+        chosen = {cand[i] for i in range(len(cand)) if mask >> i & 1}
+        closed = all(
+            y in chosen
+            for x in chosen
+            for s in elems
+            if any(s)
+            for y in [_add(x, s)]
+            if precedes(y)
+        )
+        if closed:
+            results.add(frozenset(below) - chosen - {origin} | {f})
+    return results
+
+
+def multiplicity_fiber_by_masks(member, pool, ray_elements):
+    """Lost pool points and ideal generators of the multiplicity fiber.
+
+    Every subset X of the pool, with the ray elements M, generates the
+    ideal (M ∪ X) + S; its canonical generators are the minimal elements of
+    M ∪ X, and the semigroup loses exactly the pool points outside the
+    ideal.  Returns {lost pool points: canonical generators}, merging the
+    subsets that generate the same ideal.
+    """
+    pool = sorted(pool)
+    out = {}
+    for mask in range(1 << len(pool)):
+        chosen = [pool[i] for i in range(len(pool)) if mask >> i & 1]
+        gens = brute_minimals(member, list(ray_elements) + chosen)
+        lost = frozenset(
+            b for b in pool
+            if not any(min(d := _sub(b, g)) >= 0 and member(d) for g in gens)
+        )
+        assert out.setdefault(lost, gens) == gens, "one ideal, two generating sets"
+    return out

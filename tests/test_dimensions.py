@@ -5,6 +5,7 @@ oracles, exercising the dimension-generic paths of every subsystem.
 """
 
 from csemigroups import (
+    GapSemigroup,
     GenSemigroup,
     MonomialOrder,
     decompose,
@@ -15,10 +16,15 @@ from csemigroups import (
     is_med_definition,
     is_med_pairwise,
     med_via_translates,
+    minimal_elements,
     precompute,
     verify_isemigroup,
+    with_frobenius,
 )
 from bruteforce import closure_member
+
+# the 3-dimensional fixture: the orthant less (1,0,0)
+D3 = ((2, 0, 0), (3, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1))
 
 
 def test_numerical_semigroup_gaps():
@@ -57,6 +63,33 @@ def test_numerical_semigroup_tree():
             assert verify_isemigroup(g, node.semigroup)
 
 
+def test_numerical_frobenius_fiber_at_base_frobenius():
+    # 13 is F(<5,7,9>): the origin is a candidate, yet the base itself is
+    # listed once among the 16 semigroups
+    g = gaps(GenSemigroup([(5,), (7,), (9,)]))
+    deglex = MonomialOrder("deglex")
+    fiber = with_frobenius(g, (13,), deglex)
+    assert (0,) in fiber.candidates
+    assert len(fiber.results) == len({T.gaps for T in fiber.results}) == 16
+    assert any(T.gaps == g.gaps for T in fiber.results)
+    for T in fiber.results:
+        assert verify_isemigroup(g, T)
+        assert frobenius(T, deglex) == (13,)
+
+
+def _assert_tree_gens_from_scratch(base, levels):
+    for node in (n for level in levels for n in level):
+        scratch = GapSemigroup(base.cone, node.semigroup.gaps).minimal_generators()
+        assert node.semigroup.gens == minimal_elements(base, scratch)
+
+
+def test_numerical_tree_gens_match_scratch():
+    g = gaps(GenSemigroup([(3,), (5,)]))
+    levels = enumerate_tree(g, 10, MonomialOrder("deglex"))
+    assert sum(map(len, levels)) > 20
+    _assert_tree_gens_from_scratch(g, levels)
+
+
 def test_numerical_fast_member():
     s = GenSemigroup([(3,), (5,)])
     ctx = precompute(s)
@@ -79,8 +112,15 @@ def test_three_dimensional_tree():
     }
 
 
+def test_three_dimensional_tree_gens_match_scratch():
+    g = gaps(GenSemigroup(D3))
+    levels = enumerate_tree(g, 4, MonomialOrder("deglex"))
+    assert [len(l) for l in levels] == [1, 6, 18, 43]
+    _assert_tree_gens_from_scratch(g, levels)
+
+
 def test_three_dimensional_gap_scan():
-    s = GenSemigroup([(2, 0, 0), (3, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1)])
+    s = GenSemigroup(D3)
     g = gaps(s)
     assert sorted(g.gaps) == [(1, 0, 0)]
     assert g.minimal_generators() == frozenset(s.generators)

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from csemigroups import (
+    Cone,
     GapSemigroup,
     MonomialOrder,
     NotDegreeCompatible,
@@ -19,7 +22,17 @@ from csemigroups import (
     with_multiplicities,
 )
 from csemigroups.serialize import load_document, semigroup_to_document
-from bruteforce import fixture_cone_points, removable_pairs
+from bruteforce import (
+    brute_apery_core,
+    closure_member,
+    fixture_cone_points,
+    frobenius_fiber_by_masks,
+    in_fixture_cone,
+    multiplicity_fiber_by_masks,
+    removable_pairs,
+    sum_closure,
+)
+from conftest import S1_GENS
 
 EXPECTED_POOL = [
     (5, 1), (9, 2), (9, 3), (10, 3), (12, 3), (13, 3), (13, 4),
@@ -171,46 +184,34 @@ def test_with_frobenius_closure_filter_is_vacuous_here(s1, deglex):
 
 
 def test_with_frobenius_brute_force_agreement(s1, deglex):
-    """Recompute the fiber from the definition, subset by subset."""
-    f = (11, 3)
-    below = [
-        x
-        for g in range(sum(f) + 1)
-        for x in s1.cone.graded_points(g)
-        if deglex.compare(x, f) == -1
-    ]
-    in_s = [x for x in below if s1.contains(x)]
-    cand = sorted(
-        x for x in in_s
-        if not (min(d := tuple(a - b for a, b in zip(f, x))) >= 0 and s1.contains(d))
-    )
-    results = set()
-    for mask in range(1 << len(cand)):
-        chosen = {cand[i] for i in range(len(cand)) if mask >> i & 1}
-        ok = True
-        for x in chosen:
-            for s in in_s:
-                if not any(s):
-                    continue
-                y = tuple(a + b for a, b in zip(x, s))
-                if deglex.compare(y, f) == -1 and y not in chosen:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            gap_set = frozenset(set(below) | {f}) - chosen - {(0, 0)}
-            results.add(frozenset(gap_set))
-    fiber = with_frobenius(s1, f, deglex)
-    assert {frozenset(T.gaps) for T in fiber.results} == results
+    """Recompute the fiber from the definition, subset by subset.
+
+    The closure filter prunes nothing at (11,3) but does at (13,3) and (14,3).
+    """
+    for f in [(11, 3), (13, 3), (14, 3)]:
+        expected = frobenius_fiber_by_masks(
+            closure_member(S1_GENS, sum(f)),
+            fixture_cone_points(sum(f)),
+            f,
+            lambda x: deglex.compare(x, f) == -1,
+        )
+        fiber = with_frobenius(s1, f, deglex)
+        assert {T.gaps for T in fiber.results} == expected
+        assert len(fiber.results) == len(expected)
+        assert (len(expected) < 2 ** len(fiber.candidates)) == (f != (11, 3))
+        for T in fiber.results:
+            scratch = GapSemigroup(s1.cone, T.gaps).minimal_generators()
+            assert T.gens == minimal_elements(s1, scratch)
 
 
 def test_with_frobenius_at_base_frobenius(s1, deglex):
     # at the boundary target the origin joins the candidate pool: a kept
-    # origin forces every smaller element in, reproducing the base itself
+    # origin would force every smaller element in, which is the base itself,
+    # so the base is listed once
     fiber = with_frobenius(s1, (8, 2), deglex)
     assert fiber.candidates == {(0, 0), (5, 1), (6, 2)}
-    assert len(fiber.results) == 5
+    assert len(fiber.results) == 4
+    assert len({T.gaps for T in fiber.results}) == len(fiber.results)
     assert any(T.gaps == s1.gaps for T in fiber.results)
     for T in fiber.results:
         assert verify_isemigroup(s1, T)
@@ -262,6 +263,15 @@ def test_with_multiplicities_counts(s1):
     assert len(nonempty_keys) == 351
 
 
+def test_with_multiplicities_brute_force_agreement(s1):
+    M = [(10, 2), (6, 2)]
+    member = closure_member(S1_GENS, 40)
+    expected = multiplicity_fiber_by_masks(member, EXPECTED_POOL, M)
+    results = with_multiplicities(s1, M)
+    assert {T.gaps - s1.gaps: T.gens for T in results} == expected
+    assert len(results) == len(expected)
+
+
 def test_with_multiplicities_dedup_law(s1):
     results = with_multiplicities(s1, [(10, 2), (6, 2)])
     assert len({T.gens for T in results}) == len({T.gaps for T in results}) == len(results)
@@ -294,3 +304,86 @@ def test_with_multiplicities_med_member(s1, deglex):
     results = with_multiplicities(s1, mults)
     base_t = isemigroup_from_ideal(ideal_from_set(s1, mults))
     assert any(T.gaps == base_t.gaps for T in results)
+
+
+@st.composite
+def small_csemigroups(draw):
+    """A numerical semigroup, or S1 less a drawn down-set of its elements.
+
+    The numerical semigroup holds every n > c and the sums of a few drawn
+    numbers up to c.  In the plane, the elements of S1 that divide one of a
+    few drawn elements are removed; the rest is an ideal, so with 0 it is a
+    C-semigroup over the fixture cone.  Returns the semigroup, a membership
+    oracle and a cone-point lister that know only this construction, and a
+    grade c above which there are no gaps.
+    """
+    if draw(st.booleans()):
+        c = draw(st.integers(0, 10))
+        points = lambda n: [(k,) for k in range(n + 1)]
+        seeds = draw(st.lists(st.sampled_from(points(c)[1:]), max_size=3)) if c else []
+        kept = sum_closure(seeds, c) if seeds else set()
+        rays = [(1,)]
+
+        def member(p):
+            return p[0] >= 0 and (p[0] > c or not any(p) or p in kept)
+    else:
+        c = 16
+        points = fixture_cone_points
+        in_s1 = closure_member(S1_GENS, 60)
+        elements = [p for p in points(c) if any(p) and in_s1(p)]
+        tops = draw(st.lists(st.sampled_from(elements), max_size=2))
+        removed = {
+            y for y in elements
+            if any(in_s1(tuple(a - b for a, b in zip(t, y))) for t in tops)
+        }
+        rays = [(3, 1), (5, 1)]
+
+        def member(p):
+            return in_s1(p) and p not in removed
+
+    gap_set = [p for p in points(c) if not member(p)]
+    return GapSemigroup(Cone.from_generators(rays), gap_set), member, points, c
+
+
+@given(data=small_csemigroups(), order=st.sampled_from(["deglex", "degrevlex"]),
+       grade=st.integers(1, 18), pick=st.integers(0, 9))
+@settings(max_examples=60, deadline=None)
+def test_with_frobenius_matches_masks(data, order, grade, pick):
+    S, member, points, c = data
+    order = MonomialOrder(order)
+    at_grade = [p for p in points(grade) if sum(p) == grade]
+    assume(at_grade)
+    f = at_grade[pick % len(at_grade)]
+    fiber = with_frobenius(S, f, order)
+    assume(len(fiber.candidates) <= 10)
+    expected = frobenius_fiber_by_masks(
+        member, points(max(grade, c)), f, lambda x: order.compare(x, f) == -1
+    )
+    assert {T.gaps for T in fiber.results} == expected
+    assert len(fiber.results) == len(expected)
+    for T in fiber.results:
+        scratch = GapSemigroup(S.cone, T.gaps).minimal_generators()
+        assert T.gens == minimal_elements(S, scratch)
+
+
+@given(data=small_csemigroups(), draws=st.data())
+@settings(max_examples=40, deadline=None)
+def test_with_multiplicities_matches_masks(data, draws):
+    S, member, points, c = data
+    M = []
+    for d in S.cone.rays:
+        k = draws.draw(st.integers(1, 11 if S.dim == 1 else 2))
+        while not member(tuple(k * a for a in d)):
+            k += 1
+        M.append(tuple(k * a for a in d))
+    origin = tuple(0 for _ in M[0])
+    # a core element w has w - m a gap or outside the cone for each m in M,
+    # so its grade is at most the grades of M plus c
+    core = brute_apery_core(member, points(sum(map(sum, M)) + c), M)
+    assume(len(core) <= 11)
+    assert apery_context(S, M).core == core
+    pool = core - {origin}
+    results = with_multiplicities(S, M)
+    expected = multiplicity_fiber_by_masks(member, pool, M)
+    assert {T.gaps - S.gaps: T.gens for T in results} == expected
+    assert len(results) == len(expected)
