@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import NotDegreeCompatible, SemigroupError
 from .lattice import GT, LT, MonomialOrder, Point, vadd, vsub, zero
 from .semigroups import GapSemigroup, apery_context
-from .ideals import IdealSemigroup, minimal_elements, verify_isemigroup
+from .ideals import IdealSemigroup, minimal_elements
 
 
 def _result_key(T: IdealSemigroup):
@@ -52,26 +52,35 @@ def big_o(S: GapSemigroup, T, order: MonomialOrder) -> Point | None:
     return order.max(diff)
 
 
-def children(S: GapSemigroup, T: IdealSemigroup, order: MonomialOrder, *, verify=True):
+def children(S: GapSemigroup, T: IdealSemigroup, order: MonomialOrder):
     """Child nodes of T in the genus tree of S.
 
     Exactly the removals of a canonical ideal generator exceeding
-    ``big_o(S, T)``; each child is re-verified unless ``verify`` is False.
-    Removing x promotes exactly the x + n, n a minimal generator of S, that
-    no other generator of the ideal divides.
+    ``big_o(S, T)``.  Each child is certified locally: removing a minimal
+    element x of an ideal P leaves the ideal P ∖ {x}, so it suffices that x
+    (a cone point, as every generator is) is no gap of T and that no other
+    generator divides it; otherwise
+    :class:`SemigroupError` names x.  Removing x promotes exactly the x + n,
+    n a minimal generator of S, that no other generator divides.  They are
+    incomparable because the minimal generators of S are, and no kept
+    generator lies above one because the parent's generators are
+    incomparable, so from the root down every node's ``gens`` is its
+    canonical generating set.
     """
     threshold = big_o(S, T, order)
     out = []
     for x in sorted(T.gens):
         if threshold is not None and order.compare(x, threshold) != GT:
             continue
+        if x in T.gaps:
+            raise SemigroupError(f"ideal generator {x} is a gap of the parent")
         rest = T.gens - {x}
+        for g in rest:
+            if S.contains(vsub(x, g)):
+                raise SemigroupError(f"ideal generator {x} is divisible by {g}")
         steps = {vadd(x, n) for n in S.minimal_generators()}
         promoted = {y for y in steps if not any(S.contains(vsub(y, g)) for g in rest)}
-        child = IdealSemigroup(S, T.gaps | {x}, rest | promoted)
-        if verify and not verify_isemigroup(S, child):
-            raise SemigroupError(f"removal of {x} produced an invalid ideal")
-        out.append(child)
+        out.append(IdealSemigroup(S, T.gaps | {x}, rest | promoted))
     return out
 
 
@@ -85,12 +94,15 @@ class TreeNode:
 
 
 def enumerate_tree(
-    S: GapSemigroup, max_genus: int, order: MonomialOrder, *, verify=True
+    S: GapSemigroup, max_genus: int, order: MonomialOrder
 ) -> list[list[TreeNode]]:
     """All ideal-derived semigroups of S with genus at most ``max_genus``.
 
     Returns breadth-first levels; level k holds exactly the semigroups of
-    genus ``genus(S) + k``.
+    genus ``genus(S) + k``.  There is no ``verify`` keyword: every child is
+    certified locally by :func:`children`, and the full
+    :func:`~csemigroups.ideals.verify_isemigroup` stays an independent
+    oracle for tests.
     """
     g0 = S.genus
     if max_genus < g0:
@@ -100,7 +112,7 @@ def enumerate_tree(
     for genus in range(g0 + 1, max_genus + 1):
         level = []
         for node in levels[-1]:
-            for child in children(S, node.semigroup, order, verify=verify):
+            for child in children(S, node.semigroup, order):
                 (removed,) = child.gaps - node.semigroup.gaps
                 level.append(TreeNode(child, removed, genus))
         levels.append(level)

@@ -169,13 +169,16 @@ def imsg_of_isemigroup(T: IdealSemigroup) -> frozenset[Point]:
 def verify_isemigroup(S: GapSemigroup, T: GapSemigroup) -> bool:
     """Decide whether the candidate's nonzero part is an ideal of S.
 
-    Checks containment (gaps of S persist in T) and the ideal axiom
-    against the minimal generators of S; translating any element by a
-    generator can only fall into a gap of T when the element's grade is
-    below the largest gap grade, so the scan is finite and complete.  When
-    the answer is positive the sandwich T ⊆ S ⊆ T ∪ PF(T) is cross-checked:
-    every element S lost must be pseudo-Frobenius in T, otherwise
-    :class:`SemigroupError` is raised.
+    This is the independent oracle, which the genus tree no longer calls
+    (its children carry a local certificate instead).  Checks containment
+    (gaps of S persist in T) and the ideal axiom against the minimal
+    generators of S; translating any element by a generator can only fall
+    into a gap of T when the element's grade is below the largest gap
+    grade, so the scan is finite and complete.  When the answer is positive
+    the sandwich T ⊆ S ⊆ T ∪ PF(T) is cross-checked: every element S lost
+    must be pseudo-Frobenius in T, otherwise :class:`SemigroupError` is
+    raised.  A lost element plus a generator is a sum of cone points, so
+    only T's gaps are consulted.
     """
     if T.cone != S.cone:
         raise ConeMismatch(f"candidate cone {T.cone.rays} differs from {S.cone.rays}")
@@ -190,6 +193,6 @@ def verify_isemigroup(S: GapSemigroup, T: GapSemigroup) -> bool:
                 if vadd(x, n) in T.gaps:
                     return False
     lost = T.gaps - S.gaps
-    if not all(T.contains(vadd(h, n)) for h in lost for n in T.minimal_generators()):
+    if any(vadd(h, n) in T.gaps for h in lost for n in T.minimal_generators()):
         raise SemigroupError("sandwich property violated by a verified ideal")
     return True

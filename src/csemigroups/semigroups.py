@@ -419,10 +419,11 @@ def pseudo_frobenius(S: GapSemigroup) -> frozenset[Point]:
     """Gaps that land inside S when translated by any nonzero element.
 
     By additivity it suffices to test translation by the minimal
-    generators.
+    generators.  A gap plus a generator is a sum of cone points, so it lies
+    in the cone and is in S exactly when it is not a gap.
     """
     msg = S.minimal_generators()
-    return frozenset(h for h in S.gaps if all(S.contains(vadd(h, n)) for n in msg))
+    return frozenset(h for h in S.gaps if all(vadd(h, n) not in S.gaps for n in msg))
 
 
 @dataclass(frozen=True)

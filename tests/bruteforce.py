@@ -82,8 +82,11 @@ def brute_minimals(member, points):
 
 
 def brute_msg(member, points):
-    """Minimal generating set by scanning all two-part splits."""
-    elems = sorted(p for p in points if any(p) and member(p))
+    """Minimal generating set by scanning all two-part splits.
+
+    The elements are scanned in grade order, which the early exit needs.
+    """
+    elems = sorted((p for p in points if any(p) and member(p)), key=lambda p: (sum(p), p))
     gens = []
     for s in elems:
         splittable = False
@@ -118,25 +121,23 @@ def removable_pairs(member, cone_points, base_gaps):
 
     Takes every pair of nonzero semigroup elements and keeps those whose
     joint removal leaves the nonzero part closed under translation by the
-    full semigroup.
+    full semigroup: each removed element may be divided by no kept element
+    other than the removed pair.
     """
     elems = [p for p in cone_points if any(p) and member(p)]
-    valid = set()
-    for a, b in combinations(elems, 2):
-        ok = True
-        for removed in (a, b):
-            for kept in elems:
-                if kept in (a, b):
-                    continue
-                d = tuple(u - v for u, v in zip(removed, kept))
-                if min(d) >= 0 and any(d) and member(d):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            valid.add(frozenset(base_gaps | {a, b}))
-    return valid
+    divisors = {
+        x: {
+            y for y in elems
+            if min(d := tuple(u - v for u, v in zip(x, y))) >= 0 and any(d) and member(d)
+        }
+        for x in elems
+    }
+    few = [x for x in elems if len(divisors[x]) <= 1]
+    return {
+        frozenset(base_gaps | {a, b})
+        for a, b in combinations(few, 2)
+        if divisors[a] <= {b} and divisors[b] <= {a}
+    }
 
 
 def _sub(a, b):

@@ -119,6 +119,14 @@ def test_three_dimensional_tree_gens_match_scratch():
     _assert_tree_gens_from_scratch(g, levels)
 
 
+def test_three_dimensional_tree_nodes_verify():
+    # the benchmark's tree job on this fixture: every node passes the full
+    # verifier, which the tree itself no longer runs
+    g = gaps(GenSemigroup(D3))
+    levels = enumerate_tree(g, 5, MonomialOrder("deglex"))
+    assert all(verify_isemigroup(g, n.semigroup) for lvl in levels for n in lvl)
+
+
 def test_three_dimensional_gap_scan():
     s = GenSemigroup(D3)
     g = gaps(s)

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 from csemigroups import (
     Cone,
     GapSemigroup,
+    IdealSemigroup,
     MonomialOrder,
     NotDegreeCompatible,
+    SemigroupError,
     apery_context,
     big_o,
     children,
@@ -24,6 +26,7 @@ from csemigroups import (
 from csemigroups.serialize import load_document, semigroup_to_document
 from bruteforce import (
     brute_apery_core,
+    brute_msg,
     closure_member,
     fixture_cone_points,
     frobenius_fiber_by_masks,
@@ -63,6 +66,17 @@ def test_children_at_root(s1, deglex):
     assert removed == s1.minimal_generators()
     for k in kids:
         assert verify_isemigroup(s1, k)
+
+
+def test_children_certificate_rejects_corrupt_parent(s1, deglex):
+    msg = s1.minimal_generators()
+    # (11,3) = (5,1) + (6,2) is not minimal in the ideal
+    not_minimal = IdealSemigroup(s1, s1.gaps, msg | {(11, 3)})
+    with pytest.raises(SemigroupError, match=r"\(11, 3\) is divisible by \((5, 1|6, 2)\)"):
+        children(s1, not_minimal, deglex)
+    holds_gap = IdealSemigroup(s1, s1.gaps, msg | {(3, 1)})
+    with pytest.raises(SemigroupError, match=r"\(3, 1\) is a gap"):
+        children(s1, holds_gap, deglex)
 
 
 def test_children_filter_rule(s1, deglex):
@@ -387,3 +401,65 @@ def test_with_multiplicities_matches_masks(data, draws):
     expected = multiplicity_fiber_by_masks(member, pool, M)
     assert {T.gaps - S.gaps: T.gens for T in results} == expected
     assert len(results) == len(expected)
+
+
+@st.composite
+def orthant_csemigroups(draw):
+    """ℕ³ less the nonzero points below up to two drawn points of grade ≤ 4.
+
+    Returns the same four values as ``small_csemigroups``.
+    """
+    def points(n):
+        return [
+            (a, b, g - a - b)
+            for g in range(n + 1) for a in range(g + 1) for b in range(g - a + 1)
+        ]
+
+    tops = draw(st.lists(st.sampled_from(points(4)[1:]), max_size=2))
+    removed = {
+        y for y in points(4)[1:]
+        if any(all(u <= v for u, v in zip(y, t)) for t in tops)
+    }
+
+    def member(p):
+        return min(p) >= 0 and p not in removed
+
+    cone = Cone.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    return GapSemigroup(cone, removed), member, points, 4
+
+
+def _tree_against_oracles(S, member, points, c, verified_levels):
+    """Three tree levels of S against the full verifier and the pair scan.
+
+    The nodes of the first ``verified_levels`` levels must pass
+    ``verify_isemigroup``.  With no gaps above grade c, every element above
+    grade 2c + 6 splits into two elements (no Hilbert basis element of these
+    cones has grade above 6), so the generators come from a finite scan.  A
+    removable pair is two minimal generators, or a minimal generator a and
+    2a, and every divisor of a point lies below it coordinatewise, so the
+    pair scan needs only the points below those.
+    """
+    levels = enumerate_tree(S, S.genus + 2, MonomialOrder("deglex"))
+    for node in (n for lvl in levels[:verified_levels] for n in lvl):
+        assert verify_isemigroup(S, node.semigroup)
+    msg = brute_msg(member, points(2 * c + 7))
+    tops = msg | {tuple(2 * u for u in a) for a in msg}
+    near = points(max(map(sum, tops)))
+    elements = {p for p in near if sum(p) > c or member(p)}
+    below = [p for p in near if any(all(u <= v for u, v in zip(p, t)) for t in tops)]
+    expected = removable_pairs(elements.__contains__, below, set(S.gaps))
+    assert {n.semigroup.gaps for n in levels[2]} == expected
+
+
+@given(data=small_csemigroups())
+@settings(max_examples=30, deadline=None)
+def test_tree_matches_verifier_and_pairs(data):
+    _tree_against_oracles(*data, verified_levels=3)
+
+
+@given(data=orthant_csemigroups())
+@settings(max_examples=8, deadline=None)
+def test_orthant_tree_matches_verifier_and_pairs(data):
+    # a draw can have 55 minimal generators and 1,490 nodes on level 2, at
+    # several ms of full verification each; the pair scan checks level 2
+    _tree_against_oracles(*data, verified_levels=2)
