@@ -1,14 +1,14 @@
 """Enumeration of the ideal-derived semigroups of a fixed C-semigroup.
 
-Three engines are provided: a breadth-first walk of the genus tree (each
-node is obtained from its parent by removing one canonical ideal generator
-larger than the element that produced the parent), the fiber of semigroups
-sharing a prescribed Frobenius element, and the fiber sharing prescribed
-per-ray multiplicities.  P ⊆ S∖{0} is an ideal exactly when it is an
-up-set of (S∖{0}, ≤_S), where x ≤_S y means y − x ∈ S, so both fibers are
-the up-sets of a finite poset and cost time in proportion to their results.
-Results are emitted in a canonical order (genus, then sorted gap set) so
-counts and golden files are stable.
+Each is S ∖ D for a finite down-set D of (S∖{0}, ≤_S), where x ≤_S y means
+y − x ∈ S, and each is built from S by one certified step that removes a
+minimal generator of the current ideal.  The genus tree removes, per
+child, a canonical generator larger than the element that produced the
+parent.  The fibers with a prescribed Frobenius element or prescribed
+per-ray multiplicities walk a finite pool in grade-then-lex order (reverse
+search, Avis and Fukuda 1996), so they cost time in proportion to their
+results.  Results are emitted in a canonical order (genus, then sorted gap
+set) so counts and golden files are stable.
 """
 
 from __future__ import annotations
@@ -18,26 +18,11 @@ from dataclasses import dataclass
 from .errors import NotDegreeCompatible, SemigroupError
 from .lattice import GT, LT, MonomialOrder, Point, vadd, vsub, zero
 from .semigroups import GapSemigroup, apery_context
-from .ideals import IdealSemigroup, minimal_elements
+from .ideals import IdealSemigroup
 
 
 def _result_key(T: IdealSemigroup):
     return (T.genus, tuple(sorted(T.gaps)))
-
-
-def _up_sets(S: GapSemigroup, points) -> list[frozenset[Point]]:
-    """Every subset of ``points`` closed upward under ≤_S.
-
-    Points are taken from the highest grade down, and a partial set takes a
-    point only when it already holds every point above it; every partial
-    set is then an up-set of all the points, so the work grows with the
-    number of results rather than with the number of subsets.
-    """
-    ups = [frozenset()]
-    for p in sorted(points, key=lambda x: (sum(x), x), reverse=True):
-        above = {q for q in points if q != p and S.contains(vsub(q, p))}
-        ups += [U | {p} for U in ups if above <= U]
-    return ups
 
 
 def big_o(S: GapSemigroup, T, order: MonomialOrder) -> Point | None:
@@ -52,36 +37,55 @@ def big_o(S: GapSemigroup, T, order: MonomialOrder) -> Point | None:
     return order.max(diff)
 
 
+def _remove(S: GapSemigroup, T: IdealSemigroup, x: Point) -> IdealSemigroup:
+    """T less its ideal generator x, certified locally.
+
+    x must be no gap of T and no other generator may divide it, which makes
+    it minimal in the ideal P, so P ∖ {x} is an ideal; otherwise
+    :class:`SemigroupError` names x.  The promoted x + n, n ∈ msg(S), that
+    no other generator divides are incomparable with each other and with
+    the kept generators, so the result's ``gens`` stays canonical.
+    """
+    if x in T.gaps:
+        raise SemigroupError(f"ideal generator {x} is a gap of the parent")
+    rest = T.gens - {x}
+    for g in rest:
+        if S.contains(vsub(x, g)):
+            raise SemigroupError(f"ideal generator {x} is divisible by {g}")
+    steps = {vadd(x, n) for n in S.minimal_generators()}
+    promoted = {y for y in steps if not any(S.contains(vsub(y, g)) for g in rest)}
+    return IdealSemigroup(S, T.gaps | {x}, rest | promoted)
+
+
+def _removal_walk(S: GapSemigroup, T: IdealSemigroup, pool) -> list[IdealSemigroup]:
+    """T and every semigroup reached from it by removing points of ``pool``.
+
+    Each step removes a generator that comes after the walk's last removal
+    in grade-then-lex order, a linear extension of ≤_S, so every set of
+    pool points that can be removed is reached once, in increasing order.
+    """
+    out, stack = [], [(T, ())]
+    while stack:
+        T, last = stack.pop()
+        out.append(T)
+        for x in T.gens & pool:
+            if (key := (sum(x), x)) > last:
+                stack.append((_remove(S, T, x), key))
+    return out
+
+
 def children(S: GapSemigroup, T: IdealSemigroup, order: MonomialOrder):
     """Child nodes of T in the genus tree of S.
 
-    Exactly the removals of a canonical ideal generator exceeding
-    ``big_o(S, T)``.  Each child is certified locally: removing a minimal
-    element x of an ideal P leaves the ideal P ∖ {x}, so it suffices that x
-    (a cone point, as every generator is) is no gap of T and that no other
-    generator divides it; otherwise
-    :class:`SemigroupError` names x.  Removing x promotes exactly the x + n,
-    n a minimal generator of S, that no other generator divides.  They are
-    incomparable because the minimal generators of S are, and no kept
-    generator lies above one because the parent's generators are
-    incomparable, so from the root down every node's ``gens`` is its
-    canonical generating set.
+    Exactly the certified removals (:func:`_remove`) of the canonical ideal
+    generators exceeding ``big_o(S, T)``.
     """
     threshold = big_o(S, T, order)
-    out = []
-    for x in sorted(T.gens):
-        if threshold is not None and order.compare(x, threshold) != GT:
-            continue
-        if x in T.gaps:
-            raise SemigroupError(f"ideal generator {x} is a gap of the parent")
-        rest = T.gens - {x}
-        for g in rest:
-            if S.contains(vsub(x, g)):
-                raise SemigroupError(f"ideal generator {x} is divisible by {g}")
-        steps = {vadd(x, n) for n in S.minimal_generators()}
-        promoted = {y for y in steps if not any(S.contains(vsub(y, g)) for g in rest)}
-        out.append(IdealSemigroup(S, T.gaps | {x}, rest | promoted))
-    return out
+    return [
+        _remove(S, T, x)
+        for x in sorted(T.gens)
+        if threshold is None or order.compare(x, threshold) == GT
+    ]
 
 
 @dataclass(frozen=True)
@@ -99,10 +103,7 @@ def enumerate_tree(
     """All ideal-derived semigroups of S with genus at most ``max_genus``.
 
     Returns breadth-first levels; level k holds exactly the semigroups of
-    genus ``genus(S) + k``.  There is no ``verify`` keyword: every child is
-    certified locally by :func:`children`, and the full
-    :func:`~csemigroups.ideals.verify_isemigroup` stays an independent
-    oracle for tests.
+    genus ``genus(S) + k``.
     """
     g0 = S.genus
     if max_genus < g0:
@@ -124,8 +125,8 @@ class FrobeniusFiber:
     """Fiber of semigroups whose largest gap is the prescribed element.
 
     ``candidates`` holds the elements of the base below the target that
-    cannot reach it inside the base; each result keeps one up-set of the
-    nonzero candidates and everything above the target.
+    cannot reach it inside the base; a result loses the target's nonzero
+    divisors and a down-set of the nonzero candidates.
     """
 
     f: Point
@@ -137,9 +138,9 @@ def with_frobenius(S: GapSemigroup, f, order: MonomialOrder) -> FrobeniusFiber:
     """All ideal-derived semigroups of S with Frobenius element ``f``.
 
     Requires a degree-compatible order so that the region below ``f`` is
-    finite; plain lex is rejected.  The origin is a candidate when ``f`` is
-    a gap of S, but keeping it keeps every candidate, which is S itself and
-    already the up-set of all nonzero candidates.
+    finite; plain lex is rejected.  Removal steps take S to the fiber's top,
+    S less the nonzero divisors of ``f`` (``f`` among them when in S), and
+    the removal walk over the nonzero candidates lists the fiber from there.
     """
     f = tuple(f)
     if not order.degree_compatible:
@@ -163,17 +164,15 @@ def with_frobenius(S: GapSemigroup, f, order: MonomialOrder) -> FrobeniusFiber:
     candidates = frozenset(
         x for x in in_s if not (min(d := vsub(f, x)) >= 0 and S.contains(d))
     )
-    region = set(below) | {f}
-    origin = zero(S.dim)
-    # the minimal elements of {x ∈ S : x > f} are y + n, y ∈ S up to f and
-    # n a minimal generator of S
-    not_above = in_s + [f] if S.contains(f) else in_s
-    steps = {vadd(y, n) for y in not_above for n in S.minimal_generators()}
-    above_f = minimal_elements(S, {x for x in steps if order.compare(x, f) == GT})
-    results = [
-        IdealSemigroup(S, region - U - {origin}, minimal_elements(S, U | above_f))
-        for U in _up_sets(S, candidates - {origin})
-    ]
+    # the nonzero divisors of f in S form a down-set; ``in_s`` lists them in
+    # increasing grade, and f, when in S, is the only one of its grade
+    top = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
+    for x in in_s:
+        if any(x) and x not in candidates:
+            top = _remove(S, top, x)
+    if S.contains(f):
+        top = _remove(S, top, f)
+    results = _removal_walk(S, top, candidates - {zero(S.dim)})
     results.sort(key=_result_key)
     return FrobeniusFiber(f, candidates, tuple(results))
 
@@ -184,20 +183,17 @@ def with_multiplicities(
     """All ideal-derived semigroups of S with the given per-ray elements M.
 
     Every element of S outside the finite pool B (the nonzero Apery core of
-    M) lies in M + S, so each result is fixed by the up-set U of B its ideal
-    keeps: it adds B − U to the gaps of S, and its ideal is generated by the
-    minimal elements of M ∪ U.  With ``verify_multiplicities`` the results
-    are post-filtered to those whose per-ray least elements equal M exactly;
-    the others lost a multiplicity because the pool holds a ray point.
+    M) lies in M + S, and B is a down-set, so the results are the nodes of
+    the removal walk over B.  With ``verify_multiplicities`` the results
+    are post-filtered to those whose per-ray least elements equal M
+    exactly; the others lost a multiplicity because the pool holds a ray
+    point.
     """
     ctx = apery_context(S, M)
-    ray_elements = frozenset(ctx.ray_elements)
-    pool = ctx.core - {zero(S.dim)}
-    results = [
-        IdealSemigroup(S, S.gaps | (pool - U), minimal_elements(S, ray_elements | U))
-        for U in _up_sets(S, pool)
-    ]
+    root = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
+    results = _removal_walk(S, root, ctx.core - {zero(S.dim)})
     if verify_multiplicities:
+        ray_elements = frozenset(ctx.ray_elements)
         results = [T for T in results if frozenset(T.multiplicities()) == ray_elements]
     results.sort(key=_result_key)
     return tuple(results)

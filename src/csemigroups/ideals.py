@@ -117,7 +117,10 @@ class IdealSemigroup(GapSemigroup):
     """
 
     def __init__(self, base: GapSemigroup, gap_set, gens=None, msg=None):
-        super().__init__(base.cone, gap_set)
+        gaps = frozenset(tuple(h) for h in gap_set)
+        # the base validated its own gaps, so only the others are checked
+        super().__init__(base.cone, gaps - base.gaps)
+        self.gaps = gaps
         self.base = base
         if gens is not None:
             self.gens = frozenset(gens)

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import os
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csemigroups import (
     MonomialOrder,
@@ -12,7 +18,7 @@ from csemigroups import (
 )
 from csemigroups.cli import main
 from csemigroups.serialize import semigroup_to_document
-from conftest import S1_GENS
+from conftest import S1_GENS, S2_GENS
 
 
 @pytest.fixture()
@@ -230,3 +236,85 @@ def test_invalid_file_exit_2(capsys, tmp_path):
     assert code == 2
     assert doc["error"] == "InvalidSemigroupFile"
     assert doc["invariant"] == "gap-closure"
+
+
+# Documents for the CLI fuzz test: valid ones (one lex-ordered), the gap form
+# of S1, a semigroup that is no C-semigroup, a non-simplicial cone (four
+# extremal rays in dimension 3) and an input the default budget cannot
+# decide; drawn generator lists in dimension 1-2 are added to them.
+_FUZZ_DOCUMENTS = [
+    {"p": 2, "generators": [list(g) for g in S1_GENS], "order": "deglex"},
+    {"p": 2, "generators": [list(g) for g in S1_GENS], "order": "lex"},
+    {"p": 2, "rays": [[3, 1], [5, 1]], "gaps": [[3, 1], [4, 1], [7, 2], [8, 2]]},
+    {"p": 1, "generators": [[5], [7], [9]], "order": "degrevlex"},
+    {"p": 3, "generators": [[2, 0, 0], [3, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 0, 1]]},
+    {"p": 2, "generators": [list(g) for g in S2_GENS]},
+    {"p": 3, "generators": [[1, 0, 0], [0, 1, 0], [1, 0, 1], [0, 1, 1]]},
+    {"p": 2, "generators": [[2, 0], [3, 0], [0, 1]]},
+]
+_drawn_documents = st.builds(
+    lambda gens: {"p": len(gens[0]), "generators": gens},
+    st.lists(st.lists(st.integers(-1, 6), min_size=1, max_size=2), min_size=1, max_size=4),
+)
+# on-ray points of the documents above, so that some fibers are not empty
+_RAY_POINTS = {1: ["5", "7"], 2: ["5,1", "6,2", "10,2", "9,3", "1,0", "0,2"],
+               3: ["2,0,0", "3,0,0", "0,1,0", "0,0,1", "0,0,2"]}
+
+
+def _point_texts(dim):
+    # fiber sizes grow fast with the grade of the target (the fibers have no
+    # size budget), so points stay at grade 6 or less, 3 in dimension 3
+    top = 3 if dim == 3 else 6
+    right = st.lists(st.integers(-1, top), min_size=dim, max_size=dim)
+    wrong = st.lists(st.integers(-1, 3), min_size=1, max_size=4)
+    coordinates = right.filter(lambda c: sum(c) <= top) | wrong.filter(
+        lambda c: len(c) != dim
+    )
+    return st.one_of(
+        coordinates.map(lambda c: ",".join(map(str, c))),
+        st.sampled_from(_RAY_POINTS[dim] + ["", "x", "1,,2", "1.5,2"]),
+    )
+
+
+@st.composite
+def _cli_calls(draw, tmp_dir):
+    fixed = st.sampled_from(_FUZZ_DOCUMENTS)
+    doc = draw(st.one_of(fixed, fixed, _drawn_documents))
+    path = tmp_dir / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    points = _point_texts(doc["p"])
+    command = draw(st.sampled_from([
+        "gaps", "msg", "pf", "member", "fast-member", "apery", "ideal", "tree",
+        "frobenius-fixed", "mult-fixed",
+    ]))
+    argv = [command, str(path)]
+    if command in ("member", "fast-member"):
+        argv.append(draw(points))
+    elif command == "ideal":
+        argv += draw(st.lists(points, min_size=1, max_size=3))
+    elif command == "tree":
+        argv += ["--max-genus", str(draw(st.integers(-2, 9)))]
+        argv += ["--full"] if draw(st.booleans()) else []
+    elif command == "frobenius-fixed":
+        argv += ["--f", draw(points)]
+    elif command in ("apery", "mult-fixed"):
+        for m in draw(st.lists(points, min_size=command == "mult-fixed", max_size=3)):
+            argv += ["--m", m]
+        if command == "mult-fixed":
+            argv += draw(st.sampled_from([[], ["--full"], ["--verify-multiplicities"]]))
+    return argv
+
+
+@pytest.mark.filterwarnings("ignore:redundant generator")
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_cli_fuzz_exits_cleanly(tmp_path_factory, data):
+    argv = data.draw(_cli_calls(tmp_path_factory.mktemp("fuzz")))
+    out = io.StringIO()
+    with mock.patch.dict(os.environ, {"SEMIGROUP_BUDGET": "20000"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 2, 3), (argv, out.getvalue())

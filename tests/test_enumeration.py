@@ -3,7 +3,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from csemigroups import (
-    Cone,
     GapSemigroup,
     IdealSemigroup,
     MonomialOrder,
@@ -33,9 +32,9 @@ from bruteforce import (
     in_fixture_cone,
     multiplicity_fiber_by_masks,
     removable_pairs,
-    sum_closure,
 )
 from conftest import S1_GENS
+from strategies import orthant_csemigroups, small_csemigroups
 
 EXPECTED_POOL = [
     (5, 1), (9, 2), (9, 3), (10, 3), (12, 3), (13, 3), (13, 4),
@@ -218,6 +217,12 @@ def test_with_frobenius_brute_force_agreement(s1, deglex):
             assert T.gens == minimal_elements(s1, scratch)
 
 
+def test_with_frobenius_large_fiber(s1, deglex):
+    fiber = with_frobenius(s1, (17, 4), deglex)
+    assert len({T.gaps for T in fiber.results}) == len(fiber.results) == 4376
+    assert all(frobenius(T, deglex) == (17, 4) for T in fiber.results)
+
+
 def test_with_frobenius_at_base_frobenius(s1, deglex):
     # at the boundary target the origin joins the candidate pool: a kept
     # origin would force every smaller element in, which is the base itself,
@@ -320,54 +325,25 @@ def test_with_multiplicities_med_member(s1, deglex):
     assert any(T.gaps == base_t.gaps for T in results)
 
 
-@st.composite
-def small_csemigroups(draw):
-    """A numerical semigroup, or S1 less a drawn down-set of its elements.
-
-    The numerical semigroup holds every n > c and the sums of a few drawn
-    numbers up to c.  In the plane, the elements of S1 that divide one of a
-    few drawn elements are removed; the rest is an ideal, so with 0 it is a
-    C-semigroup over the fixture cone.  Returns the semigroup, a membership
-    oracle and a cone-point lister that know only this construction, and a
-    grade c above which there are no gaps.
-    """
-    if draw(st.booleans()):
-        c = draw(st.integers(0, 10))
-        points = lambda n: [(k,) for k in range(n + 1)]
-        seeds = draw(st.lists(st.sampled_from(points(c)[1:]), max_size=3)) if c else []
-        kept = sum_closure(seeds, c) if seeds else set()
-        rays = [(1,)]
-
-        def member(p):
-            return p[0] >= 0 and (p[0] > c or not any(p) or p in kept)
-    else:
-        c = 16
-        points = fixture_cone_points
-        in_s1 = closure_member(S1_GENS, 60)
-        elements = [p for p in points(c) if any(p) and in_s1(p)]
-        tops = draw(st.lists(st.sampled_from(elements), max_size=2))
-        removed = {
-            y for y in elements
-            if any(in_s1(tuple(a - b for a, b in zip(t, y))) for t in tops)
-        }
-        rays = [(3, 1), (5, 1)]
-
-        def member(p):
-            return in_s1(p) and p not in removed
-
-    gap_set = [p for p in points(c) if not member(p)]
-    return GapSemigroup(Cone.from_generators(rays), gap_set), member, points, c
-
-
-@given(data=small_csemigroups(), order=st.sampled_from(["deglex", "degrevlex"]),
+@given(data=st.one_of(small_csemigroups(), orthant_csemigroups()),
+       order=st.sampled_from([MonomialOrder("deglex"), MonomialOrder("degrevlex"),
+                              MonomialOrder("deglex", (1, 0)),
+                              MonomialOrder("degrevlex", (2, 0, 1))]),
        grade=st.integers(1, 18), pick=st.integers(0, 9))
 @settings(max_examples=60, deadline=None)
 def test_with_frobenius_matches_masks(data, order, grade, pick):
     S, member, points, c = data
-    order = MonomialOrder(order)
+    assume(order.priority is None or len(order.priority) == S.dim)
     at_grade = [p for p in points(grade) if sum(p) == grade]
     assume(at_grade)
     f = at_grade[pick % len(at_grade)]
+    # in ℕ³ the fiber can be astronomically large, so the candidates are
+    # counted by the oracle before the library enumerates them
+    assume(sum(
+        1 for x in points(grade)
+        if order.compare(x, f) == -1 and member(x)
+        and not member(tuple(a - b for a, b in zip(f, x)))
+    ) <= 10)
     fiber = with_frobenius(S, f, order)
     assume(len(fiber.candidates) <= 10)
     expected = frobenius_fiber_by_masks(
@@ -380,7 +356,7 @@ def test_with_frobenius_matches_masks(data, order, grade, pick):
         assert T.gens == minimal_elements(S, scratch)
 
 
-@given(data=small_csemigroups(), draws=st.data())
+@given(data=st.one_of(small_csemigroups(), orthant_csemigroups()), draws=st.data())
 @settings(max_examples=40, deadline=None)
 def test_with_multiplicities_matches_masks(data, draws):
     S, member, points, c = data
@@ -401,31 +377,6 @@ def test_with_multiplicities_matches_masks(data, draws):
     expected = multiplicity_fiber_by_masks(member, pool, M)
     assert {T.gaps - S.gaps: T.gens for T in results} == expected
     assert len(results) == len(expected)
-
-
-@st.composite
-def orthant_csemigroups(draw):
-    """ℕ³ less the nonzero points below up to two drawn points of grade ≤ 4.
-
-    Returns the same four values as ``small_csemigroups``.
-    """
-    def points(n):
-        return [
-            (a, b, g - a - b)
-            for g in range(n + 1) for a in range(g + 1) for b in range(g - a + 1)
-        ]
-
-    tops = draw(st.lists(st.sampled_from(points(4)[1:]), max_size=2))
-    removed = {
-        y for y in points(4)[1:]
-        if any(all(u <= v for u, v in zip(y, t)) for t in tops)
-    }
-
-    def member(p):
-        return min(p) >= 0 and p not in removed
-
-    cone = Cone.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    return GapSemigroup(cone, removed), member, points, 4
 
 
 def _tree_against_oracles(S, member, points, c, verified_levels):

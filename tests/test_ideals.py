@@ -122,6 +122,13 @@ def test_isemigroup_from_whole_semigroup(s1):
     assert T.minimal_generators() == s1.minimal_generators()
 
 
+def test_isemigroup_rejects_bad_added_gaps(s1):
+    # only the gaps beyond the base's are checked, and those always are
+    for bad in [(1, 1), (9, 2, 0), (0, 0)]:
+        with pytest.raises(ValueError):
+            IdealSemigroup(s1, s1.gaps | {bad})
+
+
 def test_isemigroup_from_ideal_rejects_ray_misses(s1):
     with pytest.raises(NotCSemigroup):
         isemigroup_from_ideal(ideal_from_set(s1, [(10, 2)]))

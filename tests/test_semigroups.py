@@ -1,6 +1,8 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csemigroups import (
     BudgetExceeded,
@@ -27,6 +29,7 @@ from bruteforce import (
     fixture_cone_points,
     sum_closure,
 )
+from strategies import orthant_csemigroups, small_csemigroups
 
 EXPECTED_SUM_BOX_S2 = {
     (0, 0), (8, 2), (9, 2), (12, 3), (17, 4), (18, 4), (20, 5), (21, 5),
@@ -89,6 +92,23 @@ def test_gaps_budget_exceeded_is_inconclusive():
     skew = GenSemigroup([(1, 0), (1, 2)])
     with pytest.raises(BudgetExceeded):
         gaps(skew, budget=3000)
+
+
+@given(data=st.one_of(small_csemigroups(), orthant_csemigroups()))
+@settings(max_examples=60, deadline=None)
+def test_gaps_matches_closure(data):
+    """gaps() of a drawn semigroup's generators against their closure.
+
+    The generators come from a brute-force scan of the drawn construction;
+    none lies above grade 2c + 6 (no Hilbert basis element of these cones
+    has grade above 6), and neither does a gap of their closure.
+    """
+    _, member, points, c = data
+    top = 2 * c + 7
+    gens = sorted(brute_msg(member, points(top)))
+    closure = sum_closure(gens, top)
+    expected = {p for p in points(top) if p not in closure}
+    assert gaps(GenSemigroup(gens)).gaps == expected
 
 
 def test_minimal_generators_roundtrip(s1, s1_gen):
