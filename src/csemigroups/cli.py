@@ -6,12 +6,14 @@ corresponding library operation and prints a machine-readable JSON object
 validation errors (a JSON error object naming the violated invariant is
 printed), 3 when a bounded search gave up before reaching a certificate.
 The environment variable ``SEMIGROUP_BUDGET`` overrides the default
-exploration budget.
+exploration budget; it also bounds the number of semigroups the
+``frobenius-fixed`` and ``mult-fixed`` fibers may list.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -208,8 +210,10 @@ def cmd_tree(args):
 
 def cmd_frobenius_fixed(args):
     S, order = _load(args.semigroup)
-    G = _gap_rep(S, _budget())
-    fiber = enumeration.with_frobenius(G, _parse_point(args.f, S.dim), order)
+    budget = _budget()
+    G = _gap_rep(S, budget)
+    f = _parse_point(args.f, S.dim)
+    fiber = enumeration.with_frobenius(G, f, order, budget)
     return {
         "f": list(fiber.f),
         "candidates": _points(fiber.candidates),
@@ -220,10 +224,11 @@ def cmd_frobenius_fixed(args):
 
 def cmd_mult_fixed(args):
     S, _ = _load(args.semigroup)
-    G = _gap_rep(S, _budget())
+    budget = _budget()
+    G = _gap_rep(S, budget)
     M = [_parse_point(m, S.dim) for m in args.m]
     results = enumeration.with_multiplicities(
-        G, M, verify_multiplicities=args.verify_multiplicities
+        G, M, budget, verify_multiplicities=args.verify_multiplicities
     )
     doc = {
         "m": _points(M),
@@ -271,7 +276,9 @@ def cmd_plot(args):
     return plot.render_svg(S, window)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parsing never mutates it."""
     parser = argparse.ArgumentParser(
         prog="csemigroups",
         description="Exact computations with C-semigroups and their ideals.",
@@ -315,8 +322,7 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         result = args.func(args)
     except BudgetExceeded as exc:

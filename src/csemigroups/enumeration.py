@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotDegreeCompatible, SemigroupError
+from .errors import BudgetExceeded, NotDegreeCompatible, SemigroupError
 from .lattice import GT, LT, MonomialOrder, Point, vadd, vsub, zero
-from .semigroups import GapSemigroup, apery_context
+from .semigroups import DEFAULT_BUDGET, GapSemigroup, apery_context
 from .ideals import IdealSemigroup
 
 
@@ -57,17 +57,26 @@ def _remove(S: GapSemigroup, T: IdealSemigroup, x: Point) -> IdealSemigroup:
     return IdealSemigroup(S, T.gaps | {x}, rest | promoted)
 
 
-def _removal_walk(S: GapSemigroup, T: IdealSemigroup, pool) -> list[IdealSemigroup]:
+def _removal_walk(
+    S: GapSemigroup, T: IdealSemigroup, pool, budget: int
+) -> list[IdealSemigroup]:
     """T and every semigroup reached from it by removing points of ``pool``.
 
     Each step removes a generator that comes after the walk's last removal
     in grade-then-lex order, a linear extension of ≤_S, so every set of
     pool points that can be removed is reached once, in increasing order.
+    Raises :class:`BudgetExceeded` once more than ``budget`` semigroups
+    have been emitted.
     """
     out, stack = [], [(T, ())]
     while stack:
         T, last = stack.pop()
         out.append(T)
+        if len(out) > budget:
+            raise BudgetExceeded(
+                f"removal walk emitted more than {budget} semigroups "
+                f"over a pool of {len(pool)} points"
+            )
         for x in T.gens & pool:
             if (key := (sum(x), x)) > last:
                 stack.append((_remove(S, T, x), key))
@@ -134,13 +143,17 @@ class FrobeniusFiber:
     results: tuple[IdealSemigroup, ...]
 
 
-def with_frobenius(S: GapSemigroup, f, order: MonomialOrder) -> FrobeniusFiber:
+def with_frobenius(
+    S: GapSemigroup, f, order: MonomialOrder, budget=DEFAULT_BUDGET
+) -> FrobeniusFiber:
     """All ideal-derived semigroups of S with Frobenius element ``f``.
 
     Requires a degree-compatible order so that the region below ``f`` is
     finite; plain lex is rejected.  Removal steps take S to the fiber's top,
     S less the nonzero divisors of ``f`` (``f`` among them when in S), and
     the removal walk over the nonzero candidates lists the fiber from there.
+    Raises :class:`BudgetExceeded` when the fiber has more than ``budget``
+    semigroups.
     """
     f = tuple(f)
     if not order.degree_compatible:
@@ -172,13 +185,13 @@ def with_frobenius(S: GapSemigroup, f, order: MonomialOrder) -> FrobeniusFiber:
             top = _remove(S, top, x)
     if S.contains(f):
         top = _remove(S, top, f)
-    results = _removal_walk(S, top, candidates - {zero(S.dim)})
+    results = _removal_walk(S, top, candidates - {zero(S.dim)}, budget)
     results.sort(key=_result_key)
     return FrobeniusFiber(f, candidates, tuple(results))
 
 
 def with_multiplicities(
-    S: GapSemigroup, M, *, verify_multiplicities=False
+    S: GapSemigroup, M, budget=DEFAULT_BUDGET, *, verify_multiplicities=False
 ) -> tuple[IdealSemigroup, ...]:
     """All ideal-derived semigroups of S with the given per-ray elements M.
 
@@ -187,11 +200,12 @@ def with_multiplicities(
     the removal walk over B.  With ``verify_multiplicities`` the results
     are post-filtered to those whose per-ray least elements equal M
     exactly; the others lost a multiplicity because the pool holds a ray
-    point.
+    point.  Raises :class:`BudgetExceeded` when the walk emits more than
+    ``budget`` semigroups, counted before that filter.
     """
     ctx = apery_context(S, M)
     root = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
-    results = _removal_walk(S, root, ctx.core - {zero(S.dim)})
+    results = _removal_walk(S, root, ctx.core - {zero(S.dim)}, budget)
     if verify_multiplicities:
         ray_elements = frozenset(ctx.ray_elements)
         results = [T for T in results if frozenset(T.multiplicities()) == ray_elements]

@@ -5,9 +5,9 @@ this module (and in the rest of the package) is exact, never floating point.
 Monomial-order comparisons and cone membership use integers only: one
 fraction-free elimination (:func:`bareiss`) gives each simplicial cone an
 integer adjugate solver, so a membership test is a few integer dot products
-and sign tests.  ``fractions.Fraction`` appears only in the coordinates
-:meth:`Cone.coordinates` returns and in the simplex that decides ray
-extremality.
+and sign tests.  The simplex that decides ray extremality runs on a
+fraction-free integer tableau, so ``fractions.Fraction`` appears only in
+the coordinates :meth:`Cone.coordinates` returns.
 
 Every object defined here is immutable after construction and all functions
 are pure, so values can be shared freely across threads.
@@ -186,8 +186,12 @@ def bareiss(rows):
 def _nonneg_combination_exists(columns, target) -> bool:
     """Exact feasibility of ``sum λ_i c_i = target`` with rational ``λ ≥ 0``.
 
-    Phase-one simplex over Fractions with Bland's rule; ``target`` must have
-    non-negative coordinates, which makes the all-artificial basis feasible.
+    Phase-one simplex with Bland's rule (ties in the ratio test go to the
+    smallest basis index); ``target`` must have non-negative coordinates,
+    which makes the all-artificial basis feasible.  The tableau is
+    fraction-free (Edmonds 1967): every entry is d times its rational value,
+    d > 0 being the last pivot, and a pivot updates the other rows with the
+    exact Bareiss division of :func:`bareiss`.
     """
     if not any(target):
         return True
@@ -196,38 +200,47 @@ def _nonneg_combination_exists(columns, target) -> bool:
     m, n = len(target), len(columns)
     # tableau rows: [original vars | artificial vars | rhs]
     tab = [
-        [Fraction(columns[j][i]) for j in range(n)]
-        + [Fraction(int(k == i)) for k in range(m)]
-        + [Fraction(target[i])]
+        [c[i] for c in columns] + [int(k == i) for k in range(m)] + [target[i]]
         for i in range(m)
     ]
     basis = list(range(n, n + m))
+    d = 1
     while True:
-        # reduced costs for the "minimize artificial sum" objective
-        costs = [
-            (Fraction(int(j >= n)) - sum(tab[i][j] for i in range(m) if basis[i] >= n))
-            for j in range(n + m)
-        ]
-        entering = next((j for j, c in enumerate(costs) if c < 0), None)
+        # d times the reduced costs of the "minimize artificial sum" objective
+        artificial = [row for row, b in zip(tab, basis) if b >= n]
+        entering = next(
+            (
+                j
+                for j in range(n + m)
+                if d * (j >= n) < sum(row[j] for row in artificial)
+            ),
+            None,
+        )
         if entering is None:
             break
-        ratios = [
-            (tab[i][-1] / tab[i][entering], basis[i], i)
-            for i in range(m)
-            if tab[i][entering] > 0
-        ]
-        if not ratios:  # unbounded; cannot happen for this objective
+        row = None
+        for i, r in enumerate(tab):
+            a = r[entering]
+            if a <= 0:
+                continue
+            if row is not None:
+                # ratio r[-1]/a against the best one by cross-multiplication,
+                # ties to the smaller basis index
+                lhs, rhs = r[-1] * tab[row][entering], tab[row][-1] * a
+                if lhs > rhs or (lhs == rhs and basis[i] > basis[row]):
+                    continue
+            row = i
+        if row is None:  # unbounded; cannot happen for this objective
             return False
-        _, _, row = min(ratios)
-        piv = tab[row][entering]
-        tab[row] = [x / piv for x in tab[row]]
+        prow = tab[row]
+        p = prow[entering]
         for i in range(m):
-            if i != row and tab[i][entering]:
+            if i != row:
                 f = tab[i][entering]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[row])]
+                tab[i] = [(p * x - f * y) // d for x, y in zip(tab[i], prow)]
+        d = p
         basis[row] = entering
-    objective = sum(tab[i][-1] for i in range(m) if basis[i] >= n)
-    return objective == 0
+    return not any(row[-1] for row, b in zip(tab, basis) if b >= n)
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,12 @@
 Nothing here reuses the library's algorithms: membership is decided by a
 forward closure (breadth-first sums of generators), cone membership for the
 two fixture cones by explicit inequalities, minimality/decomposition
-questions by direct definition scans, and the two fibers by scanning every
-subset of their candidates.
+questions by direct definition scans, the two fibers by scanning every
+subset of their candidates, and ray extremality by a phase-one simplex over
+Fractions (the library's simplex works on a fraction-free integer tableau).
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 
@@ -201,3 +203,50 @@ def multiplicity_fiber_by_masks(member, pool, ray_elements):
         )
         assert out.setdefault(lost, gens) == gens, "one ideal, two generating sets"
     return out
+
+
+def nonneg_combination_exists(columns, target) -> bool:
+    """Exact feasibility of ``sum λ_i c_i = target`` with rational ``λ ≥ 0``.
+
+    Phase-one simplex over Fractions with Bland's rule; ``target`` must have
+    non-negative coordinates, which makes the all-artificial basis feasible.
+    """
+    if not any(target):
+        return True
+    if not columns:
+        return False
+    m, n = len(target), len(columns)
+    # tableau rows: [original vars | artificial vars | rhs]
+    tab = [
+        [Fraction(columns[j][i]) for j in range(n)]
+        + [Fraction(int(k == i)) for k in range(m)]
+        + [Fraction(target[i])]
+        for i in range(m)
+    ]
+    basis = list(range(n, n + m))
+    while True:
+        # reduced costs for the "minimize artificial sum" objective
+        costs = [
+            (Fraction(int(j >= n)) - sum(tab[i][j] for i in range(m) if basis[i] >= n))
+            for j in range(n + m)
+        ]
+        entering = next((j for j, c in enumerate(costs) if c < 0), None)
+        if entering is None:
+            break
+        ratios = [
+            (tab[i][-1] / tab[i][entering], basis[i], i)
+            for i in range(m)
+            if tab[i][entering] > 0
+        ]
+        if not ratios:  # unbounded; cannot happen for this objective
+            return False
+        _, _, row = min(ratios)
+        piv = tab[row][entering]
+        tab[row] = [x / piv for x in tab[row]]
+        for i in range(m):
+            if i != row and tab[i][entering]:
+                f = tab[i][entering]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[row])]
+        basis[row] = entering
+    objective = sum(tab[i][-1] for i in range(m) if basis[i] >= n)
+    return objective == 0

@@ -16,6 +16,7 @@ from csemigroups import (
     with_frobenius,
     with_multiplicities,
 )
+from csemigroups import cli
 from csemigroups.cli import main
 from csemigroups.serialize import semigroup_to_document
 from conftest import S1_GENS, S2_GENS
@@ -165,6 +166,56 @@ def test_tree(capsys, s1_file, s1, deglex):
     code, full = run_json(capsys, "tree", "--max-genus", "5", s1_file, "--full")
     assert code == 0
     assert len(full["semigroups"]) == 9
+
+
+def test_parser_reuse_keeps_output(capsys, s1_file):
+    # each call alone, with a fresh parser, against the same calls in one
+    # process sharing one parser: no namespace state or default may leak
+    calls = [
+        ("tree", "--max-genus", "5", "--full", s1_file),
+        ("tree", "--max-genus", "5", s1_file),
+        ("tree", s1_file),  # usage error: --max-genus is required
+        ("gaps", s1_file),
+    ]
+
+    def call(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr()
+
+    alone = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        alone.append(call(argv))
+    cli.build_parser.cache_clear()
+    shared = [call(argv) for argv in calls]
+    assert cli.build_parser.cache_info().misses == 1
+    assert shared == alone
+    assert [code for code, _ in shared] == [0, 0, 2, 0]
+    assert "semigroups" in json.loads(shared[0][1].out)
+    assert "semigroups" not in json.loads(shared[1][1].out)
+
+
+def test_fiber_budget_env_exit_3(capsys, n2_file, monkeypatch):
+    # the fiber below (100,1) in N^2 is astronomically large
+    monkeypatch.setenv("SEMIGROUP_BUDGET", "1000")
+    code, doc = run_json(capsys, "frobenius-fixed", "--f", "100,1", n2_file)
+    assert code == 3
+    assert doc["error"] == "BudgetExceeded"
+
+
+def test_mult_fixed_budget_env(capsys, s1_file, monkeypatch):
+    argv = ("mult-fixed", "--m", "10,2", "--m", "6,2", s1_file)
+    monkeypatch.setenv("SEMIGROUP_BUDGET", "351")
+    code, doc = run_json(capsys, *argv)
+    assert code == 3
+    assert doc["error"] == "BudgetExceeded"
+    monkeypatch.setenv("SEMIGROUP_BUDGET", "352")
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    assert doc["count"] == 352
 
 
 def test_tree_bad_genus_exit_2(capsys, s1_file):

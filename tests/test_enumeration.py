@@ -3,6 +3,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from csemigroups import (
+    BudgetExceeded,
     GapSemigroup,
     IdealSemigroup,
     MonomialOrder,
@@ -221,6 +222,19 @@ def test_with_frobenius_large_fiber(s1, deglex):
     fiber = with_frobenius(s1, (17, 4), deglex)
     assert len({T.gaps for T in fiber.results}) == len(fiber.results) == 4376
     assert all(frobenius(T, deglex) == (17, 4) for T in fiber.results)
+
+
+def test_fiber_budgets(s1, deglex):
+    with pytest.raises(BudgetExceeded):
+        with_frobenius(s1, (17, 4), deglex, budget=4375)
+    assert len(with_frobenius(s1, (17, 4), deglex, budget=4376).results) == 4376
+    M = [(10, 2), (6, 2)]
+    with pytest.raises(BudgetExceeded):
+        with_multiplicities(s1, M, budget=351)
+    assert len(with_multiplicities(s1, M, budget=352)) == 352
+    # the budget counts the walk's results before the multiplicity filter
+    with pytest.raises(BudgetExceeded):
+        with_multiplicities(s1, M, budget=351, verify_multiplicities=True)
 
 
 def test_with_frobenius_at_base_frobenius(s1, deglex):

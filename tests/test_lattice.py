@@ -20,8 +20,8 @@ from csemigroups import (
     cone_from_generators,
     enumerate_cone_points,
 )
-from bruteforce import in_fixture_cone
-from csemigroups.lattice import bareiss, primitive
+from bruteforce import in_fixture_cone, nonneg_combination_exists
+from csemigroups.lattice import _nonneg_combination_exists, bareiss, primitive
 
 ORDERS = [
     MonomialOrder("lex"),
@@ -363,3 +363,56 @@ def test_cone_matches_cramer_oracle(data):
 def test_simplicial_flag_is_full_row_rank(m):
     cone = Cone(len(m[0]), tuple(map(tuple, m)))
     assert cone.simplicial == (largest_nonzero_minor(m) == len(m))
+
+
+@st.composite
+def simplex_instances(draw):
+    """Columns and a target for the phase-one simplex, in dimensions 1–4.
+
+    Columns are drawn freely or from a small pool that holds the zero
+    vector, so duplicate and zero columns are common; targets are free
+    (often with zero coordinates) or non-negative integer combinations of
+    the columns, so both outcomes occur and degenerate pivots and ratio
+    ties are exercised.
+    """
+    dim = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(0, 6), min_size=dim, max_size=dim).map(tuple)
+    pool = draw(st.lists(vec, min_size=1, max_size=3)) + [(0,) * dim]
+    columns = draw(
+        st.lists(st.one_of(vec, st.sampled_from(pool)), min_size=0, max_size=7)
+    )
+    sparse = st.lists(
+        st.one_of(st.just(0), st.integers(0, 6)), min_size=dim, max_size=dim
+    ).map(tuple)
+    coeffs = st.lists(st.integers(0, 3), min_size=len(columns), max_size=len(columns))
+    combination = coeffs.map(
+        lambda cs: tuple(sum(k * c[i] for k, c in zip(cs, columns)) for i in range(dim))
+    )
+    return columns, draw(st.one_of(sparse, combination))
+
+
+@given(data=simplex_instances())
+@settings(max_examples=400, deadline=None)
+def test_integer_simplex_matches_fraction_oracle(data):
+    columns, target = data
+    assert _nonneg_combination_exists(columns, target) == nonneg_combination_exists(
+        columns, target
+    )
+
+
+@given(
+    points=st.integers(1, 4).flatmap(
+        lambda dim: st.lists(
+            st.lists(st.integers(0, 6), min_size=dim, max_size=dim).map(tuple),
+            min_size=1,
+            max_size=7,
+        ).filter(lambda pts: any(map(any, pts)))
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_extremal_rays_match_fraction_oracle(points):
+    dirs = sorted({primitive(p) for p in points if any(p)})
+    expected = [
+        d for d in dirs if not nonneg_combination_exists([e for e in dirs if e != d], d)
+    ]
+    assert cone_from_generators(points).rays == tuple(expected)
