@@ -299,7 +299,7 @@ def build_parser():
     p.add_argument("point", help="query point, e.g. 31,8")
     p = add("apery", cmd_apery, help="common Apery core for on-ray elements")
     p.add_argument("--m", action="append", help="on-ray element (repeatable)")
-    p = add("gamma", cmd_gamma, help="bounded sum box used by the Apery core")
+    p = add("gamma", cmd_gamma, help="generator sums below their Apery multipliers")
     p.add_argument("--m", action="append", help="on-ray element (repeatable)")
     add("pf", cmd_pf, help="pseudo-Frobenius elements")
     p = add("ideal", cmd_ideal, help="canonical ideal generated by points")

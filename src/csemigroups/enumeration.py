@@ -177,6 +177,10 @@ def with_frobenius(
     candidates = frozenset(
         x for x in in_s if not (min(d := vsub(f, x)) >= 0 and S.contains(d))
     )
+    pool = candidates - {zero(S.dim)}
+    # each x in the pool gives its own result, the top less x's divisors
+    if len(pool) >= budget:
+        raise BudgetExceeded(f"{len(pool)} candidates give over {budget} semigroups")
     # the nonzero divisors of f in S form a down-set; ``in_s`` lists them in
     # increasing grade, and f, when in S, is the only one of its grade
     top = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
@@ -185,7 +189,7 @@ def with_frobenius(
             top = _remove(S, top, x)
     if S.contains(f):
         top = _remove(S, top, f)
-    results = _removal_walk(S, top, candidates - {zero(S.dim)}, budget)
+    results = _removal_walk(S, top, pool, budget)
     results.sort(key=_result_key)
     return FrobeniusFiber(f, candidates, tuple(results))
 

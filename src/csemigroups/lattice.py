@@ -144,6 +144,17 @@ class Grading:
         return sum(w * x for w, x in zip(self.weights, a))
 
 
+def _pivot(a, k, c, prev):
+    """Bareiss step in place on pivot ``a[k][c]`` (exact division by ``prev``)."""
+    prow = a[k]
+    p = prow[c]
+    for r, row in enumerate(a):
+        if r != k:
+            f = row[c]
+            a[r] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+    return p
+
+
 def bareiss(rows):
     """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss 1968).
 
@@ -169,13 +180,7 @@ def bareiss(rows):
         if pivot != rank:
             a[rank], a[pivot] = a[pivot], a[rank]
             sign = -sign
-        prow = a[rank]
-        p = prow[c]
-        for r in range(m):
-            if r != rank:
-                f = a[r][c]
-                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], prow)]
-        prev = p
+        prev = _pivot(a, rank, c, prev)
         cols.append(c)
         rank += 1
     if rank < m:
@@ -190,8 +195,7 @@ def _nonneg_combination_exists(columns, target) -> bool:
     smallest basis index); ``target`` must have non-negative coordinates,
     which makes the all-artificial basis feasible.  The tableau is
     fraction-free (Edmonds 1967): every entry is d times its rational value,
-    d > 0 being the last pivot, and a pivot updates the other rows with the
-    exact Bareiss division of :func:`bareiss`.
+    d > 0 being the last pivot, and pivots are the Bareiss steps of :func:`_pivot`.
     """
     if not any(target):
         return True
@@ -232,13 +236,7 @@ def _nonneg_combination_exists(columns, target) -> bool:
             row = i
         if row is None:  # unbounded; cannot happen for this objective
             return False
-        prow = tab[row]
-        p = prow[entering]
-        for i in range(m):
-            if i != row:
-                f = tab[i][entering]
-                tab[i] = [(p * x - f * y) // d for x, y in zip(tab[i], prow)]
-        d = p
+        d = _pivot(tab, row, entering, d)
         basis[row] = entering
     return not any(row[-1] for row, b in zip(tab, basis) if b >= n)
 

@@ -20,10 +20,14 @@ from .semigroups import (
     AperyContext,
     GapSemigroup,
     GenSemigroup,
+    _apery_core,
     _as_generated,
     apery_context,
 )
 from .ideals import IdealSemigroup
+
+#: grade up to which ``med_type2_check`` looks for a closure violation
+_TYPE2_BOX_GRADE = 40
 
 
 def _ray_split(S: GenSemigroup):
@@ -81,8 +85,8 @@ class MedConstruction:
     """Result of translating the base by one element per extremal ray.
 
     ``semigroup`` is the generated form of the translate-plus-zero
-    semigroup, obtained by reducing the translates of the context's sum
-    box; ``isemigroup`` is its gap form, available when the base is a
+    semigroup, obtained by reducing the translates of the context's Apery
+    core; ``isemigroup`` is its gap form, available when the base is a
     C-semigroup (the new gaps are exactly the base's plus the nonzero part
     of the Apery core).
     """
@@ -94,27 +98,17 @@ class MedConstruction:
 
 
 def med_construct(S, M) -> MedConstruction:
-    """Build the semigroup (M + S) ∪ {0}; it always has maximal embedding
-    dimension."""
+    """Build the semigroup (M + S) ∪ {0}, generated by the translates of
+    the Apery core; it always has maximal embedding dimension."""
     gap_base = S if isinstance(S, GapSemigroup) else None
     ctx = apery_context(S, M)
-    base = ctx.base
-    translates = sorted(
-        {vadd(m, g) for m in ctx.ray_elements for g in ctx.sum_box}
-    )
     # a translate decomposes inside the new semigroup exactly when it still
     # lies in the ideal after shedding two ray elements
-    pairs = [
-        vadd(a, b)
-        for i, a in enumerate(ctx.ray_elements)
-        for b in ctx.ray_elements[i:]
-    ]
+    pairs = {vadd(a, b) for a in ctx.ray_elements for b in ctx.ray_elements}
     reduced = [
         t
-        for t in translates
-        if not any(
-            min(d := vsub(t, p)) >= 0 and base.contains(d) for p in pairs
-        )
+        for t in {vadd(m, w) for m in ctx.ray_elements for w in ctx.core}
+        if not any(ctx.base.contains(vsub(t, p)) for p in pairs)
     ]
     T = GenSemigroup(reduced, warn_redundant=False)
     iso = None
@@ -133,23 +127,16 @@ def med_via_translates(S) -> bool:
     ``(E + S) ∪ {0} == S minus its non-ray generators``.
 
     Both sides agree outside a bounded region: a disagreement is either a
-    non-ray generator (bounded by the generator grades) or an element of
-    the common Apery core, which lives inside the context's sum box.  The
-    identity is therefore checked exhaustively on that region.
+    non-ray generator or an element of the common Apery core of the ray
+    multiplicities.  The identity is therefore checked exhaustively up to
+    the largest grade of either.
     """
     S = _as_generated(S)
     mults, extra = _ray_split(S)
-    ctx = apery_context(S, mults)
-    box_grade = sum(
-        (q - 1) * sum(n) for q, n in zip(ctx.multipliers, S.generators)
-    )
-    bound = max(box_grade, max(sum(n) for n in S.generators))
-    origin = zero(S.dim)
+    bound = max(map(sum, apery_context(S, mults).core | set(S.generators)))
     for g in range(bound + 1):
         for x in S.cone.graded_points(g):
-            translated = x == origin or any(
-                min(d := vsub(x, n)) >= 0 and S.contains(d) for n in mults
-            )
+            translated = not any(x) or any(S.contains(vsub(x, n)) for n in mults)
             kept = S.contains(x) and x not in extra
             if translated != kept:
                 return False
@@ -197,21 +184,18 @@ class Decomposition:
 def decompose(S) -> Decomposition:
     """Finite head of S plus per-ray section predicates.
 
-    The head is bounded: an element whose grade reaches the sum of the
-    multiplicity grades has a simplicial coordinate at least 1 and so loses
-    a multiplicity inside the cone.
+    An element that sheds no multiplicity inside the cone sheds none inside
+    S either, so the head is the part of the common Apery core of the
+    multiplicities that sheds none inside the cone.
     """
     S = _as_generated(S)
     mults = S.multiplicities()
-    bound = sum(sum(n) for n in mults)
-    head = []
-    for g in range(bound):
-        for x in S.cone.graded_points(g):
-            if not S.contains(x):
-                continue
-            if all(not S.cone.contains(vsub(x, n)) for n in mults):
-                head.append(x)
-    return Decomposition(S, mults, frozenset(head))
+    head = frozenset(
+        w
+        for w in _apery_core(S, mults)
+        if not any(S.cone.contains(vsub(w, n)) for n in mults)
+    )
+    return Decomposition(S, mults, head)
 
 
 class TriState(enum.Enum):
@@ -239,7 +223,7 @@ def _ray_section_is_cone(S: GenSemigroup, n_k: Point) -> bool:
     return True
 
 
-def med_type2_check(S, box_grade: int = 40) -> TriState:
+def med_type2_check(S) -> TriState:
     """Sufficient MED criterion through closure of one ray section.
 
     Requires a single ray multiplicity subtractable (within the cone) from
@@ -271,7 +255,7 @@ def med_type2_check(S, box_grade: int = 40) -> TriState:
         n_k = mults[i]
         section = [
             x
-            for g in range(box_grade + 1)
+            for g in range(_TYPE2_BOX_GRADE + 1)
             for x in S.cone.graded_points(g)
             if S.contains(vadd(x, n_k))
         ]

@@ -430,20 +430,35 @@ def pseudo_frobenius(S: GapSemigroup) -> frozenset[Point]:
 class AperyContext:
     """Finite data describing ``∩_i Ap(S, m_i)`` for on-ray elements m_i.
 
-    ``multipliers[j]`` is the least positive q with ``q * generator_j``
-    expressible as a non-negative integer combination of the ray elements;
-    ``sum_box`` collects every combination of generators with coefficients
-    below those multipliers.  The Apery core is the subset of the box whose
-    elements stay outside S after subtracting any ray element; it always
-    contains 0 and it is finite even though each individual Apery set is
-    not.
+    The Apery ``core`` holds the elements that stay outside S after
+    subtracting any ray element; it always contains 0 and it is finite even
+    though each individual Apery set is not.  ``multipliers[j]`` is the
+    least positive q with ``q * generator_j`` expressible as a non-negative
+    integer combination of the ray elements; ``sum_box``, built on first
+    access, collects every combination of generators with coefficients
+    below those multipliers and contains the core.
     """
 
     base: GenSemigroup
     ray_elements: tuple[Point, ...]
     multipliers: tuple[int, ...]
-    sum_box: frozenset[Point]
     core: frozenset[Point]
+
+    @cached_property
+    def sum_box(self) -> frozenset[Point]:
+        # layered sums with deduplication: the raw combination count is the
+        # product of the multipliers, but the distinct sums stay confined to
+        # a bounded cone region
+        box = {zero(self.base.dim)}
+        for q, n in zip(self.multipliers, self.base.generators):
+            if q == 1:
+                continue
+            box = {vadd(s, scale(lam, n)) for s in box for lam in range(q)}
+            if len(box) > 2_000_000:
+                raise BudgetExceeded(
+                    f"sum box exceeded {2_000_000} distinct points"
+                )
+        return frozenset(box)
 
 
 def _match_rays(cone: Cone, M) -> tuple[Point, ...]:
@@ -465,8 +480,24 @@ def _match_rays(cone: Cone, M) -> tuple[Point, ...]:
     return tuple(by_ray[d] for d in cone.rays)
 
 
+def _apery_core(S: GenSemigroup, ray_elements) -> frozenset[Point]:
+    """Common Apery core of the ray elements, by closure from 0: if w = z + n
+    is in the core, z in S and n a generator, then z is in the core (z − m ∈
+    S would put w − m in S).  Each sum is tested once."""
+    core = frontier = frozenset([zero(S.dim)])
+    seen = set(core)
+    while frontier:
+        fresh = {vadd(w, n) for w in frontier for n in S.generators} - seen
+        seen |= fresh
+        frontier = frozenset(
+            y for y in fresh if not any(S.contains(vsub(y, m)) for m in ray_elements)
+        )
+        core |= frontier
+    return core
+
+
 def apery_context(S, M, multiplier_cap=DEFAULT_MULTIPLIER_CAP) -> AperyContext:
-    """Build the finite Apery-core context for ray elements ``M``.
+    """Build the Apery core of ray elements ``M`` by closure, with its context.
 
     ``S`` may be either representation; membership tests use the generated
     form.  Each multiplier is the lcm of the reduced denominators of the
@@ -490,27 +521,9 @@ def apery_context(S, M, multiplier_cap=DEFAULT_MULTIPLIER_CAP) -> AperyContext:
                 f"no multiplier for generator {n} up to {multiplier_cap}"
             )
         multipliers.append(q)
-    # layered sums with deduplication: the raw combination count is the
-    # product of the multipliers, but the distinct sums stay confined to a
-    # bounded cone region
-    box = {zero(S.dim)}
-    for q, n in zip(multipliers, S.generators):
-        if q == 1:
-            continue
-        box = {vadd(s, scale(lam, n)) for s in box for lam in range(q)}
-        if len(box) > 2_000_000:
-            raise BudgetExceeded(
-                f"sum box exceeded {2_000_000} distinct points"
-            )
-    core = frozenset(
-        s
-        for s in box
-        if all(not S.contains(vsub(s, m)) for m in ray_elements)
-    )
     return AperyContext(
         base=S,
         ray_elements=ray_elements,
         multipliers=tuple(multipliers),
-        sum_box=frozenset(box),
-        core=core,
+        core=_apery_core(S, ray_elements),
     )

@@ -3,13 +3,14 @@
 Nothing here reuses the library's algorithms: membership is decided by a
 forward closure (breadth-first sums of generators), cone membership for the
 two fixture cones by explicit inequalities, minimality/decomposition
-questions by direct definition scans, the two fibers by scanning every
-subset of their candidates, and ray extremality by a phase-one simplex over
+questions by direct definition scans, the Apery core by filtering the
+bounded sum box of generators, the two fibers by scanning every subset of
+their candidates, and ray extremality by a phase-one simplex over
 Fractions (the library's simplex works on a fraction-free integer tableau).
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 
 def sum_closure(gens, max_grade):
@@ -116,6 +117,70 @@ def brute_apery_core(member, elems, ray_elements):
         ):
             core.add(s)
     return frozenset(core)
+
+
+def least_lattice_multiple(n, ray_elements, cap=50):
+    """Least q >= 1 with q*n a non-negative integer combination of ray elements."""
+    for q in range(1, cap + 1):
+        target = tuple(q * x for x in n)
+        bounds = [
+            min(t // c for t, c in zip(target, m) if c) for m in ray_elements
+        ]
+        for ks in product(*(range(b + 1) for b in bounds)):
+            combo = tuple(
+                sum(k * m[c] for k, m in zip(ks, ray_elements))
+                for c in range(len(n))
+            )
+            if combo == target:
+                return q
+    return None
+
+
+def box_filter_core(member, gens, multipliers, ray_elements):
+    """Apery core as the generator sums below their multipliers that shed no
+    ray element (a sum s sheds m when s - m is in the semigroup).
+
+    Every core element is such a sum.  The box of all these sums is built one
+    generator at a time, and each layer keeps only the sums that shed
+    nothing: a sum that sheds m still sheds it after more generators are
+    added, so this is the filter of the whole box, which can hold millions
+    of points around a core of dozens.
+    """
+    box = {tuple(0 for _ in gens[0])}
+    for q, n in zip(multipliers, gens):
+        sums = {_add(s, tuple(lam * x for x in n)) for s in box for lam in range(q)}
+        box = {s for s in sums if not any(member(_sub(s, m)) for m in ray_elements)}
+    return frozenset(box)
+
+
+def reduced_translates(member, points, ray_elements):
+    """Translates m + x (m a ray element, x in ``points``) that do not split
+    in (M + S) ∪ {0}.
+
+    m + x splits exactly when m + x - m_a - m_b is in S for two ray elements,
+    which always holds when x sheds a ray element; so the translates of the
+    sum box and of its part that sheds nothing reduce to the same set.
+    """
+    return frozenset(
+        t
+        for t in {_add(m, x) for m in ray_elements for x in points}
+        if not any(
+            member(_sub(_sub(t, a), b)) for a in ray_elements for b in ray_elements
+        )
+    )
+
+
+def grade_scan_head(member, in_cone, points, mults):
+    """Elements of ``points`` below the summed multiplicity grades from which
+    no multiplicity can be subtracted inside the cone (the head of the
+    decomposition, by the grade scan that bounds it)."""
+    bound = sum(map(sum, mults))
+    return frozenset(
+        x
+        for x in points
+        if sum(x) < bound and member(x)
+        and not any(in_cone(_sub(x, n)) for n in mults)
+    )
 
 
 def removable_pairs(member, cone_points, base_gaps):

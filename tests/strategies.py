@@ -2,9 +2,18 @@
 
 from hypothesis import strategies as st
 
-from csemigroups import Cone, GapSemigroup
-from bruteforce import closure_member, fixture_cone_points, sum_closure
-from conftest import S1_GENS
+from csemigroups import Cone, GapSemigroup, GenSemigroup
+from bruteforce import (
+    closure_member,
+    fixture_cone_points,
+    in_fixture_cone,
+    least_lattice_multiple,
+    sum_closure,
+)
+from conftest import S1_GENS, S2_GENS
+
+# not a C-semigroup: (1, k) is a gap for every k
+NOT_C_GENS = ((2, 0), (3, 0), (0, 1))
 
 
 @st.composite
@@ -69,3 +78,48 @@ def orthant_csemigroups(draw):
 
     cone = Cone.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     return GapSemigroup(cone, removed), member, points, 4
+
+
+def _in_orthant(p):
+    return min(p) >= 0
+
+
+@st.composite
+def apery_inputs(draw, max_k=3):
+    """A semigroup S, ray elements M = k · multiplicity (k ≤ max_k), and oracles.
+
+    S comes from ``small_csemigroups``, ``orthant_csemigroups``, S2 or
+    ⟨(2,0),(3,0),(0,1)⟩; the last two are not C-semigroups.  Returns S, M,
+    a membership oracle (for those two, only up to the grade below), a cone
+    test, and the elements of S up to a grade that bounds its Apery core
+    for M.
+    """
+    k = draw(st.integers(1, max_k))
+    source = draw(st.sampled_from(["small", "orthant", "S2", "not-C"]))
+    if source in ("S2", "not-C"):
+        gens = list(S2_GENS if source == "S2" else NOT_C_GENS)
+        S = GenSemigroup(gens)
+        M = [tuple(k * x for x in n) for n in S.multiplicities()]
+        # a core element is a sum of generators, each fewer times than its
+        # least multiple in the lattice of M
+        bound = max(
+            sum(map(sum, M)),
+            sum((least_lattice_multiple(n, M) - 1) * sum(n) for n in gens),
+        )
+        in_cone = in_fixture_cone if source == "S2" else _in_orthant
+        member = closure_member(gens, bound)
+        return S, M, member, in_cone, sorted(sum_closure(gens, bound))
+    S, member, points, c = draw(
+        small_csemigroups() if source == "small" else orthant_csemigroups()
+    )
+    M = [tuple(k * x for x in n) for n in S.multiplicities()]
+    in_cone = in_fixture_cone if S.dim == 2 else _in_orthant
+    # a core element w of grade at least sum w(M) has w - m_i in the cone for
+    # some i, so w - m_i is a gap and w has grade at most c + w(m_i)
+    bound = c + sum(map(sum, M))
+
+    def member_anywhere(p):
+        return in_cone(p) and (sum(p) > c or member(p))
+
+    elems = [p for p in points(bound) if member_anywhere(p)]
+    return S, M, member_anywhere, in_cone, elems

@@ -23,6 +23,7 @@ from csemigroups import (
     with_frobenius,
     with_multiplicities,
 )
+from csemigroups import enumeration
 from csemigroups.serialize import load_document, semigroup_to_document
 from bruteforce import (
     brute_apery_core,
@@ -235,6 +236,17 @@ def test_fiber_budgets(s1, deglex):
     # the budget counts the walk's results before the multiplicity filter
     with pytest.raises(BudgetExceeded):
         with_multiplicities(s1, M, budget=351, verify_multiplicities=True)
+
+
+def test_frobenius_budget_checked_before_any_removal(n2, deglex, monkeypatch):
+    # on N^2 at (400, 1) the 80,200 nonzero candidates prove more than 10
+    # results, so no certified removal step may run
+    def no_removal(*args):
+        raise AssertionError("removal step taken before the budget check")
+
+    monkeypatch.setattr(enumeration, "_remove", no_removal)
+    with pytest.raises(BudgetExceeded):
+        with_frobenius(n2, (400, 1), deglex, budget=10)
 
 
 def test_with_frobenius_at_base_frobenius(s1, deglex):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from csemigroups import (
     GenSemigroup,
@@ -17,12 +18,16 @@ from csemigroups import (
     verify_isemigroup,
 )
 from bruteforce import (
+    box_filter_core,
     brute_apery_core,
     closure_member,
     fixture_cone_points,
+    grade_scan_head,
+    reduced_translates,
     sum_closure,
 )
-from conftest import S1_GENS
+from conftest import S1_GENS, S2_GENS
+from strategies import apery_inputs
 
 EXPECTED_MSG_T = frozenset(
     [(5, 1), (6, 2), (13, 3), (14, 3), (14, 4), (15, 4), (17, 4), (18, 5)]
@@ -107,6 +112,35 @@ def test_med_construct_gap_law_s1(s1, s1_gen):
     assert verify_isemigroup(s1, built.isemigroup)
 
 
+@pytest.mark.parametrize(
+    "gens, M",
+    [
+        (S1_GENS, [(5, 1), (6, 2)]),
+        (S1_GENS, [(10, 2), (6, 2)]),
+        (S2_GENS, [(5, 1), (6, 2)]),
+        (S2_GENS, [(10, 2), (6, 2)]),
+    ],
+)
+def test_med_construct_msg_is_the_reduced_sum_box_translates(gens, M):
+    built = med_construct(GenSemigroup(gens), M)
+    member = closure_member(list(gens), 200)
+    box = built.context.sum_box
+    assert built.msg == reduced_translates(member, box, built.context.ray_elements)
+
+
+# k = 1 only: GenSemigroup checks each of the reduced translates for
+# redundancy against all the others, and on the orthant draws there are
+# over a thousand of them at k = 2
+@given(data=apery_inputs(max_k=1))
+@settings(max_examples=40, deadline=None)
+def test_med_construct_msg_matches_box_oracle(data):
+    S, M, member, _, _ = data
+    built = med_construct(S, M)
+    ctx = built.context
+    box = box_filter_core(member, ctx.base.generators, ctx.multipliers, M)
+    assert built.msg == reduced_translates(member, box, M)
+
+
 def test_med_construct_full_cone(n2):
     built = med_construct(n2, [(1, 0), (0, 1)])
     # translating by the two unit rays only removes the origin; frozen from
@@ -156,6 +190,14 @@ def test_decompose_examples(s1_gen, s2_gen, n2):
         dec = decompose(s)
         assert dec.verify_on_box(40)
     assert decompose(n2).head == {(0, 0)}
+
+
+@given(data=apery_inputs())
+@settings(max_examples=40, deadline=None)
+def test_decompose_head_matches_grade_scan(data):
+    S, _, member, in_cone, elems = data
+    mults = S.multiplicities()
+    assert decompose(S).head == grade_scan_head(member, in_cone, elems, mults)
 
 
 def test_decompose_ray_sections(s2_gen):

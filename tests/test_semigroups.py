@@ -1,11 +1,10 @@
-from itertools import product
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csemigroups import (
     BudgetExceeded,
+    Cone,
     EmptyGaps,
     GapSemigroup,
     GenSemigroup,
@@ -23,13 +22,16 @@ from csemigroups import (
 )
 from conftest import S1_GENS, S1_GAPS, S2_GENS
 from bruteforce import (
+    box_filter_core,
     brute_apery_core,
     brute_msg,
     closure_member,
     fixture_cone_points,
+    in_fixture_cone,
+    least_lattice_multiple,
     sum_closure,
 )
-from strategies import orthant_csemigroups, small_csemigroups
+from strategies import apery_inputs, orthant_csemigroups, small_csemigroups
 
 EXPECTED_SUM_BOX_S2 = {
     (0, 0), (8, 2), (9, 2), (12, 3), (17, 4), (18, 4), (20, 5), (21, 5),
@@ -156,23 +158,6 @@ def test_apery_context_s2(s2_gen):
     assert ctx.core == {(0, 0), (8, 2), (9, 2), (12, 3)}
 
 
-def least_lattice_multiple(n, ray_elements, cap=50):
-    """Least q >= 1 with q*n a non-negative integer combination of ray elements."""
-    for q in range(1, cap + 1):
-        target = tuple(q * x for x in n)
-        bounds = [
-            min(t // c for t, c in zip(target, m) if c) for m in ray_elements
-        ]
-        for ks in product(*(range(b + 1) for b in bounds)):
-            combo = tuple(
-                sum(k * m[c] for k, m in zip(ks, ray_elements))
-                for c in range(len(n))
-            )
-            if combo == target:
-                return q
-    return None
-
-
 @pytest.mark.parametrize(
     "gens, M",
     [
@@ -202,6 +187,39 @@ def test_apery_core_matches_bruteforce(s2_gen):
     expected = brute_apery_core(member, elems, [(5, 1), (6, 2)])
     ctx = apery_context(s2_gen, [(5, 1), (6, 2)])
     assert ctx.core == expected
+
+
+@given(data=apery_inputs())
+@settings(max_examples=60, deadline=None)
+def test_apery_core_matches_box_filter_and_definition(data):
+    S, M, member, _, elems = data
+    ctx = apery_context(S, M)
+    box = box_filter_core(member, ctx.base.generators, ctx.multipliers, M)
+    assert ctx.core == box
+    assert ctx.core == brute_apery_core(member, elems, M)
+
+
+def test_apery_core_is_built_without_the_sum_box():
+    # every point above grade 10 over the fixture cone: 18 minimal
+    # generators, an 18-point core, and a sum box of 25,522 points
+    S = GapSemigroup(
+        Cone.from_generators([(3, 1), (5, 1)]),
+        [p for p in fixture_cone_points(10) if any(p)],
+    )
+    M = [(9, 3), (10, 2)]
+    ctx = apery_context(S, M)
+    assert "sum_box" not in vars(ctx)
+    assert len(ctx.base.generators) == 18
+
+    def member(p):
+        return in_fixture_cone(p) and (sum(p) > 10 or not any(p))
+
+    # a point of grade 24 = w(M) or more has some p - m_i in the cone, of
+    # grade above 10 and so in S: the core lies below grade 24
+    assert ctx.core == brute_apery_core(member, fixture_cone_points(24), M)
+    assert len(ctx.core) == 18
+    assert len(ctx.sum_box) == 25522
+    assert ctx.core <= ctx.sum_box
 
 
 def test_apery_law(s2_gen):
