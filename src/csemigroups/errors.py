@@ -26,11 +26,19 @@ class RayNotMet(SemigroupError):
 
 
 class NotCSemigroup(SemigroupError):
-    """The complement of the semigroup in its cone is provably infinite."""
+    """The complement of the semigroup in its cone is provably infinite.
 
-    def __init__(self, message, ray=None, gcd=None):
+    The proof is one of three facts.  ``gcd`` > 1: the semigroup meets the
+    extremal ray ``ray`` only in multiples of ``gcd``.  ``residue`` set: the
+    points ``residue + k·n`` (n the multiplicity on ``ray``, k ≥ 0) are all
+    gaps.  Neither set: some class of cone points modulo the lattice of the
+    multiplicities holds no element at all.
+    """
+
+    def __init__(self, message, ray=None, gcd=None, residue=None):
         self.ray = ray
         self.gcd = gcd
+        self.residue = residue
         super().__init__(message)
 
 

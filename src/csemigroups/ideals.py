@@ -175,26 +175,24 @@ def verify_isemigroup(S: GapSemigroup, T: GapSemigroup) -> bool:
     This is the independent oracle, which the genus tree no longer calls
     (its children carry a local certificate instead).  Checks containment
     (gaps of S persist in T) and the ideal axiom against the minimal
-    generators of S; translating any element by a generator can only fall
-    into a gap of T when the element's grade is below the largest gap
-    grade, so the scan is finite and complete.  When the answer is positive
-    the sandwich T ⊆ S ⊆ T ∪ PF(T) is cross-checked: every element S lost
+    generators of S.  Both are read from T's gaps: a nonzero element x of
+    T with x + n a gap h of T, n in msg(S), is found as h - n, so
+    |gaps| · |msg| steps decide the axiom.  When the answer is positive the
+    sandwich T ⊆ S ⊆ T ∪ PF(T) is cross-checked: every element S lost
     must be pseudo-Frobenius in T, otherwise :class:`SemigroupError` is
-    raised.  A lost element plus a generator is a sum of cone points, so
-    only T's gaps are consulted.
+    raised.  A lost element plus a generator of T is a sum of cone points,
+    so only T's gaps are consulted.
     """
     if T.cone != S.cone:
         raise ConeMismatch(f"candidate cone {T.cone.rays} differs from {S.cone.rays}")
     if not S.gaps <= T.gaps:
         return False
     msg_s = S.minimal_generators()
-    for g in range(1, T.max_gap_grade + 1):
-        for x in T.cone.graded_points(g):
-            if x in T.gaps:
-                continue
-            for n in msg_s:
-                if vadd(x, n) in T.gaps:
-                    return False
+    for h in T.gaps:
+        for n in msg_s:
+            x = vsub(h, n)
+            if any(x) and T.contains(x):
+                return False
     lost = T.gaps - S.gaps
     if any(vadd(h, n) in T.gaps for h in lost for n in T.minimal_generators()):
         raise SemigroupError("sandwich property violated by a verified ideal")

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import combinations
 from math import gcd
 from operator import add, mul, sub
 
@@ -294,6 +295,18 @@ class Cone:
                 "operation supports only simplicial cones "
                 f"(got {len(self.rays)} dependent rays in dimension {self.dim})"
             )
+
+    @cached_property
+    def lattice_index(self) -> int:
+        """Index of the lattice spanned by the rays in the lattice points of
+        their linear span: the gcd of the rays' t×t minors (|det| of the rays
+        when the cone is full-dimensional)."""
+        self._require_simplicial()
+        minors = (
+            bareiss([[r[c] for c in cols] for r in self.rays])[2]
+            for cols in combinations(range(self.dim), len(self.rays))
+        )
+        return reduce(gcd, minors, 0)
 
     @cached_property
     def _solver(self):

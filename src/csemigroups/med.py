@@ -20,7 +20,6 @@ from .semigroups import (
     AperyContext,
     GapSemigroup,
     GenSemigroup,
-    _apery_core,
     _as_generated,
     apery_context,
 )
@@ -192,7 +191,7 @@ def decompose(S) -> Decomposition:
     mults = S.multiplicities()
     head = frozenset(
         w
-        for w in _apery_core(S, mults)
+        for w in S._apery_table.core
         if not any(S.cone.contains(vsub(w, n)) for n in mults)
     )
     return Decomposition(S, mults, head)

@@ -9,16 +9,28 @@ set, making membership an O(1) lookup.  It is the package's one gap-set
 type: the ideal-derived semigroups of :mod:`.ideals` are GapSemigroups
 that also carry their base and canonical ideal generators.
 
-The translation ``gaps()`` from the generated form to the gap form is the
-delicate step: the gap set has no a-priori size bound, so the scan is
-stopped by a certificate.  Writing ``n_1 .. n_t`` for the ray
-multiplicities and ``w`` for the coordinate sum, any gap ``x`` with
-``w(x) >= sum_i w(n_i)`` has some simplicial coordinate at least 1, hence
-``x - n_i`` stays in the cone and must itself be a gap (otherwise ``x``
-would be an element).  Iterating descends through every grade window of
-width ``max_i w(n_i)``, so once every grade in ``[W, W + max_i w(n_i))`` is
-free of gaps for some ``W >= sum_i w(n_i)`` exceeding all gaps found, no
-gap can exist above the window and the scan is complete.
+The translation ``gaps()`` from the generated form to the gap form reads
+one table, the common Apery core of the ray multiplicities ``n_1 .. n_t``
+indexed by class modulo their lattice ``L = ⊕ ℤ n_i`` (the Apery-set
+description of simplicial affine semigroups, Rosales & García-Sánchez 1999).
+The cone points of one class are ``r + Σ ν_i n_i`` with ``ν ∈ ℕ^t`` and
+``r`` the class's point in the parallelepiped ``Σ [0, 1) n_i``; the
+elements of S among them are the ν that dominate the λ-vector of some core
+element of the class.  So S is a C-semigroup exactly when every class holds
+a core element and, for each class and each ray i, some core element lies
+on ``r + ℕ n_i``; the gaps of a class are then the ν that dominate no
+λ-vector, all below the least ray hit ``h_i·e_i`` in each coordinate.  Otherwise no scan is needed: the missing class
+or ray is the proof.
+
+The gap set of an ideal-derived semigroup (``isemigroup_from_ideal``) is
+still scanned, stopped by a certificate.  Writing ``w`` for the coordinate
+sum, any gap ``x`` with ``w(x) >= sum_i w(n_i)`` has some simplicial
+coordinate at least 1, hence ``x - n_i`` stays in the cone and must itself
+be a gap (otherwise ``x`` would be an element).  Iterating descends through
+every grade window of width ``max_i w(n_i)``, so once every grade in
+``[W, W + max_i w(n_i))`` is free of gaps for some ``W >= sum_i w(n_i)``
+exceeding all gaps found, no gap can exist above the window and the scan is
+complete.
 
 All values are immutable after construction; the only mutable state is the
 internal membership memo of :class:`GenSemigroup`, which is append-only and
@@ -30,7 +42,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from math import gcd, lcm
+from itertools import product
+from math import gcd, lcm, prod
+from operator import ge, mul
 
 from .errors import (
     BudgetExceeded,
@@ -51,7 +65,7 @@ from .lattice import (
     zero,
 )
 
-#: default number of cone points a certified scan may visit
+#: default number of points a gap computation may visit
 DEFAULT_BUDGET = 500_000
 
 #: default cap for the incremental multiplier search in ``apery_context``
@@ -104,17 +118,20 @@ class GenSemigroup:
         self.generators = self._reduce(gens, warn_redundant)
 
     def _reduce(self, gens, warn):
-        minimal = []
+        # A generator is redundant exactly when it is a sum of kept generators.
+        # Every summand lies below it coordinatewise, so comes before it in
+        # the lexicographic order of ``gens``: each generator a descent meets
+        # is decided before the descent, and one memo serves every test.
+        kept: list[Point] = []
+        memo: dict[Point, int | None] = {zero(self.dim): -1}
         for g in gens:
-            others = [h for h in gens if h != g]
-            if others and _combination_index(
-                g, others, {zero(self.dim): -1}, self._prune
-            ) is not None:
+            if _combination_index(g, kept, memo, self._prune) is not None:
                 if warn:
                     warnings.warn(f"redundant generator {g} removed", stacklevel=4)
                 continue
-            minimal.append(g)
-        return tuple(minimal)
+            memo[g] = len(kept)
+            kept.append(g)
+        return tuple(kept)
 
     def __eq__(self, other):
         return isinstance(other, GenSemigroup) and self.generators == other.generators
@@ -175,6 +192,12 @@ class GenSemigroup:
                 raise RayNotMet(d)
             mults.append(scale(ks[0], d))
         return tuple(mults)
+
+    @cached_property
+    def _apery_table(self) -> "_AperyTable":
+        """The common Apery core of the multiplicities, indexed by class."""
+        mults = self.multiplicities()
+        return _AperyTable(self.cone, mults, _apery_core(self, mults))
 
 
 def _combination_index(x, gens, memo, prune=None):
@@ -358,9 +381,10 @@ def certified_gap_scan(cone, member, ray_elements, budget=DEFAULT_BUDGET):
 
     ``member`` must contain every ``ray_elements[i]`` and be closed under
     adding each of them; those are exactly the hypotheses of the window
-    certificate described in the module docstring.  Raises
-    :class:`BudgetExceeded` after visiting ``budget`` cone points without
-    reaching the certificate.
+    certificate described in the module docstring.  It serves
+    ``isemigroup_from_ideal`` (``gaps`` reads the Apery table instead) and
+    raises :class:`BudgetExceeded` after visiting ``budget`` cone points
+    without reaching the certificate.
     """
     wsum = sum(sum(n) for n in ray_elements)
     wmax = max(sum(n) for n in ray_elements)
@@ -385,13 +409,52 @@ def certified_gap_scan(cone, member, ray_elements, budget=DEFAULT_BUDGET):
         g += 1
 
 
-def gaps(S: GenSemigroup, budget=DEFAULT_BUDGET) -> GapSemigroup:
-    """Complete gap set of a generated semigroup, certified finite.
+@dataclass(frozen=True)
+class _AperyTable:
+    """Common Apery core of a semigroup's multiplicities ``n_i = k_i·d_i``.
 
-    Raises :class:`NotCSemigroup` when some extremal ray provably misses
-    cofinitely many of its lattice points (the realized multiples on the
-    ray have gcd > 1), and :class:`BudgetExceeded` when the certificate was
-    not reached within the budget (inconclusive).
+    With ``det·α = A·x`` from ``Cone._solver``, a point has coordinates
+    ``A_i·x / (det·k_i)`` over the n_i.  So its class modulo ``⊕ ℤ n_i`` is
+    the key ``(A_i·x) mod det·k_i``, and ``λ_i = (A_i·x) // det·k_i`` gives
+    ``x = r + Σ λ_i n_i`` with r the class's point in the parallelepiped
+    ``Σ [0, 1) n_i``.  ``classes``, built on first read (it needs a
+    simplicial cone, the core does not), maps each key the core meets to r
+    and the λ-vectors of the class's core elements.  The table holds no
+    reference to its semigroup, so the two form no cycle.
+    """
+
+    cone: Cone
+    multiplicities: tuple[Point, ...]
+    core: frozenset[Point]
+
+    @cached_property
+    def classes(self) -> dict[Point, tuple[Point, list[Point]]]:
+        rows, det, _ = self.cone._solver
+        mults = self.multiplicities
+        mods = [det * _ray_multiple(n, d) for n, d in zip(mults, self.cone.rays)]
+        classes: dict[Point, tuple[Point, list[Point]]] = {}
+        for w in sorted(self.core):
+            nums = [sum(map(mul, row, w)) for row in rows]
+            lam = tuple(a // m for a, m in zip(nums, mods))
+            key = tuple(a % m for a, m in zip(nums, mods))
+            if key not in classes:
+                r = reduce(vsub, map(scale, lam, mults), w)
+                classes[key] = (r, [])
+            classes[key][1].append(lam)
+        return classes
+
+
+def gaps(S: GenSemigroup, budget=DEFAULT_BUDGET) -> GapSemigroup:
+    """Complete gap set of a generated semigroup, read from its Apery table.
+
+    Raises :class:`NotCSemigroup` when S has infinitely many gaps, with the
+    proof in its fields: the realized multiples on extremal ray ``ray``
+    have gcd ``gcd`` > 1; or some class modulo the lattice of the
+    multiplicities holds no core element; or no core element of the class
+    of ``residue`` lies on ``residue + ℕ·n``, n the multiplicity on ``ray``.
+    ``budget`` bounds the core points plus the box points (the candidate
+    gaps of every class); beyond it :class:`BudgetExceeded` is raised
+    (inconclusive) before any box point is visited.
     """
     S.cone._require_simplicial()
     mults = S.multiplicities()
@@ -404,7 +467,42 @@ def gaps(S: GenSemigroup, budget=DEFAULT_BUDGET) -> GapSemigroup:
                 ray=d,
                 gcd=div,
             )
-    gap_set = certified_gap_scan(S.cone, S.contains, mults, budget)
+    table = S._apery_table
+    total = S.cone.lattice_index * prod(ks[0] for ks in S._ray_data)
+    if len(table.classes) < total:
+        raise NotCSemigroup(
+            f"the Apery core of {list(mults)} meets {len(table.classes)} of "
+            f"the {total} classes modulo their lattice; every cone point of "
+            "the others is a gap"
+        )
+    boxes = []
+    visited = len(table.core)
+    for r, lams in sorted(table.classes.values()):
+        # heights[i]: the least h with h·e_i among the λ-vectors
+        heights = []
+        for i, (d, n) in enumerate(zip(S.cone.rays, mults)):
+            on_ray = [lam[i] for lam in lams if not any(lam[:i] + lam[i + 1 :])]
+            if not on_ray:
+                raise NotCSemigroup(
+                    f"every point {r} + k·{n} is a gap: no element of S lies "
+                    f"on the line from {r} along ray {d}",
+                    ray=d,
+                    residue=r,
+                )
+            heights.append(min(on_ray))
+        boxes.append((r, lams, heights))
+        visited += prod(heights)
+    if visited > budget:
+        raise BudgetExceeded(
+            f"the gap table needs {visited} core and box points, "
+            f"over the budget of {budget}"
+        )
+    gap_set = [
+        reduce(vadd, map(scale, mu, mults), r)
+        for r, lams, heights in boxes
+        for mu in product(*map(range, heights))
+        if not any(all(map(ge, mu, lam)) for lam in lams)
+    ]
     return GapSemigroup(S.cone, gap_set)
 
 
@@ -500,7 +598,8 @@ def apery_context(S, M, multiplier_cap=DEFAULT_MULTIPLIER_CAP) -> AperyContext:
     """Build the Apery core of ray elements ``M`` by closure, with its context.
 
     ``S`` may be either representation; membership tests use the generated
-    form.  Each multiplier is the lcm of the reduced denominators of the
+    form, and the core of the multiplicities is the one cached with it.
+    Each multiplier is the lcm of the reduced denominators of the
     generator's ray coordinates over the ray multiples of ``M``, capped by
     ``multiplier_cap`` (raises :class:`BudgetExceeded` beyond it).
     """
@@ -521,9 +620,13 @@ def apery_context(S, M, multiplier_cap=DEFAULT_MULTIPLIER_CAP) -> AperyContext:
                 f"no multiplier for generator {n} up to {multiplier_cap}"
             )
         multipliers.append(q)
+    if ray_elements == S.multiplicities():
+        core = S._apery_table.core
+    else:
+        core = _apery_core(S, ray_elements)
     return AperyContext(
         base=S,
         ray_elements=ray_elements,
         multipliers=tuple(multipliers),
-        core=_apery_core(S, ray_elements),
+        core=core,
     )

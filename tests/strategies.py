@@ -123,3 +123,49 @@ def apery_inputs(draw, max_k=3):
 
     elems = [p for p in points(bound) if member_anywhere(p)]
     return S, M, member_anywhere, in_cone, elems
+
+
+def _lattice_points(dim, n):
+    """Points of ℕ^dim with coordinate sum at most n, by grade."""
+    pts = [(g,) for g in range(n + 1)]
+    for _ in range(dim - 1):
+        pts = [(a,) + p for p in pts for a in range(n - sum(p) + 1)]
+    return sorted(pts, key=lambda p: (sum(p), p))
+
+
+# simplicial cones by their primitive rays, each with a membership test by
+# explicit inequalities; two span fewer dimensions than their lattice
+SIMPLICIAL_CONES = (
+    (((1,),), lambda p: p[0] >= 0),
+    (((0, 1), (1, 0)), _in_orthant),
+    (((3, 1), (5, 1)), in_fixture_cone),
+    (((1, 0), (1, 2)), lambda p: p[1] >= 0 and 2 * p[0] >= p[1]),
+    (((1, 2),), lambda p: p[0] >= 0 and p[1] == 2 * p[0]),
+    (((0, 0, 1), (0, 1, 0), (1, 0, 0)), _in_orthant),
+    (((0, 1, 0), (1, 0, 0), (1, 1, 2)), lambda p: 0 <= p[2] <= 2 * min(p[:2])),
+    (((1, 1, 0), (1, 1, 1)), lambda p: p[0] == p[1] and 0 <= p[2] <= p[0]),
+)
+
+
+@st.composite
+def simplicial_semigroups(draw):
+    """Generators of a semigroup over one of ``SIMPLICIAL_CONES``, C or not.
+
+    Two multiples (up to 5) of each ray and up to three drawn cone
+    points of low grade.  Returns the generators, the cone test and a
+    lister of the cone's lattice points up to a grade.
+    """
+    rays, in_cone = draw(st.sampled_from(SIMPLICIAL_CONES))
+    dim = len(rays[0])
+    top = {1: 12, 2: 6, 3: 4}[dim]
+
+    def points(n):
+        return [p for p in _lattice_points(dim, n) if in_cone(p)]
+
+    gens = {
+        tuple(k * x for x in d)
+        for d in rays
+        for k in draw(st.lists(st.integers(1, 5), min_size=2, max_size=2, unique=True))
+    }
+    gens |= set(draw(st.lists(st.sampled_from(points(top)[1:]), max_size=3)))
+    return sorted(gens), in_cone, points

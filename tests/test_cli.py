@@ -74,12 +74,29 @@ def test_gaps_not_csemigroup_exit_2(capsys, s2_file):
 
 
 def test_budget_env_exit_3(capsys, tmp_path, monkeypatch):
+    # no C-semigroup, decided whatever the budget
     path = tmp_path / "skew.json"
     path.write_text(json.dumps({"p": 2, "generators": [[1, 0], [1, 2]]}))
     monkeypatch.setenv("SEMIGROUP_BUDGET", "500")
     code, doc = run_json(capsys, "gaps", str(path))
+    assert code == 2
+    assert doc["error"] == "NotCSemigroup"
+    # ⟨50,51⟩ has a 50-point core and 1,225 gaps: its table needs 1,275 points
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"p": 1, "generators": [[50], [51]]}))
+    code, doc = run_json(capsys, "gaps", str(path))
     assert code == 3
     assert doc["error"] == "BudgetExceeded"
+
+
+def test_gaps_names_the_ray_and_residue_exit_2(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "not_c.json"
+    path.write_text(json.dumps({"p": 2, "generators": [[2, 0], [3, 0], [0, 1]]}))
+    monkeypatch.setenv("SEMIGROUP_BUDGET", "50")
+    code, doc = run_json(capsys, "gaps", str(path))
+    assert code == 2
+    assert doc["error"] == "NotCSemigroup"
+    assert "ray (0, 1)" in doc["message"] and "(1, 0) + k·(0, 1)" in doc["message"]
 
 
 def test_msg(capsys, s1_file, s1_gen):
@@ -290,9 +307,10 @@ def test_invalid_file_exit_2(capsys, tmp_path):
 
 
 # Documents for the CLI fuzz test: valid ones (one lex-ordered), the gap form
-# of S1, a semigroup that is no C-semigroup, a non-simplicial cone (four
-# extremal rays in dimension 3) and an input the default budget cannot
-# decide; drawn generator lists in dimension 1-2 are added to them.
+# of S1, a semigroup that is no C-semigroup by its ray gcd, a non-simplicial
+# cone (four extremal rays in dimension 3) and one that is no C-semigroup by
+# a class that misses a ray; drawn generator lists in dimension 1-2 are added
+# to them.
 _FUZZ_DOCUMENTS = [
     {"p": 2, "generators": [list(g) for g in S1_GENS], "order": "deglex"},
     {"p": 2, "generators": [list(g) for g in S1_GENS], "order": "lex"},

@@ -437,6 +437,4 @@ def test_tree_matches_verifier_and_pairs(data):
 @given(data=orthant_csemigroups())
 @settings(max_examples=8, deadline=None)
 def test_orthant_tree_matches_verifier_and_pairs(data):
-    # a draw can have 55 minimal generators and 1,490 nodes on level 2, at
-    # several ms of full verification each; the pair scan checks level 2
-    _tree_against_oracles(*data, verified_levels=2)
+    _tree_against_oracles(*data, verified_levels=3)

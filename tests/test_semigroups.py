@@ -20,6 +20,9 @@ from csemigroups import (
     oracle_member,
     pseudo_frobenius,
 )
+from csemigroups import semigroups
+from csemigroups.lattice import primitive
+from csemigroups.semigroups import certified_gap_scan
 from conftest import S1_GENS, S1_GAPS, S2_GENS
 from bruteforce import (
     box_filter_core,
@@ -31,7 +34,13 @@ from bruteforce import (
     least_lattice_multiple,
     sum_closure,
 )
-from strategies import apery_inputs, orthant_csemigroups, small_csemigroups
+from strategies import (
+    NOT_C_GENS,
+    apery_inputs,
+    orthant_csemigroups,
+    simplicial_semigroups,
+    small_csemigroups,
+)
 
 EXPECTED_SUM_BOX_S2 = {
     (0, 0), (8, 2), (9, 2), (12, 3), (17, 4), (18, 4), (20, 5), (21, 5),
@@ -72,6 +81,17 @@ def test_redundant_generator_removed_with_warning():
     assert s.generators == ((5, 1), (6, 2))
 
 
+def test_reduce_keeps_lex_order_and_warns_in_lex_order():
+    gens = [(16, 4), (13, 3), (12, 4), (11, 3), (10, 2), (6, 2), (5, 1)]
+    with pytest.warns(UserWarning) as record:
+        s = GenSemigroup(gens)
+    assert s.generators == ((5, 1), (6, 2), (13, 3))
+    assert [str(w.message) for w in record] == [
+        f"redundant generator {g} removed"
+        for g in [(10, 2), (11, 3), (12, 4), (16, 4)]
+    ]
+
+
 def test_gaps_s1(s1_gen, s1):
     assert s1.genus == 4
     assert s1.gaps == frozenset(S1_GAPS)
@@ -90,10 +110,105 @@ def test_gaps_not_csemigroup(s2_gen):
 
 
 def test_gaps_budget_exceeded_is_inconclusive():
-    # passes the per-ray gcd precheck yet has infinitely many gaps
+    # passes the per-ray gcd precheck yet has infinitely many gaps: its core
+    # {0} meets one of the two classes modulo ⊕ ℤ (1,0) ⊕ ℤ (1,2)
     skew = GenSemigroup([(1, 0), (1, 2)])
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(NotCSemigroup) as info:
         gaps(skew, budget=3000)
+    assert info.value.residue is None and info.value.gcd is None
+    # ⟨50,51⟩: a 50-point core and 1,225 box points, all of them gaps
+    big = GenSemigroup([(50,), (51,)])
+    with pytest.raises(BudgetExceeded):
+        gaps(big, budget=1274)
+    assert gaps(big, budget=1275).genus == 1225
+
+
+def test_gaps_never_scans(monkeypatch):
+    def scan(*args, **kwargs):
+        raise AssertionError("gaps() ran the window scan")
+
+    monkeypatch.setattr(semigroups, "certified_gap_scan", scan)
+    assert gaps(GenSemigroup(S1_GENS)).gaps == frozenset(S1_GAPS)
+    assert gaps(GenSemigroup([(50,), (51,)])).genus == 1225
+    with pytest.raises(NotCSemigroup):
+        gaps(GenSemigroup(NOT_C_GENS))
+
+
+@pytest.mark.parametrize(
+    "gens, ray, residue",
+    [
+        (NOT_C_GENS, (0, 1), (1, 0)),
+        (((1, 0), (1, 2)), None, None),
+        (((2, 0, 0), (3, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 1), (1, 0, 0)),
+        (((2, 2, 0), (3, 3, 0), (1, 1, 1)), (1, 1, 1), (1, 1, 0)),
+    ],
+)
+def test_gaps_refuses_with_the_missing_class(gens, ray, residue):
+    # decided whatever the budget
+    with pytest.raises(NotCSemigroup) as info:
+        gaps(GenSemigroup(gens), budget=1)
+    assert (info.value.ray, info.value.residue) == (ray, residue)
+
+
+def _scale_ray(gens, d, factor):
+    """Generators with those on ray d scaled by ``factor``, as the
+    benchmark builds its rejects."""
+    return [
+        tuple(factor * x for x in g) if primitive(g) == d else g for g in gens
+    ]
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [S1_GENS, ((2, 0, 0), (3, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1))],
+)
+@pytest.mark.parametrize("factor", [2, 3])
+def test_gaps_refuses_ray_scaled_rejects(gens, factor):
+    for d in GenSemigroup(gens).cone.rays:
+        with pytest.raises(NotCSemigroup) as info:
+            gaps(GenSemigroup(_scale_ray(gens, d, factor), warn_redundant=False))
+        assert (info.value.ray, info.value.gcd) == (d, factor)
+
+
+@given(data=simplicial_semigroups(), pick=st.integers(0, 2), factor=st.sampled_from((2, 3)))
+@settings(max_examples=120, deadline=None)
+def test_gaps_table_matches_scan_and_closure(data, pick, factor):
+    """gaps() against the window scan and the closure, or a proven refusal.
+
+    A C-semigroup's gaps equal the scan's and, up to one window past the
+    largest gap and the ray grades, the closure's complement; its ray-scaled
+    reject is refused on that ray.  A refusal is checked by the closure:
+    every window of width max w(n_i) above sum w(n_i) holds a gap, so the
+    scan could never stop, and a named residue plus every multiple of the
+    ray's multiplicity is a gap.
+    """
+    gens, in_cone, points = data
+    S = GenSemigroup(gens, warn_redundant=False)
+    mults = S.multiplicities()
+    weights = [sum(n) for n in mults]
+    wsum, wmax = sum(weights), max(weights)
+    try:
+        G = gaps(S)
+    except NotCSemigroup as exc:
+        top = wsum + 4 * wmax
+        closure = sum_closure(gens, top)
+        holes = {sum(p) for p in points(top) if p not in closure}
+        assert all(holes & set(range(w, w + wmax)) for w in range(wsum, top - wmax + 1))
+        if exc.residue is not None:
+            n = mults[S.cone.rays.index(exc.ray)]
+            assert in_cone(exc.residue)
+            for k in range(top // sum(n) + 1):
+                x = tuple(a + k * b for a, b in zip(exc.residue, n))
+                assert sum(x) > top or x not in closure, x
+        return
+    top = max(G.max_gap_grade, wsum) + wmax
+    closure = sum_closure(gens, top)
+    assert G.gaps == {p for p in points(top) if p not in closure}
+    assert G.gaps == certified_gap_scan(S.cone, S.contains, mults)
+    d = S.cone.rays[pick % len(S.cone.rays)]
+    with pytest.raises(NotCSemigroup) as info:
+        gaps(GenSemigroup(_scale_ray(gens, d, factor), warn_redundant=False))
+    assert (info.value.ray, info.value.gcd) == (d, factor)
 
 
 @given(data=st.one_of(small_csemigroups(), orthant_csemigroups()))
