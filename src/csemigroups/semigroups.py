@@ -18,12 +18,12 @@ The cone points of one class are ``r + Σ ν_i n_i`` with ``ν ∈ ℕ^t`` and
 elements of S among them are the ν that dominate the λ-vector of some core
 element of the class.  So S is a C-semigroup exactly when every class holds
 a core element and, for each class and each ray i, some core element lies
-on ``r + ℕ n_i``; the gaps of a class are then the ν that dominate no
-λ-vector, all below the least ray hit ``h_i·e_i`` in each coordinate.  Otherwise no scan is needed: the missing class
-or ray is the proof.
+on ``r + ℕ n_i``.  Otherwise no scan is needed: the missing class or ray is
+the proof.  A C-semigroup's gaps are listed by the window scan below, with
+the table's dominance test as its membership.
 
-The gap set of an ideal-derived semigroup (``isemigroup_from_ideal``) is
-still scanned, stopped by a certificate.  Writing ``w`` for the coordinate
+Both ``gaps()`` and ``isemigroup_from_ideal`` list gaps by a scan stopped
+by a certificate.  Writing ``w`` for the coordinate
 sum, any gap ``x`` with ``w(x) >= sum_i w(n_i)`` has some simplicial
 coordinate at least 1, hence ``x - n_i`` stays in the cone and must itself
 be a gap (otherwise ``x`` would be an element).  Iterating descends through
@@ -42,7 +42,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import product
 from math import gcd, lcm, prod
 from operator import ge, mul
 
@@ -382,9 +381,9 @@ def certified_gap_scan(cone, member, ray_elements, budget=DEFAULT_BUDGET):
     ``member`` must contain every ``ray_elements[i]`` and be closed under
     adding each of them; those are exactly the hypotheses of the window
     certificate described in the module docstring.  It serves
-    ``isemigroup_from_ideal`` (``gaps`` reads the Apery table instead) and
-    raises :class:`BudgetExceeded` after visiting ``budget`` cone points
-    without reaching the certificate.
+    ``isemigroup_from_ideal`` and, once the Apery table has shown S to be a
+    C-semigroup, ``gaps``; it raises :class:`BudgetExceeded` after visiting
+    ``budget`` cone points without reaching the certificate.
     """
     wsum = sum(sum(n) for n in ray_elements)
     wmax = max(sum(n) for n in ray_elements)
@@ -428,33 +427,52 @@ class _AperyTable:
     core: frozenset[Point]
 
     @cached_property
+    def _mods(self) -> tuple[int, ...]:
+        det = self.cone._solver[1]
+        return tuple(
+            det * _ray_multiple(n, d)
+            for n, d in zip(self.multiplicities, self.cone.rays)
+        )
+
+    def _locate(self, x: Point) -> tuple[Point, Point]:
+        """Class key and λ-vector of a point of the cone's span."""
+        rows = self.cone._solver[0]
+        nums = [sum(map(mul, row, x)) for row in rows]
+        key = tuple(a % m for a, m in zip(nums, self._mods))
+        lam = tuple(a // m for a, m in zip(nums, self._mods))
+        return key, lam
+
+    @cached_property
     def classes(self) -> dict[Point, tuple[Point, list[Point]]]:
-        rows, det, _ = self.cone._solver
-        mults = self.multiplicities
-        mods = [det * _ray_multiple(n, d) for n, d in zip(mults, self.cone.rays)]
         classes: dict[Point, tuple[Point, list[Point]]] = {}
         for w in sorted(self.core):
-            nums = [sum(map(mul, row, w)) for row in rows]
-            lam = tuple(a // m for a, m in zip(nums, mods))
-            key = tuple(a % m for a, m in zip(nums, mods))
+            key, lam = self._locate(w)
             if key not in classes:
-                r = reduce(vsub, map(scale, lam, mults), w)
+                r = reduce(vsub, map(scale, lam, self.multiplicities), w)
                 classes[key] = (r, [])
             classes[key][1].append(lam)
         return classes
 
+    def contains(self, x: Point) -> bool:
+        """Membership of a cone point, once every class holds a core
+        element: its λ-vector dominates that of a core element of its class."""
+        key, lam = self._locate(x)
+        return any(all(map(ge, lam, low)) for low in self.classes[key][1])
+
 
 def gaps(S: GenSemigroup, budget=DEFAULT_BUDGET) -> GapSemigroup:
-    """Complete gap set of a generated semigroup, read from its Apery table.
+    """Complete gap set of a generated semigroup, decided by its Apery table.
 
     Raises :class:`NotCSemigroup` when S has infinitely many gaps, with the
     proof in its fields: the realized multiples on extremal ray ``ray``
     have gcd ``gcd`` > 1; or some class modulo the lattice of the
     multiplicities holds no core element; or no core element of the class
     of ``residue`` lies on ``residue + ℕ·n``, n the multiplicity on ``ray``.
-    ``budget`` bounds the core points plus the box points (the candidate
-    gaps of every class); beyond it :class:`BudgetExceeded` is raised
-    (inconclusive) before any box point is visited.
+    Otherwise S is a C-semigroup and its gaps are listed by
+    :func:`certified_gap_scan` over the multiplicities, which then always
+    reaches its certificate.  ``budget`` bounds the core points plus the
+    scanned points; beyond it :class:`BudgetExceeded` is raised
+    (inconclusive).
     """
     S.cone._require_simplicial()
     mults = S.multiplicities()
@@ -475,35 +493,20 @@ def gaps(S: GenSemigroup, budget=DEFAULT_BUDGET) -> GapSemigroup:
             f"the {total} classes modulo their lattice; every cone point of "
             "the others is a gap"
         )
-    boxes = []
-    visited = len(table.core)
     for r, lams in sorted(table.classes.values()):
-        # heights[i]: the least h with h·e_i among the λ-vectors
-        heights = []
         for i, (d, n) in enumerate(zip(S.cone.rays, mults)):
-            on_ray = [lam[i] for lam in lams if not any(lam[:i] + lam[i + 1 :])]
-            if not on_ray:
+            # a core element on r + ℕ·n_i has λ = h·e_i
+            if not any(not any(lam[:i] + lam[i + 1 :]) for lam in lams):
                 raise NotCSemigroup(
                     f"every point {r} + k·{n} is a gap: no element of S lies "
                     f"on the line from {r} along ray {d}",
                     ray=d,
                     residue=r,
                 )
-            heights.append(min(on_ray))
-        boxes.append((r, lams, heights))
-        visited += prod(heights)
-    if visited > budget:
-        raise BudgetExceeded(
-            f"the gap table needs {visited} core and box points, "
-            f"over the budget of {budget}"
-        )
-    gap_set = [
-        reduce(vadd, map(scale, mu, mults), r)
-        for r, lams, heights in boxes
-        for mu in product(*map(range, heights))
-        if not any(all(map(ge, mu, lam)) for lam in lams)
-    ]
-    return GapSemigroup(S.cone, gap_set)
+    scan_budget = max(budget - len(table.core), 0)
+    return GapSemigroup(
+        S.cone, certified_gap_scan(S.cone, table.contains, mults, scan_budget)
+    )
 
 
 def frobenius(S: GapSemigroup, order: MonomialOrder) -> Point:

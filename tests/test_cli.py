@@ -81,7 +81,7 @@ def test_budget_env_exit_3(capsys, tmp_path, monkeypatch):
     code, doc = run_json(capsys, "gaps", str(path))
     assert code == 2
     assert doc["error"] == "NotCSemigroup"
-    # ⟨50,51⟩ has a 50-point core and 1,225 gaps: its table needs 1,275 points
+    # ⟨50,51⟩ has a 50-point core and its scan 2,500 points
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"p": 1, "generators": [[50], [51]]}))
     code, doc = run_json(capsys, "gaps", str(path))

@@ -116,22 +116,29 @@ def test_gaps_budget_exceeded_is_inconclusive():
     with pytest.raises(NotCSemigroup) as info:
         gaps(skew, budget=3000)
     assert info.value.residue is None and info.value.gcd is None
-    # ⟨50,51⟩: a 50-point core and 1,225 box points, all of them gaps
+    # ⟨50,51⟩: a 50-point core, then the scan of grades 0..2499 up to one
+    # window past the Frobenius number 2449
     big = GenSemigroup([(50,), (51,)])
     with pytest.raises(BudgetExceeded):
-        gaps(big, budget=1274)
-    assert gaps(big, budget=1275).genus == 1225
+        gaps(big, budget=2549)
+    assert gaps(big, budget=2550).genus == 1225
 
 
-def test_gaps_never_scans(monkeypatch):
+def test_gaps_refuses_before_scanning(monkeypatch):
     def scan(*args, **kwargs):
         raise AssertionError("gaps() ran the window scan")
 
     monkeypatch.setattr(semigroups, "certified_gap_scan", scan)
-    assert gaps(GenSemigroup(S1_GENS)).gaps == frozenset(S1_GAPS)
-    assert gaps(GenSemigroup([(50,), (51,)])).genus == 1225
-    with pytest.raises(NotCSemigroup):
-        gaps(GenSemigroup(NOT_C_GENS))
+    for gens in (NOT_C_GENS, ((1, 0), (1, 2)), ((4,), (6,))):
+        with pytest.raises(NotCSemigroup):
+            gaps(GenSemigroup(gens))
+
+
+def test_gaps_scans_with_the_table_membership(monkeypatch):
+    S = GenSemigroup(S1_GENS)
+    S._apery_table  # the core is built with the memoized descent
+    monkeypatch.setattr(S, "contains", None)
+    assert gaps(S).gaps == frozenset(S1_GAPS)
 
 
 @pytest.mark.parametrize(
