@@ -191,7 +191,7 @@ def decompose(S) -> Decomposition:
     mults = S.multiplicities()
     head = frozenset(
         w
-        for w in S._apery_table.core
+        for w in S._apery_table().core
         if not any(S.cone.contains(vsub(w, n)) for n in mults)
     )
     return Decomposition(S, mults, head)

@@ -19,8 +19,7 @@ elements of S among them are the ν that dominate the λ-vector of some core
 element of the class.  So S is a C-semigroup exactly when every class holds
 a core element and, for each class and each ray i, some core element lies
 on ``r + ℕ n_i``.  Otherwise no scan is needed: the missing class or ray is
-the proof.  A C-semigroup's gaps are listed by the window scan below, with
-the table's dominance test as its membership.
+the proof.  A C-semigroup's gaps are listed by the window scan below.
 
 Both ``gaps()`` and ``isemigroup_from_ideal`` list gaps by a scan stopped
 by a certificate.  Writing ``w`` for the coordinate
@@ -34,7 +33,7 @@ complete.
 
 All values are immutable after construction; the only mutable state is the
 internal membership memo of :class:`GenSemigroup`, which is append-only and
-safe to share between threads.
+safe to share between threads, and its Apery table, built once.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import gcd, lcm, prod
-from operator import ge, mul
+from operator import mul
 
 from .errors import (
     BudgetExceeded,
@@ -114,6 +113,7 @@ class GenSemigroup:
         self.cone = Cone.from_generators(gens)
         self._prune = self.cone.contains if self.cone.simplicial else None
         self._memo: dict[Point, int | None] = {zero(dim): -1}
+        self._table: _AperyTable | None = None
         self.generators = self._reduce(gens, warn_redundant)
 
     def _reduce(self, gens, warn):
@@ -192,11 +192,14 @@ class GenSemigroup:
             mults.append(scale(ks[0], d))
         return tuple(mults)
 
-    @cached_property
-    def _apery_table(self) -> "_AperyTable":
-        """The common Apery core of the multiplicities, indexed by class."""
-        mults = self.multiplicities()
-        return _AperyTable(self.cone, mults, _apery_core(self, mults))
+    def _apery_table(self, budget=None) -> "_AperyTable":
+        """The common Apery core of the multiplicities, indexed by class;
+        built once, under ``budget`` as :func:`_apery_core` explains."""
+        if self._table is None:
+            mults = self.multiplicities()
+            core = _apery_core(self, mults, budget)
+            self._table = _AperyTable(self.cone, mults, core)
+        return self._table
 
 
 def _combination_index(x, gens, memo, prune=None):
@@ -427,37 +430,22 @@ class _AperyTable:
     core: frozenset[Point]
 
     @cached_property
-    def _mods(self) -> tuple[int, ...]:
-        det = self.cone._solver[1]
-        return tuple(
+    def classes(self) -> dict[Point, tuple[Point, list[Point]]]:
+        rows, det, _ = self.cone._solver
+        mods = [
             det * _ray_multiple(n, d)
             for n, d in zip(self.multiplicities, self.cone.rays)
-        )
-
-    def _locate(self, x: Point) -> tuple[Point, Point]:
-        """Class key and λ-vector of a point of the cone's span."""
-        rows = self.cone._solver[0]
-        nums = [sum(map(mul, row, x)) for row in rows]
-        key = tuple(a % m for a, m in zip(nums, self._mods))
-        lam = tuple(a // m for a, m in zip(nums, self._mods))
-        return key, lam
-
-    @cached_property
-    def classes(self) -> dict[Point, tuple[Point, list[Point]]]:
+        ]
         classes: dict[Point, tuple[Point, list[Point]]] = {}
         for w in sorted(self.core):
-            key, lam = self._locate(w)
+            nums = [sum(map(mul, row, w)) for row in rows]
+            key = tuple(a % m for a, m in zip(nums, mods))
+            lam = tuple(a // m for a, m in zip(nums, mods))
             if key not in classes:
                 r = reduce(vsub, map(scale, lam, self.multiplicities), w)
                 classes[key] = (r, [])
             classes[key][1].append(lam)
         return classes
-
-    def contains(self, x: Point) -> bool:
-        """Membership of a cone point, once every class holds a core
-        element: its λ-vector dominates that of a core element of its class."""
-        key, lam = self._locate(x)
-        return any(all(map(ge, lam, low)) for low in self.classes[key][1])
 
 
 def gaps(S: GenSemigroup, budget=DEFAULT_BUDGET) -> GapSemigroup:
@@ -470,9 +458,10 @@ def gaps(S: GenSemigroup, budget=DEFAULT_BUDGET) -> GapSemigroup:
     of ``residue`` lies on ``residue + ℕ·n``, n the multiplicity on ``ray``.
     Otherwise S is a C-semigroup and its gaps are listed by
     :func:`certified_gap_scan` over the multiplicities, which then always
-    reaches its certificate.  ``budget`` bounds the core points plus the
-    scanned points; beyond it :class:`BudgetExceeded` is raised
-    (inconclusive).
+    reaches its certificate.  ``budget`` bounds the points this call
+    visits: those whose membership the core's closure decides (none when
+    the core is cached), then the scanned points.  Beyond it
+    :class:`BudgetExceeded` is raised (inconclusive).
     """
     S.cone._require_simplicial()
     mults = S.multiplicities()
@@ -485,7 +474,9 @@ def gaps(S: GenSemigroup, budget=DEFAULT_BUDGET) -> GapSemigroup:
                 ray=d,
                 gcd=div,
             )
-    table = S._apery_table
+    before = len(S._memo)
+    table = S._apery_table(budget)
+    scan_budget = budget - (len(S._memo) - before)
     total = S.cone.lattice_index * prod(ks[0] for ks in S._ray_data)
     if len(table.classes) < total:
         raise NotCSemigroup(
@@ -503,9 +494,8 @@ def gaps(S: GenSemigroup, budget=DEFAULT_BUDGET) -> GapSemigroup:
                     ray=d,
                     residue=r,
                 )
-    scan_budget = max(budget - len(table.core), 0)
     return GapSemigroup(
-        S.cone, certified_gap_scan(S.cone, table.contains, mults, scan_budget)
+        S.cone, certified_gap_scan(S.cone, S.contains, mults, scan_budget)
     )
 
 
@@ -581,12 +571,15 @@ def _match_rays(cone: Cone, M) -> tuple[Point, ...]:
     return tuple(by_ray[d] for d in cone.rays)
 
 
-def _apery_core(S: GenSemigroup, ray_elements) -> frozenset[Point]:
+def _apery_core(S: GenSemigroup, ray_elements, budget=None) -> frozenset[Point]:
     """Common Apery core of the ray elements, by closure from 0: if w = z + n
     is in the core, z in S and n a generator, then z is in the core (z − m ∈
-    S would put w − m in S).  Each sum is tested once."""
+    S would put w − m in S).  Each sum is tested once.  Raises
+    :class:`BudgetExceeded` after a layer of sums in which the membership
+    descents have decided more than ``budget`` points in all."""
     core = frontier = frozenset([zero(S.dim)])
     seen = set(core)
+    start = len(S._memo)
     while frontier:
         fresh = {vadd(w, n) for w in frontier for n in S.generators} - seen
         seen |= fresh
@@ -594,6 +587,11 @@ def _apery_core(S: GenSemigroup, ray_elements) -> frozenset[Point]:
             y for y in fresh if not any(S.contains(vsub(y, m)) for m in ray_elements)
         )
         core |= frontier
+        if budget is not None and len(S._memo) - start > budget:
+            raise BudgetExceeded(
+                f"the Apery core's closure decided more than {budget} points "
+                f"({len(core)} core points so far)"
+            )
     return core
 
 
@@ -624,7 +622,7 @@ def apery_context(S, M, multiplier_cap=DEFAULT_MULTIPLIER_CAP) -> AperyContext:
             )
         multipliers.append(q)
     if ray_elements == S.multiplicities():
-        core = S._apery_table.core
+        core = S._apery_table().core
     else:
         core = _apery_core(S, ray_elements)
     return AperyContext(

@@ -81,7 +81,7 @@ def test_budget_env_exit_3(capsys, tmp_path, monkeypatch):
     code, doc = run_json(capsys, "gaps", str(path))
     assert code == 2
     assert doc["error"] == "NotCSemigroup"
-    # ⟨50,51⟩ has a 50-point core and its scan 2,500 points
+    # the closure of ⟨50,51⟩'s core decides 1,324 points, its scan 2,500
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"p": 1, "generators": [[50], [51]]}))
     code, doc = run_json(capsys, "gaps", str(path))

@@ -116,12 +116,12 @@ def test_gaps_budget_exceeded_is_inconclusive():
     with pytest.raises(NotCSemigroup) as info:
         gaps(skew, budget=3000)
     assert info.value.residue is None and info.value.gcd is None
-    # ⟨50,51⟩: a 50-point core, then the scan of grades 0..2499 up to one
-    # window past the Frobenius number 2449
-    big = GenSemigroup([(50,), (51,)])
+    # ⟨50,51⟩: the closure of its 50-point core decides 1,324 points, then
+    # the scan visits grades 0..2499, up to one window past the Frobenius
+    # number 2449
     with pytest.raises(BudgetExceeded):
-        gaps(big, budget=2549)
-    assert gaps(big, budget=2550).genus == 1225
+        gaps(GenSemigroup([(50,), (51,)]), budget=3823)
+    assert gaps(GenSemigroup([(50,), (51,)]), budget=3824).genus == 1225
 
 
 def test_gaps_refuses_before_scanning(monkeypatch):
@@ -134,11 +134,17 @@ def test_gaps_refuses_before_scanning(monkeypatch):
             gaps(GenSemigroup(gens))
 
 
-def test_gaps_scans_with_the_table_membership(monkeypatch):
-    S = GenSemigroup(S1_GENS)
-    S._apery_table  # the core is built with the memoized descent
-    monkeypatch.setattr(S, "contains", None)
-    assert gaps(S).gaps == frozenset(S1_GAPS)
+def test_gaps_budget_bounds_the_core_closure():
+    # the common Apery core of (1000,0) and (0,1000) has about 10^6 points;
+    # the closure stops once its descents have decided more than the budget
+    S = GenSemigroup([(1000, 0), (1001, 0), (0, 1000), (0, 1001)])
+    with pytest.raises(BudgetExceeded):
+        gaps(S, budget=1000)
+    assert len(S._memo) < 2000
+    # a cached core costs nothing: the 2,500 scanned points fill the budget
+    T = GenSemigroup([(50,), (51,)])
+    T._apery_table()
+    assert gaps(T, budget=2500).genus == 1225
 
 
 @pytest.mark.parametrize(
@@ -151,9 +157,9 @@ def test_gaps_scans_with_the_table_membership(monkeypatch):
     ],
 )
 def test_gaps_refuses_with_the_missing_class(gens, ray, residue):
-    # decided whatever the budget
+    # decided by a closure that decides at most six points, before any scan
     with pytest.raises(NotCSemigroup) as info:
-        gaps(GenSemigroup(gens), budget=1)
+        gaps(GenSemigroup(gens), budget=6)
     assert (info.value.ray, info.value.residue) == (ray, residue)
 
 
