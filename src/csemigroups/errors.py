@@ -29,10 +29,11 @@ class NotCSemigroup(SemigroupError):
     """The complement of the semigroup in its cone is provably infinite.
 
     The proof is one of three facts.  ``gcd`` > 1: the semigroup meets the
-    extremal ray ``ray`` only in multiples of ``gcd``.  ``residue`` set: the
-    points ``residue + k·n`` (n the multiplicity on ``ray``, k ≥ 0) are all
-    gaps.  Neither set: some class of cone points modulo the lattice of the
-    multiplicities holds no element at all.
+    extremal ray ``ray`` only in multiples of ``gcd``.  ``residue`` and
+    ``ray`` set: the points ``residue + k·n`` (n the multiplicity on
+    ``ray``, k ≥ 0) are all gaps.  ``residue`` set, ``ray`` None: the class
+    of ``residue`` modulo the lattice of the multiplicities holds no element
+    at all.
     """
 
     def __init__(self, message, ray=None, gcd=None, residue=None):

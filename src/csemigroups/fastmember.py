@@ -20,7 +20,7 @@ from itertools import product
 
 from .errors import DimensionMismatch
 from .lattice import Point, scale, vsub, zero
-from .semigroups import GenSemigroup, _as_generated, apery_context
+from .semigroups import GenSemigroup, _as_generated
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,9 @@ def precompute(S, ray_order=None) -> FastContext:
     rays (default: the canonical lexicographic order).
     """
     S = _as_generated(S)
-    ctx = apery_context(S, S.multiplicities())
+    table = S._apery_table()
     rays = tuple(S.cone.rays)
-    elements = dict(zip(rays, ctx.ray_elements))
+    elements = dict(zip(rays, table.ray_elements))
     if ray_order is not None:
         ray_order = tuple(tuple(r) for r in ray_order)
         if sorted(ray_order) != sorted(rays):
@@ -57,8 +57,8 @@ def precompute(S, ray_order=None) -> FastContext:
         semigroup=S,
         rays=rays,
         ray_elements=tuple(elements[d] for d in rays),
-        core=ctx.core,
-        core_nonzero=ctx.core - {zero(S.dim)},
+        core=table.core,
+        core_nonzero=table.core - {zero(S.dim)},
     )
 
 

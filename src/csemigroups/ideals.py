@@ -72,9 +72,6 @@ class Ideal:
         """0 belongs to an ideal exactly when the ideal is all of S."""
         return zero(self.base.dim) in self.gens
 
-    def sorted_gens(self) -> tuple[Point, ...]:
-        return tuple(sorted(self.gens))
-
 
 def ideal_from_set(S, X) -> Ideal:
     """Canonical ideal generated by a finite nonempty subset of S.

@@ -120,9 +120,6 @@ class MonomialOrder:
     def max(self, points):
         return max(points, key=self.key)
 
-    def min(self, points):
-        return min(points, key=self.key)
-
 
 @dataclass(frozen=True)
 class Grading:

@@ -8,6 +8,11 @@ multiplicity-translated ideal and the semigroup without its non-ray
 generators); translating any valid set of on-ray elements always produces
 a MED semigroup, which is also the workhorse behind the fixed-multiplicity
 enumeration.
+
+The decomposition head, the rays a non-ray generator can shed and the
+exact ray-section test all read the class split of the multiplicities'
+Apery table (:class:`.semigroups.AperyContext`): x sheds the multiplicity
+n_i inside the cone exactly when λ_i(x) ≥ 1.
 """
 
 from __future__ import annotations
@@ -185,16 +190,13 @@ def decompose(S) -> Decomposition:
 
     An element that sheds no multiplicity inside the cone sheds none inside
     S either, so the head is the part of the common Apery core of the
-    multiplicities that sheds none inside the cone.
+    multiplicities that sheds none inside the cone: the core elements with
+    λ = 0 in the table's class split.
     """
     S = _as_generated(S)
-    mults = S.multiplicities()
-    head = frozenset(
-        w
-        for w in S._apery_table().core
-        if not any(S.cone.contains(vsub(w, n)) for n in mults)
-    )
-    return Decomposition(S, mults, head)
+    table = S._apery_table()
+    head = frozenset(w for w in table.core if not any(table._split(w)[1]))
+    return Decomposition(S, table.ray_elements, head)
 
 
 class TriState(enum.Enum):
@@ -205,21 +207,20 @@ class TriState(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-def _ray_section_is_cone(S: GenSemigroup, n_k: Point) -> bool:
-    """Exact test for ``{x in cone : x + n_k in S} == cone``.
+def _ray_section_is_cone(table: AperyContext, k: int) -> bool:
+    """Exact test for ``{x in cone : x + n_k in S} == cone``, n_k the k-th
+    multiplicity of the Apery table of the multiplicities.
 
-    A violation x with grade at least the sum of the multiplicity grades
-    descends: subtracting a multiplicity with simplicial coordinate >= 1
-    keeps it a violation.  So the full cone is covered exactly when no
-    violation exists below that grade.
+    A cone point ``x = r + Σ ν_i n_i`` is in the section when ``ν + e_k``
+    dominates the λ-vector of a core element of x's class; ν = 0 is the
+    hardest case.  So the section is the cone exactly when the core meets
+    every class and each class holds a core element with λ = 0 or λ = e_k.
     """
-    mults = S.multiplicities()
-    bound = sum(sum(n) for n in mults)
-    for g in range(bound):
-        for x in S.cone.graded_points(g):
-            if not S.contains(vadd(x, n_k)):
-                return False
-    return True
+    return len(table.classes) == table._class_count and all(
+        # λ ≤ e_k: no other entry is nonzero and the k-th is at most 1
+        any(sum(lam) == lam[k] <= 1 for lam in lams)
+        for _, lams in table.classes.values()
+    )
 
 
 def med_type2_check(S) -> TriState:
@@ -237,9 +238,10 @@ def med_type2_check(S) -> TriState:
     mults, extra = _ray_split(S)
     if not extra:
         return TriState.TRUE
+    table = S._apery_table()
     usable = []
     for m in sorted(extra):
-        ks = {i for i, n in enumerate(mults) if S.cone.contains(vsub(m, n))}
+        ks = {i for i, lam in enumerate(table._split(m)[1]) if lam}
         if not ks:
             return TriState.FALSE
         usable.append(ks)
@@ -247,7 +249,7 @@ def med_type2_check(S) -> TriState:
     if not common:
         return TriState.INCONCLUSIVE
     for i in sorted(common):
-        if _ray_section_is_cone(S, mults[i]):
+        if _ray_section_is_cone(table, i):
             return TriState.TRUE
     all_violated = True
     for i in sorted(common):

@@ -9,17 +9,18 @@ set, making membership an O(1) lookup.  It is the package's one gap-set
 type: the ideal-derived semigroups of :mod:`.ideals` are GapSemigroups
 that also carry their base and canonical ideal generators.
 
-The translation ``gaps()`` from the generated form to the gap form reads
-one table, the common Apery core of the ray multiplicities ``n_1 .. n_t``
-indexed by class modulo their lattice ``L = ⊕ ℤ n_i`` (the Apery-set
-description of simplicial affine semigroups, Rosales & García-Sánchez 1999).
-The cone points of one class are ``r + Σ ν_i n_i`` with ``ν ∈ ℕ^t`` and
-``r`` the class's point in the parallelepiped ``Σ [0, 1) n_i``; the
-elements of S among them are the ν that dominate the λ-vector of some core
-element of the class.  So S is a C-semigroup exactly when every class holds
-a core element and, for each class and each ray i, some core element lies
-on ``r + ℕ n_i``.  Otherwise no scan is needed: the missing class or ray is
-the proof.  A C-semigroup's gaps are listed by the window scan below.
+One Apery table type, :class:`AperyContext`, holds the common Apery core of
+one element ``m_i`` per extremal ray and splits any cone point, in
+integers, into its class modulo ``L = ⊕ ℤ m_i`` and its λ-vector: the
+class's points are ``r + Σ ν_i m_i`` (``ν ∈ ℕ^t``, ``r`` in the
+parallelepiped ``Σ [0, 1) m_i``), and those in S are the ν that dominate
+the λ-vector of a core element of the class (the Apery-set description,
+Rosales & García-Sánchez 1999).  Multipliers, the ray sections and the
+decomposition head of :mod:`.med` read the same split.  For the
+multiplicities, ``gaps()`` reads that table: S is a C-semigroup exactly
+when every class holds a core element and, for each class and each ray i,
+some core element lies on ``r + ℕ m_i``.  Otherwise the missing class or
+ray is the proof.  A C-semigroup's gaps are listed by the window scan below.
 
 Both ``gaps()`` and ``isemigroup_from_ideal`` list gaps by a scan stopped
 by a certificate.  Writing ``w`` for the coordinate
@@ -33,7 +34,8 @@ complete.
 
 All values are immutable after construction; the only mutable state is the
 internal membership memo of :class:`GenSemigroup`, which is append-only and
-safe to share between threads, and its Apery table, built once.
+safe to share between threads, and the Apery core of its multiplicities,
+built once.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import gcd, lcm, prod
-from operator import mul
 
 from .errors import (
     BudgetExceeded,
@@ -65,9 +66,6 @@ from .lattice import (
 
 #: default number of points a gap computation may visit
 DEFAULT_BUDGET = 500_000
-
-#: default cap for the incremental multiplier search in ``apery_context``
-DEFAULT_MULTIPLIER_CAP = 10_000
 
 
 def _ray_multiple(g: Point, d: Point) -> int | None:
@@ -113,7 +111,7 @@ class GenSemigroup:
         self.cone = Cone.from_generators(gens)
         self._prune = self.cone.contains if self.cone.simplicial else None
         self._memo: dict[Point, int | None] = {zero(dim): -1}
-        self._table: _AperyTable | None = None
+        self._core: frozenset[Point] | None = None
         self.generators = self._reduce(gens, warn_redundant)
 
     def _reduce(self, gens, warn):
@@ -192,14 +190,15 @@ class GenSemigroup:
             mults.append(scale(ks[0], d))
         return tuple(mults)
 
-    def _apery_table(self, budget=None) -> "_AperyTable":
-        """The common Apery core of the multiplicities, indexed by class;
-        built once, under ``budget`` as :func:`_apery_core` explains."""
-        if self._table is None:
-            mults = self.multiplicities()
-            core = _apery_core(self, mults, budget)
-            self._table = _AperyTable(self.cone, mults, core)
-        return self._table
+    def _apery_table(self, budget=None) -> "AperyContext":
+        """The Apery table of the multiplicities.  Only its core is cached,
+        built once under ``budget`` as :func:`_apery_core` explains, so no
+        cached object refers back to S."""
+        self.cone._require_simplicial()
+        mults = self.multiplicities()
+        if self._core is None:
+            self._core = _apery_core(self, mults, budget)
+        return AperyContext(self, mults, self._core)
 
 
 def _combination_index(x, gens, memo, prune=None):
@@ -411,51 +410,15 @@ def certified_gap_scan(cone, member, ray_elements, budget=DEFAULT_BUDGET):
         g += 1
 
 
-@dataclass(frozen=True)
-class _AperyTable:
-    """Common Apery core of a semigroup's multiplicities ``n_i = k_i·d_i``.
-
-    With ``det·α = A·x`` from ``Cone._solver``, a point has coordinates
-    ``A_i·x / (det·k_i)`` over the n_i.  So its class modulo ``⊕ ℤ n_i`` is
-    the key ``(A_i·x) mod det·k_i``, and ``λ_i = (A_i·x) // det·k_i`` gives
-    ``x = r + Σ λ_i n_i`` with r the class's point in the parallelepiped
-    ``Σ [0, 1) n_i``.  ``classes``, built on first read (it needs a
-    simplicial cone, the core does not), maps each key the core meets to r
-    and the λ-vectors of the class's core elements.  The table holds no
-    reference to its semigroup, so the two form no cycle.
-    """
-
-    cone: Cone
-    multiplicities: tuple[Point, ...]
-    core: frozenset[Point]
-
-    @cached_property
-    def classes(self) -> dict[Point, tuple[Point, list[Point]]]:
-        rows, det, _ = self.cone._solver
-        mods = [
-            det * _ray_multiple(n, d)
-            for n, d in zip(self.multiplicities, self.cone.rays)
-        ]
-        classes: dict[Point, tuple[Point, list[Point]]] = {}
-        for w in sorted(self.core):
-            nums = [sum(map(mul, row, w)) for row in rows]
-            key = tuple(a % m for a, m in zip(nums, mods))
-            lam = tuple(a // m for a, m in zip(nums, mods))
-            if key not in classes:
-                r = reduce(vsub, map(scale, lam, self.multiplicities), w)
-                classes[key] = (r, [])
-            classes[key][1].append(lam)
-        return classes
-
-
 def gaps(S: GenSemigroup, budget=DEFAULT_BUDGET) -> GapSemigroup:
     """Complete gap set of a generated semigroup, decided by its Apery table.
 
     Raises :class:`NotCSemigroup` when S has infinitely many gaps, with the
     proof in its fields: the realized multiples on extremal ray ``ray``
-    have gcd ``gcd`` > 1; or some class modulo the lattice of the
-    multiplicities holds no core element; or no core element of the class
-    of ``residue`` lies on ``residue + ℕ·n``, n the multiplicity on ``ray``.
+    have gcd ``gcd`` > 1; or the class of ``residue`` modulo the lattice of
+    the multiplicities holds no core element (``ray`` is None); or no core
+    element of the class of ``residue`` lies on ``residue + ℕ·n``, n the
+    multiplicity on ``ray``.
     Otherwise S is a C-semigroup and its gaps are listed by
     :func:`certified_gap_scan` over the multiplicities, which then always
     reaches its certificate.  ``budget`` bounds the points this call
@@ -477,12 +440,12 @@ def gaps(S: GenSemigroup, budget=DEFAULT_BUDGET) -> GapSemigroup:
     before = len(S._memo)
     table = S._apery_table(budget)
     scan_budget = budget - (len(S._memo) - before)
-    total = S.cone.lattice_index * prod(ks[0] for ks in S._ray_data)
-    if len(table.classes) < total:
+    if len(table.classes) < table._class_count:
         raise NotCSemigroup(
             f"the Apery core of {list(mults)} meets {len(table.classes)} of "
-            f"the {total} classes modulo their lattice; every cone point of "
-            "the others is a gap"
+            f"the {table._class_count} classes modulo their lattice; every "
+            "cone point of the others is a gap",
+            residue=table._unmet_residue(),
         )
     for r, lams in sorted(table.classes.values()):
         for i, (d, n) in enumerate(zip(S.cone.rays, mults)):
@@ -519,21 +482,79 @@ def pseudo_frobenius(S: GapSemigroup) -> frozenset[Point]:
 
 @dataclass(frozen=True)
 class AperyContext:
-    """Finite data describing ``∩_i Ap(S, m_i)`` for on-ray elements m_i.
+    """Apery table: the common core ``∩_i Ap(S, m_i)`` of on-ray elements
+    ``m_i = k_i·d_i``, with the data read from it.
 
-    The Apery ``core`` holds the elements that stay outside S after
-    subtracting any ray element; it always contains 0 and it is finite even
-    though each individual Apery set is not.  ``multipliers[j]`` is the
-    least positive q with ``q * generator_j`` expressible as a non-negative
-    integer combination of the ray elements; ``sum_box``, built on first
-    access, collects every combination of generators with coefficients
-    below those multipliers and contains the core.
+    The ``core`` holds the elements that stay outside S after subtracting
+    any ray element; it always contains 0 and it is finite even though each
+    individual Apery set is not.  With ``det·α = A·x`` from
+    ``Cone._solver``, a point has coordinates ``A_i·x / (det·k_i)`` over
+    the m_i, so :meth:`_split` gives, in integers, its class modulo
+    ``⊕ ℤ m_i`` as the key ``(A_i·x) mod det·k_i`` and its λ-vector
+    ``(A_i·x) // det·k_i``: ``x = r + Σ λ_i m_i`` with r the class's point
+    in the parallelepiped ``Σ [0, 1) m_i``.  Built on first read:
+    ``classes`` maps each key the core meets to r and the λ-vectors of the
+    class's core elements; ``multipliers[j]`` is the order of generator j's
+    class, the least q ≥ 1 with ``q·g_j`` a non-negative integer
+    combination of the ray elements; ``sum_box`` collects every combination
+    of generators with coefficients below those multipliers and contains
+    the core.
     """
 
     base: GenSemigroup
     ray_elements: tuple[Point, ...]
-    multipliers: tuple[int, ...]
     core: frozenset[Point]
+
+    @cached_property
+    def _moduli(self) -> tuple[int, ...]:
+        det = self.base.cone._solver[1]
+        return tuple(
+            det * _ray_multiple(m, d)
+            for m, d in zip(self.ray_elements, self.base.cone.rays)
+        )
+
+    def _split(self, x) -> tuple[Point, Point]:
+        """Class key and λ-vector of the cone point x."""
+        nums = self.base.cone._numerators(x)
+        return (
+            tuple(a % m for a, m in zip(nums, self._moduli)),
+            tuple(a // m for a, m in zip(nums, self._moduli)),
+        )
+
+    @cached_property
+    def _class_count(self) -> int:
+        """Number of classes of cone points modulo ``⊕ ℤ m_i``."""
+        det = self.base.cone._solver[1]
+        return self.base.cone.lattice_index * prod(m // det for m in self._moduli)
+
+    @cached_property
+    def classes(self) -> dict[Point, tuple[Point, list[Point]]]:
+        classes: dict[Point, tuple[Point, list[Point]]] = {}
+        for w in sorted(self.core):
+            key, lam = self._split(w)
+            if key not in classes:
+                r = reduce(vsub, map(scale, lam, self.ray_elements), w)
+                classes[key] = (r, [])
+            classes[key][1].append(lam)
+        return classes
+
+    def _unmet_residue(self) -> Point:
+        """First cone point in grade-then-lex order whose class the core
+        misses.  A class's least-grade point is its r (λ = 0), of grade
+        below ``Σ w(m_i)``, so this is an r."""
+        return next(
+            x
+            for g in range(sum(map(sum, self.ray_elements)))
+            for x in self.base.cone.graded_points(g)
+            if self._split(x)[0] not in self.classes
+        )
+
+    @cached_property
+    def multipliers(self) -> tuple[int, ...]:
+        return tuple(
+            lcm(*(m // gcd(a, m) for a, m in zip(self._split(n)[0], self._moduli)))
+            for n in self.base.generators
+        )
 
     @cached_property
     def sum_box(self) -> frozenset[Point]:
@@ -595,14 +616,11 @@ def _apery_core(S: GenSemigroup, ray_elements, budget=None) -> frozenset[Point]:
     return core
 
 
-def apery_context(S, M, multiplier_cap=DEFAULT_MULTIPLIER_CAP) -> AperyContext:
-    """Build the Apery core of ray elements ``M`` by closure, with its context.
+def apery_context(S, M) -> AperyContext:
+    """The Apery table of ray elements ``M``, its core built by closure.
 
     ``S`` may be either representation; membership tests use the generated
     form, and the core of the multiplicities is the one cached with it.
-    Each multiplier is the lcm of the reduced denominators of the
-    generator's ray coordinates over the ray multiples of ``M``, capped by
-    ``multiplier_cap`` (raises :class:`BudgetExceeded` beyond it).
     """
     S = _as_generated(S)
     S.cone._require_simplicial()
@@ -610,24 +628,6 @@ def apery_context(S, M, multiplier_cap=DEFAULT_MULTIPLIER_CAP) -> AperyContext:
     for m in ray_elements:
         if not S.contains(m):
             raise NotInSemigroup(m)
-    # per ray, the multiple of the primitive direction realized by m_i
-    ray_mult = [_ray_multiple(m, d) for m, d in zip(ray_elements, S.cone.rays)]
-    multipliers = []
-    for n in S.generators:
-        coords = S.cone.coordinates(n)
-        q = lcm(*((a / c).denominator for a, c in zip(coords, ray_mult)))
-        if q > multiplier_cap:
-            raise BudgetExceeded(
-                f"no multiplier for generator {n} up to {multiplier_cap}"
-            )
-        multipliers.append(q)
     if ray_elements == S.multiplicities():
-        core = S._apery_table().core
-    else:
-        core = _apery_core(S, ray_elements)
-    return AperyContext(
-        base=S,
-        ray_elements=ray_elements,
-        multipliers=tuple(multipliers),
-        core=core,
-    )
+        return S._apery_table()
+    return AperyContext(S, ray_elements, _apery_core(S, ray_elements))

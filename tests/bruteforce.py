@@ -7,6 +7,9 @@ questions by direct definition scans, the Apery core by filtering the
 bounded sum box of generators, the two fibers by scanning every subset of
 their candidates, and ray extremality by a phase-one simplex over
 Fractions (the library's simplex works on a fraction-free integer tableau).
+The one exception is the ray-section grade scan, the library's former
+test, which reads a ``GenSemigroup``'s descent membership and cone points
+to check the Apery-table test that replaced it.
 """
 
 from fractions import Fraction
@@ -181,6 +184,23 @@ def grade_scan_head(member, in_cone, points, mults):
         if sum(x) < bound and member(x)
         and not any(in_cone(_sub(x, n)) for n in mults)
     )
+
+
+def ray_section_is_cone_by_scan(S, n_k):
+    """Exact test for ``{x in cone : x + n_k in S} == cone``.
+
+    A violation x with grade at least the sum of the multiplicity grades
+    descends: subtracting a multiplicity with simplicial coordinate >= 1
+    keeps it a violation.  So the full cone is covered exactly when no
+    violation exists below that grade.
+    """
+    mults = S.multiplicities()
+    bound = sum(sum(n) for n in mults)
+    for g in range(bound):
+        for x in S.cone.graded_points(g):
+            if not S.contains(_add(x, n_k)):
+                return False
+    return True
 
 
 def removable_pairs(member, cone_points, base_gaps):

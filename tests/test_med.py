@@ -17,17 +17,19 @@ from csemigroups import (
     minimal_elements,
     verify_isemigroup,
 )
+from csemigroups.med import _ray_section_is_cone
 from bruteforce import (
     box_filter_core,
     brute_apery_core,
     closure_member,
     fixture_cone_points,
     grade_scan_head,
+    ray_section_is_cone_by_scan,
     reduced_translates,
     sum_closure,
 )
 from conftest import S1_GENS, S2_GENS
-from strategies import apery_inputs
+from strategies import apery_inputs, simplicial_semigroups
 
 EXPECTED_MSG_T = frozenset(
     [(5, 1), (6, 2), (13, 3), (14, 3), (14, 4), (15, 4), (17, 4), (18, 5)]
@@ -219,6 +221,18 @@ def test_decompose_head_plus_ideal_form(s1):
     for p in box:
         if s1.contains(p):
             assert p in dec.head or P.contains(p)
+
+
+@given(data=simplicial_semigroups())
+@settings(max_examples=120, deadline=None)
+def test_ray_section_test_matches_the_grade_scan(data):
+    """The Apery-table section test against the grade scan, on every ray of
+    C and non-C semigroups over cones of full and lower dimension."""
+    gens, _, _ = data
+    S = GenSemigroup(gens, warn_redundant=False)
+    table = S._apery_table()
+    for k, n in enumerate(table.ray_elements):
+        assert _ray_section_is_cone(table, k) == ray_section_is_cone_by_scan(S, n)
 
 
 def test_med_type2(s1_gen, s2_gen, n2):

@@ -1,3 +1,6 @@
+from itertools import product
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,7 +118,8 @@ def test_gaps_budget_exceeded_is_inconclusive():
     skew = GenSemigroup([(1, 0), (1, 2)])
     with pytest.raises(NotCSemigroup) as info:
         gaps(skew, budget=3000)
-    assert info.value.residue is None and info.value.gcd is None
+    assert info.value.residue == (1, 1)
+    assert info.value.ray is None and info.value.gcd is None
     # ⟨50,51⟩: the closure of its 50-point core decides 1,324 points, then
     # the scan visits grades 0..2499, up to one window past the Frobenius
     # number 2449
@@ -151,7 +155,7 @@ def test_gaps_budget_bounds_the_core_closure():
     "gens, ray, residue",
     [
         (NOT_C_GENS, (0, 1), (1, 0)),
-        (((1, 0), (1, 2)), None, None),
+        (((1, 0), (1, 2)), None, (1, 1)),
         (((2, 0, 0), (3, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 1), (1, 0, 0)),
         (((2, 2, 0), (3, 3, 0), (1, 1, 1)), (1, 1, 1), (1, 1, 0)),
     ],
@@ -193,7 +197,8 @@ def test_gaps_table_matches_scan_and_closure(data, pick, factor):
     reject is refused on that ray.  A refusal is checked by the closure:
     every window of width max w(n_i) above sum w(n_i) holds a gap, so the
     scan could never stop, and a named residue plus every multiple of the
-    ray's multiplicity is a gap.
+    named ray's multiplicity is a gap, or, when no ray is named, plus every
+    combination of the multiplicities.
     """
     gens, in_cone, points = data
     S = GenSemigroup(gens, warn_redundant=False)
@@ -208,10 +213,13 @@ def test_gaps_table_matches_scan_and_closure(data, pick, factor):
         holes = {sum(p) for p in points(top) if p not in closure}
         assert all(holes & set(range(w, w + wmax)) for w in range(wsum, top - wmax + 1))
         if exc.residue is not None:
-            n = mults[S.cone.rays.index(exc.ray)]
+            steps = mults if exc.ray is None else [mults[S.cone.rays.index(exc.ray)]]
             assert in_cone(exc.residue)
-            for k in range(top // sum(n) + 1):
-                x = tuple(a + k * b for a, b in zip(exc.residue, n))
+            for ks in product(*(range(top // sum(n) + 1) for n in steps)):
+                x = tuple(
+                    a + sum(k * n[c] for k, n in zip(ks, steps))
+                    for c, a in enumerate(exc.residue)
+                )
                 assert sum(x) > top or x not in closure, x
         return
     top = max(G.max_gap_grade, wsum) + wmax
@@ -305,8 +313,6 @@ def test_apery_multipliers_are_least_lattice_multiples(gens, M):
     ctx = apery_context(S, M)
     expected = [least_lattice_multiple(n, ctx.ray_elements) for n in S.generators]
     assert list(ctx.multipliers) == expected
-    with pytest.raises(BudgetExceeded):
-        apery_context(S, M, multiplier_cap=max(expected) - 1)
 
 
 def test_apery_core_matches_bruteforce(s2_gen):
@@ -322,6 +328,12 @@ def test_apery_core_matches_bruteforce(s2_gen):
 def test_apery_core_matches_box_filter_and_definition(data):
     S, M, member, _, elems = data
     ctx = apery_context(S, M)
+    # q = the number of classes modulo ⊕ ℤ m_i always works, and that is at
+    # most a t×t minor of M, below Π w(m_i)
+    cap = prod(map(sum, M))
+    assert list(ctx.multipliers) == [
+        least_lattice_multiple(n, ctx.ray_elements, cap) for n in ctx.base.generators
+    ]
     box = box_filter_core(member, ctx.base.generators, ctx.multipliers, M)
     assert ctx.core == box
     assert ctx.core == brute_apery_core(member, elems, M)
@@ -372,8 +384,6 @@ def test_apery_context_errors(s1_gen):
         apery_context(s1_gen, [(5, 1), (10, 2)])  # same ray twice
     with pytest.raises(NotInSemigroup):
         apery_context(s1_gen, [(5, 1), (3, 1)])  # (3,1) is a gap
-    with pytest.raises(BudgetExceeded):
-        apery_context(s1_gen, [(5, 1), (6, 2)], multiplier_cap=1)
 
 
 def test_gamma_translates_generate_the_ideal(s1_gen, s1):
