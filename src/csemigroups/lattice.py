@@ -365,17 +365,31 @@ class Cone:
     def _graded_cache(self):
         return {}
 
+    def graded_split(self, grade: int):
+        """Yield ``(x, _numerators(x))`` for the cone points x of the given
+        coordinate sum, in ascending lexicographic order.
+
+        The enumerator behind every walk of cone points by coordinate sum:
+        each lattice point of the grade is split once, and None drops it.
+        Nothing is cached, so a walk that reads the numerators (the
+        decomposition check of :mod:`.med`) holds no more than the point
+        it is at.
+        """
+        for x in _graded_tuples((1,) * self.dim, grade):
+            nums = self._numerators(x)
+            if nums is not None:
+                yield x, nums
+
     def graded_points(self, grade: int) -> tuple[Point, ...]:
         """Cone points of the given coordinate sum, lexicographically sorted.
 
-        Cached per cone; the standard grading is used.  Shared by every
-        semigroup built over this cone object.
+        The points of :meth:`graded_split`, cached per cone; the standard
+        grading is used.  Shared by every semigroup built over this cone
+        object.
         """
         cache = self._graded_cache
         if grade not in cache:
-            cache[grade] = tuple(
-                x for x in _graded_tuples((1,) * self.dim, grade) if self.contains(x)
-            )
+            cache[grade] = tuple(x for x, _ in self.graded_split(grade))
         return cache[grade]
 
     def points_upto(self, max_grade: int):
@@ -388,6 +402,14 @@ def _graded_tuples(weights, total):
     if len(weights) == 1:
         if total % weights[0] == 0:
             yield (total // weights[0],)
+        return
+    if len(weights) == 2:
+        # the last two coordinates in one loop, without a generator per x0
+        a, b = weights
+        for x0 in range(total // a + 1):
+            r = total - a * x0
+            if r % b == 0:
+                yield (x0, r // b)
         return
     head = weights[0]
     for x0 in range(total // head + 1):

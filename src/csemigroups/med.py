@@ -13,12 +13,22 @@ The decomposition head, the rays a non-ray generator can shed and the
 exact ray-section test all read the class split of the multiplicities'
 Apery table (:class:`.semigroups.AperyContext`): x sheds the multiplicity
 n_i inside the cone exactly when λ_i(x) ≥ 1.
+
+:func:`decompose` reports ``S = head ∪ ⋃_i (n_i + S_i)`` with the ray
+sections ``S_i = {x in cone : x + n_i in S}``.  The box check
+(:meth:`Decomposition.verify_on_box`) certifies that identity on every
+cone point up to a grade, not beyond it.  It reads one integer split per
+point (:meth:`.lattice.Cone.graded_split`): x − n_i lies in the cone
+exactly when x's numerators dominate n_i's, and x is tested for
+membership once.  :func:`med_via_translates` reads the same split.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
+from operator import ge
 
 from .lattice import Point, vadd, vsub, zero
 from .semigroups import (
@@ -138,9 +148,14 @@ def med_via_translates(S) -> bool:
     S = _as_generated(S)
     mults, extra = _ray_split(S)
     bound = max(map(sum, apery_context(S, mults).core | set(S.generators)))
+    thresholds = [S.cone._numerators(n) for n in mults]
     for g in range(bound + 1):
-        for x in S.cone.graded_points(g):
-            translated = not any(x) or any(S.contains(vsub(x, n)) for n in mults)
+        for x, nums in S.cone.graded_split(g):
+            # x − n is in the cone exactly when x's numerators dominate n's
+            translated = not any(x) or any(
+                all(map(ge, nums, t)) and S.contains(vsub(x, n))
+                for n, t in zip(mults, thresholds)
+            )
             kept = S.contains(x) and x not in extra
             if translated != kept:
                 return False
@@ -151,14 +166,23 @@ def med_via_translates(S) -> bool:
 class Decomposition:
     """Split of S into a finite head and ideals translated along each ray.
 
-    ``head`` collects the elements from which no ray multiplicity can be
-    subtracted within the cone; every other element lies in some
-    ``n_i + {x in cone : x + n_i in S}``.
+    ``ray_elements`` hold one cone point n_i per extremal ray (the
+    multiplicities, from :func:`decompose`).  ``head`` collects the
+    elements from which no n_i can be subtracted within the cone; every
+    other element lies in some ``n_i + S_i``, ``S_i = {x in cone : x + n_i
+    in S}``.
     """
 
     base: GenSemigroup
     ray_elements: tuple[Point, ...]
     head: frozenset[Point]
+
+    @cached_property
+    def _thresholds(self) -> tuple[list[int], ...]:
+        """The numerators of each ray element n_i: a cone point x sheds n_i
+        (x − n_i lies in the cone) exactly when its numerators dominate
+        n_i's."""
+        return tuple(map(self.base.cone._numerators, self.ray_elements))
 
     def in_ray_part(self, i: int, x) -> bool:
         """Membership of x in the i-th translated section."""
@@ -167,22 +191,35 @@ class Decomposition:
             vadd(x, self.ray_elements[i])
         )
 
-    def covers(self, x) -> bool:
-        x = tuple(x)
-        if x in self.head:
-            return True
-        return any(
-            min(d := vsub(x, n)) >= 0 and self.in_ray_part(i, d)
-            for i, n in enumerate(self.ray_elements)
+    def _covered(self, x: Point, nums, member: bool) -> bool:
+        # x − n_i is in S_i exactly when x is in S, so x is covered when it
+        # is in the head, or in S and sheds some n_i
+        return x in self.head or member and any(
+            all(map(ge, nums, t)) for t in self._thresholds
         )
 
-    def verify_on_box(self, max_grade: int) -> bool:
-        """Check the covering identity on all cone points up to a grade."""
+    def covers(self, x) -> bool:
+        """Membership of x in the head or in some ``n_i + S_i``."""
+        x = tuple(x)
+        member = self.base.contains(x)
+        nums = self.base.cone._numerators(x) if member else None
+        return self._covered(x, nums, member)
+
+    def _first_disagreement(self, max_grade: int) -> Point | None:
+        """First cone point up to ``max_grade``, in grade-then-lex order,
+        where membership in S and :meth:`covers` differ, or None."""
         for g in range(max_grade + 1):
-            for x in self.base.cone.graded_points(g):
-                if self.base.contains(x) != self.covers(x):
-                    return False
-        return True
+            for x, nums in self.base.cone.graded_split(g):
+                member = self.base.contains(x)
+                if member != self._covered(x, nums, member):
+                    return x
+        return None
+
+    def verify_on_box(self, max_grade: int) -> bool:
+        """Check ``S = head ∪ ⋃_i (n_i + S_i)`` on every cone point up to
+        ``max_grade``, each split once into its numerators and tested for
+        membership once."""
+        return self._first_disagreement(max_grade) is None
 
 
 def decompose(S) -> Decomposition:

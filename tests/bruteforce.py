@@ -7,9 +7,11 @@ questions by direct definition scans, the Apery core by filtering the
 bounded sum box of generators, the two fibers by scanning every subset of
 their candidates, and ray extremality by a phase-one simplex over
 Fractions (the library's simplex works on a fraction-free integer tableau).
-The one exception is the ray-section grade scan, the library's former
-test, which reads a ``GenSemigroup``'s descent membership and cone points
-to check the Apery-table test that replaced it.
+The two exceptions are former library routines kept to check the ones
+that replaced them: the ray-section grade scan, which checks the
+Apery-table test, and the decomposition check by per-point cone re-tests,
+which checks the walk over split cone points.  Both read a
+``GenSemigroup``'s descent membership and cone points.
 """
 
 from fractions import Fraction
@@ -201,6 +203,34 @@ def ray_section_is_cone_by_scan(S, n_k):
             if not S.contains(_add(x, n_k)):
                 return False
     return True
+
+
+def decomposition_disagreement_by_scan(dec, max_grade):
+    """First cone point up to ``max_grade``, in grade-then-lex order, where
+    membership in ``dec.base`` and the cover ``head ∪ ⋃_i (n_i + S_i)``
+    differ, or None.
+
+    x is covered when it is in the head, or when x − n_i is in the cone and
+    (x − n_i) + n_i is in S for some ray element n_i.
+    """
+    S = dec.base
+
+    def in_ray_part(i, x):
+        return S.cone.contains(x) and S.contains(_add(x, dec.ray_elements[i]))
+
+    def covers(x):
+        if x in dec.head:
+            return True
+        return any(
+            min(d := _sub(x, n)) >= 0 and in_ray_part(i, d)
+            for i, n in enumerate(dec.ray_elements)
+        )
+
+    for g in range(max_grade + 1):
+        for x in S.cone.graded_points(g):
+            if S.contains(x) != covers(x):
+                return x
+    return None
 
 
 def removable_pairs(member, cone_points, base_gaps):

@@ -132,7 +132,7 @@ def test_three_dimensional_gap_scan():
     g = gaps(s)
     assert sorted(g.gaps) == [(1, 0, 0)]
     assert g.minimal_generators() == frozenset(s.generators)
-    assert decompose(s).verify_on_box(12)
+    assert decompose(s).verify_on_box(40)
     ctx = precompute(s)
     for grade in range(9):
         for p in s.cone.graded_points(grade):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 
@@ -22,6 +24,7 @@ from bruteforce import (
     box_filter_core,
     brute_apery_core,
     closure_member,
+    decomposition_disagreement_by_scan,
     fixture_cone_points,
     grade_scan_head,
     ray_section_is_cone_by_scan,
@@ -198,6 +201,63 @@ def test_decompose_head_matches_grade_scan(data):
     S, _, member, in_cone, elems = data
     mults = S.multiplicities()
     assert decompose(S).head == grade_scan_head(member, in_cone, elems, mults)
+
+
+def _least_gap(S, max_grade):
+    return next(
+        (x for g in range(max_grade + 1) for x in S.cone.graded_points(g)
+         if not S.contains(x)),
+        None,
+    )
+
+
+def _broken_decompositions(dec, max_grade):
+    """The head without 0, the head plus the least gap up to ``max_grade``
+    (when there is one), and each ray element doubled."""
+    S = dec.base
+    out = [replace(dec, head=dec.head - {(0,) * S.dim})]
+    gap = _least_gap(S, max_grade)
+    if gap is not None:
+        out.append(replace(dec, head=dec.head | {gap}))
+    for i, n in enumerate(dec.ray_elements):
+        doubled = tuple(2 * c for c in n)
+        elements = dec.ray_elements[:i] + (doubled,) + dec.ray_elements[i + 1 :]
+        out.append(replace(dec, ray_elements=elements))
+    return out
+
+
+@given(data=simplicial_semigroups())
+@settings(max_examples=100, deadline=None)
+def test_decomposition_walk_matches_the_per_point_check(data):
+    """The walk over split cone points stops at the same first disagreement
+    as the per-point cone re-tests, for the true decomposition and broken
+    ones, on C and non-C semigroups over cones of full and lower dimension."""
+    gens, _, _ = data
+    dec = decompose(GenSemigroup(gens, warn_redundant=False))
+    assert dec._first_disagreement(12) is None
+    assert decomposition_disagreement_by_scan(dec, 12) is None
+    for broken in _broken_decompositions(dec, 12):
+        first = broken._first_disagreement(12)
+        assert first == decomposition_disagreement_by_scan(broken, 12)
+        assert broken.verify_on_box(12) == (first is None)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        S1_GENS,
+        ((2, 0), (3, 0), (0, 1), (1, 1)),
+        ((2, 0, 0), (3, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1)),
+    ],
+)
+def test_broken_decompositions_fail_the_box_check(gens):
+    dec = decompose(GenSemigroup(gens))
+    assert dec.verify_on_box(40)
+    broken = _broken_decompositions(dec, 40)
+    # each has a gap below grade 40, so the head plus a gap is among them
+    assert len(broken) == 2 + len(dec.ray_elements)
+    for b in broken:
+        assert not b.verify_on_box(40)
 
 
 def test_decompose_ray_sections(s2_gen):
