@@ -152,8 +152,9 @@ def with_frobenius(
     finite; plain lex is rejected.  Removal steps take S to the fiber's top,
     S less the nonzero divisors of ``f`` (``f`` among them when in S), and
     the removal walk over the nonzero candidates lists the fiber from there.
-    Raises :class:`BudgetExceeded` when the fiber has more than ``budget``
-    semigroups.
+    Raises :class:`BudgetExceeded` when the scan lists more than ``budget``
+    cone points below ``f``, before any removal, or when the fiber has
+    more than ``budget`` semigroups.
     """
     f = tuple(f)
     if not order.degree_compatible:
@@ -167,12 +168,11 @@ def with_frobenius(
         if order.compare(f, fb) == LT:
             return FrobeniusFiber(f, frozenset(), ())
 
-    below = [
-        x
-        for g in range(sum(f) + 1)
-        for x in S.cone.graded_points(g)
-        if order.compare(x, f) == LT
-    ]
+    below = []
+    for g in range(sum(f) + 1):
+        below += (x for x in S.cone.graded_points(g) if order.compare(x, f) == LT)
+        if len(below) > budget:
+            raise BudgetExceeded(f"over {budget} cone points below {f} (grade {g})")
     in_s = [x for x in below if S.contains(x)]
     candidates = frozenset(
         x for x in in_s if not (min(d := vsub(f, x)) >= 0 and S.contains(d))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ConeMismatch, NotCSemigroup, NotInSemigroup, SemigroupError
-from .lattice import Point, primitive, scale, vadd, vsub, zero
+from .lattice import Point, primitive, scale, vsub, zero
 from .semigroups import (
     DEFAULT_BUDGET,
     GapSemigroup,
@@ -116,13 +116,11 @@ class IdealSemigroup(GapSemigroup):
     def __init__(self, base: GapSemigroup, gap_set, gens=None, msg=None):
         gaps = frozenset(tuple(h) for h in gap_set)
         # the base validated its own gaps, so only the others are checked
-        super().__init__(base.cone, gaps - base.gaps)
+        super().__init__(base.cone, gaps - base.gaps, msg)
         self.gaps = gaps
         self.base = base
         if gens is not None:
             self.gens = frozenset(gens)
-        if msg is not None:
-            self._msg = frozenset(msg)
 
     @cached_property
     def gens(self) -> frozenset[Point]:
@@ -177,8 +175,8 @@ def verify_isemigroup(S: GapSemigroup, T: GapSemigroup) -> bool:
     |gaps| · |msg| steps decide the axiom.  When the answer is positive the
     sandwich T ⊆ S ⊆ T ∪ PF(T) is cross-checked: every element S lost
     must be pseudo-Frobenius in T, otherwise :class:`SemigroupError` is
-    raised.  A lost element plus a generator of T is a sum of cone points,
-    so only T's gaps are consulted.
+    raised.  A lost h plus a nonzero element of T lies in S, so h fails
+    exactly when g − h is a nonzero element of T for some lost g.
     """
     if T.cone != S.cone:
         raise ConeMismatch(f"candidate cone {T.cone.rays} differs from {S.cone.rays}")
@@ -191,6 +189,6 @@ def verify_isemigroup(S: GapSemigroup, T: GapSemigroup) -> bool:
             if any(x) and T.contains(x):
                 return False
     lost = T.gaps - S.gaps
-    if any(vadd(h, n) in T.gaps for h in lost for n in T.minimal_generators()):
+    if any(any(x := vsub(g, h)) and T.contains(x) for h in lost for g in lost):
         raise SemigroupError("sandwich property violated by a verified ideal")
     return True

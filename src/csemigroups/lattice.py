@@ -326,7 +326,7 @@ class Cone:
         rest = tuple(c for c in range(self.dim) if c not in pos)
         return rows, s * det, rest
 
-    def _numerators(self, x):
+    def _numerators(self, x) -> Point | None:
         """``det·α`` for the ray coordinates α of ``x``, or None when outside."""
         rows, det, rest = self._solver
         nums = []
@@ -338,7 +338,7 @@ class Cone:
         for c in rest:
             if sum(n * r[c] for n, r in zip(nums, self.rays)) != det * x[c]:
                 return None
-        return nums
+        return tuple(nums)
 
     def coordinates(self, x) -> tuple[Fraction, ...] | None:
         """Rational ray coordinates of ``x``, or None when ``x`` is outside.

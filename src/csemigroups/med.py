@@ -19,8 +19,10 @@ sections ``S_i = {x in cone : x + n_i in S}``.  The box check
 (:meth:`Decomposition.verify_on_box`) certifies that identity on every
 cone point up to a grade, not beyond it.  It reads one integer split per
 point (:meth:`.lattice.Cone.graded_split`): x − n_i lies in the cone
-exactly when x's numerators dominate n_i's, and x is tested for
-membership once.  :func:`med_via_translates` reads the same split.
+exactly when x's numerators dominate n_i's, and the membership descent
+runs on those numerators, never splitting x again.
+:func:`med_via_translates` does the same, and tests x − n_i on the
+difference of the numerators.
 """
 
 from __future__ import annotations
@@ -153,10 +155,10 @@ def med_via_translates(S) -> bool:
         for x, nums in S.cone.graded_split(g):
             # x − n is in the cone exactly when x's numerators dominate n's
             translated = not any(x) or any(
-                all(map(ge, nums, t)) and S.contains(vsub(x, n))
-                for n, t in zip(mults, thresholds)
+                all(map(ge, nums, t)) and S._member(vsub(nums, t))
+                for t in thresholds
             )
-            kept = S.contains(x) and x not in extra
+            kept = S._member(nums) and x not in extra
             if translated != kept:
                 return False
     return True
@@ -178,10 +180,9 @@ class Decomposition:
     head: frozenset[Point]
 
     @cached_property
-    def _thresholds(self) -> tuple[list[int], ...]:
-        """The numerators of each ray element n_i: a cone point x sheds n_i
-        (x − n_i lies in the cone) exactly when its numerators dominate
-        n_i's."""
+    def _thresholds(self) -> tuple[Point, ...]:
+        """The numerators of each n_i: a cone point x sheds n_i inside the
+        cone exactly when its numerators dominate them."""
         return tuple(map(self.base.cone._numerators, self.ray_elements))
 
     def in_ray_part(self, i: int, x) -> bool:
@@ -191,27 +192,18 @@ class Decomposition:
             vadd(x, self.ray_elements[i])
         )
 
-    def _covered(self, x: Point, nums, member: bool) -> bool:
-        # x − n_i is in S_i exactly when x is in S, so x is covered when it
-        # is in the head, or in S and sheds some n_i
-        return x in self.head or member and any(
-            all(map(ge, nums, t)) for t in self._thresholds
-        )
-
-    def covers(self, x) -> bool:
-        """Membership of x in the head or in some ``n_i + S_i``."""
-        x = tuple(x)
-        member = self.base.contains(x)
-        nums = self.base.cone._numerators(x) if member else None
-        return self._covered(x, nums, member)
-
     def _first_disagreement(self, max_grade: int) -> Point | None:
         """First cone point up to ``max_grade``, in grade-then-lex order,
-        where membership in S and :meth:`covers` differ, or None."""
+        where S and ``head ∪ ⋃_i (n_i + S_i)`` differ, or None."""
         for g in range(max_grade + 1):
             for x, nums in self.base.cone.graded_split(g):
-                member = self.base.contains(x)
-                if member != self._covered(x, nums, member):
+                member = self.base._member(nums)
+                # x − n_i is in S_i exactly when x is in S, so x is covered
+                # when it is in the head, or in S and sheds some n_i
+                covered = x in self.head or member and any(
+                    all(map(ge, nums, t)) for t in self._thresholds
+                )
+                if member != covered:
                     return x
         return None
 

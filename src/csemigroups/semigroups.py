@@ -2,12 +2,13 @@
 
 Two interchangeable representations are provided.  :class:`GenSemigroup`
 holds a finite minimal generating set and answers membership through a
-memoized descent on the coordinate-sum grading (every generator has
-positive grade, so the descent terminates).  :class:`GapSemigroup`
-represents a C-semigroup as its cone plus the finite, explicitly listed gap
-set, making membership an O(1) lookup.  It is the package's one gap-set
-type: the ideal-derived semigroups of :mod:`.ideals` are GapSemigroups
-that also carry their base and canonical ideal generators.
+memoized descent on cone coordinates: a query is split once (into integer
+ray coordinates when the cone is simplicial), and a step down by a
+generator leaves the cone exactly when a coordinate goes negative.
+:class:`GapSemigroup` represents a C-semigroup as its cone plus the finite,
+explicitly listed gap set, making membership an O(1) lookup.  It is the
+package's one gap-set type: the ideal-derived semigroups of :mod:`.ideals`
+are GapSemigroups that also carry their base and canonical ideal generators.
 
 One Apery table type, :class:`AperyContext`, holds the common Apery core of
 one element ``m_i`` per extremal ray and splits any cone point, in
@@ -90,7 +91,9 @@ class GenSemigroup:
     Redundant input generators are removed so that the stored tuple is the
     unique minimal generating set; by default a warning reports each
     removal.  The cone and the per-ray multiplicities are derived from the
-    generators.
+    generators.  Membership and witnesses descend on cone coordinates
+    (:func:`_combination_index`), split once per query point: ``det·α``
+    over the rays of a simplicial cone, the point itself otherwise.
     """
 
     def __init__(self, generators, *, warn_redundant=True):
@@ -109,10 +112,10 @@ class GenSemigroup:
         self.dim = dim
         # removing redundant generators does not change the cone
         self.cone = Cone.from_generators(gens)
-        self._prune = self.cone.contains if self.cone.simplicial else None
-        self._memo: dict[Point, int | None] = {zero(dim): -1}
+        self._numerators = self.cone._numerators if self.cone.simplicial else tuple
+        self._memo: dict[Point, int | None] = {self._numerators(zero(dim)): -1}
         self._core: frozenset[Point] | None = None
-        self.generators = self._reduce(gens, warn_redundant)
+        self.generators, self._gen_nums = self._reduce(gens, warn_redundant)
 
     def _reduce(self, gens, warn):
         # A generator is redundant exactly when it is a sum of kept generators.
@@ -120,15 +123,18 @@ class GenSemigroup:
         # the lexicographic order of ``gens``: each generator a descent meets
         # is decided before the descent, and one memo serves every test.
         kept: list[Point] = []
-        memo: dict[Point, int | None] = {zero(self.dim): -1}
+        kept_nums: list[Point] = []
+        memo: dict[Point, int | None] = {self._numerators(zero(self.dim)): -1}
         for g in gens:
-            if _combination_index(g, kept, memo, self._prune) is not None:
+            nums = self._numerators(g)
+            if _combination_index(nums, kept_nums, memo) is not None:
                 if warn:
                     warnings.warn(f"redundant generator {g} removed", stacklevel=4)
                 continue
-            memo[g] = len(kept)
+            memo[nums] = len(kept)
             kept.append(g)
-        return tuple(kept)
+            kept_nums.append(nums)
+        return tuple(kept), tuple(kept_nums)
 
     def __eq__(self, other):
         return isinstance(other, GenSemigroup) and self.generators == other.generators
@@ -139,29 +145,33 @@ class GenSemigroup:
     def __repr__(self):
         return f"GenSemigroup({list(self.generators)})"
 
-    def contains(self, x) -> bool:
+    def _split(self, x) -> Point | None:
+        """The cone coordinates of x, or None when x is outside the cone."""
         x = tuple(x)
-        if len(x) != self.dim:
-            return False
-        if min(x) < 0:
-            return False
-        if self._prune is not None and not self._prune(x):
-            return False
-        return _combination_index(x, self.generators, self._memo, self._prune) is not None
+        if len(x) != self.dim or min(x) < 0:
+            return None
+        return self._numerators(x)
+
+    def _member(self, nums) -> bool:
+        """Membership of the cone point with coordinates ``nums``."""
+        return _combination_index(nums, self._gen_nums, self._memo) is not None
+
+    def contains(self, x) -> bool:
+        nums = self._split(x)
+        return nums is not None and self._member(nums)
 
     __contains__ = contains
 
     def witness(self, x) -> tuple[int, ...] | None:
         """Coefficients λ with ``x = Σ λ_i g_i``, or None when x is outside."""
-        x = tuple(x)
-        if not self.contains(x):
+        nums = self._split(x)
+        if nums is None or not self._member(nums):
             return None
         counts = [0] * len(self.generators)
-        y = x
-        while any(y):
-            idx = self._memo[y]
+        while any(nums):
+            idx = self._memo[nums]
             counts[idx] += 1
-            y = vsub(y, self.generators[idx])
+            nums = vsub(nums, self._gen_nums[idx])
         return tuple(counts)
 
     def minimal_generators(self) -> frozenset[Point]:
@@ -201,12 +211,13 @@ class GenSemigroup:
         return AperyContext(self, mults, self._core)
 
 
-def _combination_index(x, gens, memo, prune=None):
+def _combination_index(x, gens, memo):
     """Index of a generator usable as the last step of a decomposition of x.
 
-    ``memo`` maps points to the chosen generator index (-1 at the origin,
-    None for non-members).  ``prune`` is an optional superset test (cone
-    membership): points failing it are non-members outright.  Iterative so
+    ``x`` and ``gens`` are cone coordinates (``GenSemigroup._numerators``):
+    they lie in the rays' span, so a step ``x − g`` stays in the cone exactly
+    when no coordinate goes negative.  ``memo`` maps cone points to the
+    chosen index (-1 at the origin, None for non-members).  Iterative so
     that far-away query points cannot overflow the recursion limit.
     """
     if x in memo:
@@ -225,9 +236,6 @@ def _combination_index(x, gens, memo, prune=None):
                 continue
             state = memo.get(z, "?")
             if state == "?":
-                if prune is not None and not prune(z):
-                    memo[z] = None
-                    continue
                 unresolved = z
                 break
             if state is not None:
@@ -247,9 +255,10 @@ def oracle_member(S, x) -> bool:
 
 
 class GapSemigroup:
-    """C-semigroup as (cone, finite sorted gap set); O(1) membership."""
+    """C-semigroup as (cone, finite sorted gap set); O(1) membership.
+    ``msg``, when given, is its minimal generating set, else found by a scan."""
 
-    def __init__(self, cone: Cone, gap_set):
+    def __init__(self, cone: Cone, gap_set, msg=None):
         self.cone = cone
         self.gaps = frozenset(tuple(h) for h in gap_set)
         for h in self.gaps:
@@ -259,6 +268,8 @@ class GapSemigroup:
                 raise ValueError("0 cannot be a gap")
             if not cone.contains(h):
                 raise ValueError(f"gap {h} lies outside the cone")
+        if msg is not None:
+            self._msg = frozenset(msg)
 
     @property
     def dim(self):
@@ -457,9 +468,8 @@ def gaps(S: GenSemigroup, budget=DEFAULT_BUDGET) -> GapSemigroup:
                     ray=d,
                     residue=r,
                 )
-    return GapSemigroup(
-        S.cone, certified_gap_scan(S.cone, S.contains, mults, scan_budget)
-    )
+    gap_set = certified_gap_scan(S.cone, S.contains, mults, scan_budget)
+    return GapSemigroup(S.cone, gap_set, msg=S.generators)
 
 
 def frobenius(S: GapSemigroup, order: MonomialOrder) -> Point:

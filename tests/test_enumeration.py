@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from csemigroups import (
     BudgetExceeded,
+    Cone,
     GapSemigroup,
     IdealSemigroup,
     MonomialOrder,
@@ -247,6 +248,22 @@ def test_frobenius_budget_checked_before_any_removal(n2, deglex, monkeypatch):
     monkeypatch.setattr(enumeration, "_remove", no_removal)
     with pytest.raises(BudgetExceeded):
         with_frobenius(n2, (400, 1), deglex, budget=10)
+
+
+def test_frobenius_scan_stops_at_the_budget(n2, deglex, monkeypatch):
+    # N^2 has g + 1 points of grade g, so the scan below (400, 1) passes 10
+    # points at grade 4 (15 points) and asks for no later grade
+    grades = []
+    listed = Cone.graded_points
+
+    def counted(cone, g):
+        grades.append(g)
+        return listed(cone, g)
+
+    monkeypatch.setattr(Cone, "graded_points", counted)
+    with pytest.raises(BudgetExceeded):
+        with_frobenius(n2, (400, 1), deglex, budget=10)
+    assert grades == [0, 1, 2, 3, 4]
 
 
 def test_with_frobenius_at_base_frobenius(s1, deglex):

@@ -163,14 +163,17 @@ def test_verify_isemigroup(s1):
     assert not verify_isemigroup(s1, GapSemigroup(s1.cone, s1.gaps | {(10, 2)}))
 
 
-def test_verify_isemigroup_sandwich_check_raises(s1):
-    T = isemigroup_from_ideal(ideal_from_set(s1, [(5, 1), (6, 2)]))
-    # a msg value holding the gap (3,1): the lost element (9,2) then steps to
-    # the gap (12,3), so it no longer looks pseudo-Frobenius in T
-    wrong = IdealSemigroup(s1, T.gaps, msg=T.minimal_generators() | {(3, 1)})
-    assert wrong == T
+def test_verify_isemigroup_sandwich_check_raises(s1, monkeypatch):
+    T = isemigroup_from_ideal(ideal_from_set(s1, [(9, 3), (10, 2)]))
+    assert verify_isemigroup(s1, T)
+    # (6,0) is the gap (18,4) of T less the lost element (12,4), and no gap
+    # of T less a generator of S, so the ideal axiom still holds; read as an
+    # element, it steps (12,4) to that gap, so (12,4) is no longer
+    # pseudo-Frobenius in T
+    real = T.contains
+    monkeypatch.setattr(T, "contains", lambda x: tuple(x) == (6, 0) or real(x))
     with pytest.raises(SemigroupError, match="sandwich"):
-        verify_isemigroup(s1, wrong)
+        verify_isemigroup(s1, T)
 
 
 def test_verify_isemigroup_requires_containment(s1):

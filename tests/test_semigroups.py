@@ -78,6 +78,59 @@ def test_witness_reconstructs_the_point(s2_gen):
     assert s2_gen.witness((2, 1)) is None
 
 
+# the non-simplicial cone of the CLI fuzz: four extremal rays in ℕ³, and
+# its lattice points are those with z <= x + y
+FOUR_RAYS = ((0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1))
+
+
+@st.composite
+def non_simplicial_generators(draw):
+    """The four rays, or two multiples (up to 5) of each, plus up to three
+    drawn cone points of grade at most 4."""
+    if draw(st.booleans()):
+        gens = set(FOUR_RAYS)
+    else:
+        gens = {
+            tuple(k * x for x in d)
+            for d in FOUR_RAYS
+            for k in draw(st.lists(st.integers(1, 5), min_size=2, max_size=2, unique=True))
+        }
+    cone_points = [
+        p for p in product(range(5), repeat=3) if 0 < sum(p) <= 4 and p[2] <= p[0] + p[1]
+    ]
+    gens |= set(draw(st.lists(st.sampled_from(cone_points), max_size=3)))
+    return sorted(gens)
+
+
+@given(
+    gens=st.one_of(
+        simplicial_semigroups().map(lambda data: data[0]), non_simplicial_generators()
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_descent_matches_closure_on_every_lattice_point(gens):
+    """The descent on cone coordinates against the forward closure, on
+    every point of ℕ^p up to the oracle grade, simplicial or not; a
+    member's witness rebuilds it from the generators."""
+    S = GenSemigroup(gens, warn_redundant=False)
+    top = {1: 30, 2: 14, 3: 8}[S.dim]
+    member = closure_member(gens, top)
+    for p in product(range(top + 1), repeat=S.dim):
+        if sum(p) > top:
+            continue
+        assert S.contains(p) == member(p), p
+        w = S.witness(p)
+        if member(p):
+            rebuilt = tuple(
+                sum(k * g[c] for k, g in zip(w, S.generators)) for c in range(S.dim)
+            )
+            assert rebuilt == p
+        else:
+            assert w is None
+    assert not S.contains((-1,) + (top,) * (S.dim - 1))
+    assert not S.contains((1,) * (S.dim + 1))
+
+
 def test_redundant_generator_removed_with_warning():
     with pytest.warns(UserWarning, match="redundant"):
         s = GenSemigroup([(5, 1), (6, 2), (11, 3)])
@@ -247,6 +300,20 @@ def test_gaps_matches_closure(data):
     closure = sum_closure(gens, top)
     expected = {p for p in points(top) if p not in closure}
     assert gaps(GenSemigroup(gens)).gaps == expected
+
+
+@given(data=simplicial_semigroups())
+@settings(max_examples=80, deadline=None)
+def test_gaps_keeps_the_generators_as_msg(data):
+    """gaps() hands S's minimal generators to its result, which a scan of
+    the gap set reproduces."""
+    S = GenSemigroup(data[0], warn_redundant=False)
+    try:
+        G = gaps(S)
+    except NotCSemigroup:
+        return
+    assert "_msg" in vars(G)
+    assert G.minimal_generators() == GapSemigroup(S.cone, G.gaps).minimal_generators()
 
 
 def test_minimal_generators_roundtrip(s1, s1_gen):
