@@ -17,22 +17,32 @@ n_i inside the cone exactly when λ_i(x) ≥ 1.
 :func:`decompose` reports ``S = head ∪ ⋃_i (n_i + S_i)`` with the ray
 sections ``S_i = {x in cone : x + n_i in S}``.  The box check
 (:meth:`Decomposition.verify_on_box`) certifies that identity on every
-cone point up to a grade, not beyond it.  It reads one integer split per
-point (:meth:`.lattice.Cone.graded_split`): x − n_i lies in the cone
-exactly when x's numerators dominate n_i's, and the membership descent
-runs on those numerators, never splitting x again.
+cone point up to a grade.  Only points up to a stop grade can break it: a
+point of S outside the cover sheds no n_i, so its grade is at most
+``Σ w(n_i) − 1`` (w the coordinate sum), and a point of the cover outside
+S is in the head.  The check walks no further than the larger of the two,
+and a box that reaches it proves the identity on the whole cone.  It
+reads one integer split per point (:meth:`.lattice.Cone.graded_split`):
+x − n_i lies in the cone exactly when x's numerators dominate n_i's, and
+the membership descent runs on those numerators, never splitting x again.
 :func:`med_via_translates` does the same, and tests x − n_i on the
 difference of the numerators.
+
+:func:`med_type2_check` looks for a closure violation ``x + y + n_k ∉ S``
+among the section points of a grade box, but reads only the section's
+least points, one per λ-vector of the Apery table: any violation on the
+box has one at least points of no greater grade.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import combinations_with_replacement
 from operator import ge
 
-from .lattice import Point, vadd, vsub, zero
+from .lattice import Point, scale, vadd, vsub, zero
 from .semigroups import (
     AperyContext,
     GapSemigroup,
@@ -192,10 +202,26 @@ class Decomposition:
             vadd(x, self.ray_elements[i])
         )
 
+    @cached_property
+    def _stop_grade(self) -> int:
+        """Largest grade at which S and the cover can differ.
+
+        A point of S outside the cover is outside the head and sheds no
+        n_i, so its ray coordinates lie below n_i's on every ray i, and its
+        grade is at most ``Σ w(n_i) − 1`` (w the coordinate sum); a point of
+        the cover outside S is in the head.
+        """
+        return max(
+            sum(map(sum, self.ray_elements)) - 1,
+            max(map(sum, self.head), default=0),
+        )
+
     def _first_disagreement(self, max_grade: int) -> Point | None:
         """First cone point up to ``max_grade``, in grade-then-lex order,
-        where S and ``head ∪ ⋃_i (n_i + S_i)`` differ, or None."""
-        for g in range(max_grade + 1):
+        where S and ``head ∪ ⋃_i (n_i + S_i)`` differ, or None.  The walk
+        ends at ``min(max_grade, _stop_grade)``: no point above
+        :attr:`_stop_grade` can differ."""
+        for g in range(min(max_grade, self._stop_grade) + 1):
             for x, nums in self.base.cone.graded_split(g):
                 member = self.base._member(nums)
                 # x − n_i is in S_i exactly when x is in S, so x is covered
@@ -210,7 +236,9 @@ class Decomposition:
     def verify_on_box(self, max_grade: int) -> bool:
         """Check ``S = head ∪ ⋃_i (n_i + S_i)`` on every cone point up to
         ``max_grade``, each split once into its numerators and tested for
-        membership once."""
+        membership once.  Only the points up to :attr:`_stop_grade` are
+        walked; when ``max_grade`` reaches it, True proves the identity on
+        the whole cone."""
         return self._first_disagreement(max_grade) is None
 
 
@@ -252,6 +280,22 @@ def _ray_section_is_cone(table: AperyContext, k: int) -> bool:
     )
 
 
+def _least_section_points(table: AperyContext, k: int):
+    """The points ``r + Σ_i max(λ − e_k, 0)_i·n_i``, over each class r of
+    the Apery table and each λ-vector of its core elements: every point of
+    the section ``S_k = {x in cone : x + n_k in S}`` is one of them plus a
+    sum of multiplicities.
+
+    x = r + Σ ν_i n_i is in S_k exactly when ν + e_k dominates a λ of its
+    class, that is ν ≥ max(λ − e_k, 0); classes the core misses hold no
+    point of S, so none of S_k.
+    """
+    for r, lams in table.classes.values():
+        for lam in lams:
+            nu = [max(c - (i == k), 0) for i, c in enumerate(lam)]
+            yield reduce(vadd, map(scale, nu, table.ray_elements), r)
+
+
 def med_type2_check(S) -> TriState:
     """Sufficient MED criterion through closure of one ray section.
 
@@ -262,6 +306,13 @@ def med_type2_check(S) -> TriState:
     holds on the test box is reported INCONCLUSIVE, while a closure
     violation found on the box refutes the hypothesis.  Inputs whose
     generators need different multiplicities are INCONCLUSIVE as well.
+
+    The box is the cone points of grade at most ``_TYPE2_BOX_GRADE``, but
+    only the section's least points are read
+    (:func:`_least_section_points`): a violation ``x + y + n_k ∉ S`` there
+    implies one at least points ``a ≤ x``, ``b ≤ y``, since ``x − a`` and
+    ``y − b`` are sums of multiplicities, which stay in S, and they have
+    grade at most x's and y's.
     """
     S = _as_generated(S)
     mults, extra = _ray_split(S)
@@ -283,18 +334,14 @@ def med_type2_check(S) -> TriState:
     all_violated = True
     for i in sorted(common):
         n_k = mults[i]
-        section = [
-            x
-            for g in range(_TYPE2_BOX_GRADE + 1)
-            for x in S.cone.graded_points(g)
-            if S.contains(vadd(x, n_k))
-        ]
+        least = {
+            a for a in _least_section_points(table, i) if sum(a) <= _TYPE2_BOX_GRADE
+        }
         # sums of section members stay in the cone, so non-membership of
-        # x + y + n_k refutes closure outright
+        # a + b + n_k refutes closure outright
         violated = any(
-            not S.contains(vadd(vadd(x, y), n_k))
-            for x in section
-            for y in section
+            not S.contains(vadd(vadd(a, b), n_k))
+            for a, b in combinations_with_replacement(least, 2)
         )
         if not violated:
             all_violated = False

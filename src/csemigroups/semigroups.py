@@ -45,6 +45,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import gcd, lcm, prod
+from operator import ge
 
 from .errors import (
     BudgetExceeded,
@@ -605,25 +606,40 @@ def _match_rays(cone: Cone, M) -> tuple[Point, ...]:
 def _apery_core(S: GenSemigroup, ray_elements, budget=None) -> frozenset[Point]:
     """Common Apery core of the ray elements, by closure from 0: if w = z + n
     is in the core, z in S and n a generator, then z is in the core (z − m ∈
-    S would put w − m in S).  Each sum is tested once.  Raises
+    S would put w − m in S).  Each sum is tested once, on numerators carried
+    along: w + n gets w's plus n's, and y − m is in the cone exactly when
+    y's dominate m's, so only 0 and the ray elements are ever split.  Raises
     :class:`BudgetExceeded` after a layer of sums in which the membership
     descents have decided more than ``budget`` points in all."""
-    core = frontier = frozenset([zero(S.dim)])
-    seen = set(core)
+    origin = zero(S.dim)
+    thresholds = [S._numerators(m) for m in ray_elements]
+    core = {origin}
+    frontier = {origin: S._numerators(origin)}
+    seen = {origin}
     start = len(S._memo)
     while frontier:
-        fresh = {vadd(w, n) for w in frontier for n in S.generators} - seen
-        seen |= fresh
-        frontier = frozenset(
-            y for y in fresh if not any(S.contains(vsub(y, m)) for m in ray_elements)
-        )
-        core |= frontier
+        fresh = {}
+        for w, w_nums in frontier.items():
+            for n, n_nums in zip(S.generators, S._gen_nums):
+                y = vadd(w, n)
+                if y not in seen:
+                    seen.add(y)
+                    fresh[y] = vadd(w_nums, n_nums)
+        frontier = {
+            y: nums
+            for y, nums in fresh.items()
+            if not any(
+                all(map(ge, nums, t)) and S._member(vsub(nums, t))
+                for t in thresholds
+            )
+        }
+        core.update(frontier)
         if budget is not None and len(S._memo) - start > budget:
             raise BudgetExceeded(
                 f"the Apery core's closure decided more than {budget} points "
                 f"({len(core)} core points so far)"
             )
-    return core
+    return frozenset(core)
 
 
 def apery_context(S, M) -> AperyContext:

@@ -7,11 +7,13 @@ questions by direct definition scans, the Apery core by filtering the
 bounded sum box of generators, the two fibers by scanning every subset of
 their candidates, and ray extremality by a phase-one simplex over
 Fractions (the library's simplex works on a fraction-free integer tableau).
-The two exceptions are former library routines kept to check the ones
+The exceptions are former library routines kept to check the ones
 that replaced them: the ray-section grade scan, which checks the
-Apery-table test, and the decomposition check by per-point cone re-tests,
-which checks the walk over split cone points.  Both read a
-``GenSemigroup``'s descent membership and cone points.
+Apery-table test; the decomposition check by per-point cone re-tests,
+which checks the walk over split cone points; and the type-2 MED check by
+a scan of every section point of a grade box, which checks the scan of
+the section's least points.  They read a ``GenSemigroup``'s descent
+membership and cone points.
 """
 
 from fractions import Fraction
@@ -231,6 +233,52 @@ def decomposition_disagreement_by_scan(dec, max_grade):
             if S.contains(x) != covers(x):
                 return x
     return None
+
+
+def type2_by_box_scan(S, grade):
+    """The type-2 MED check with its closure test on every section point
+    of the grade box: "true", "false" or "inconclusive".
+
+    The hypothesis is a multiplicity n_k that every non-ray generator
+    sheds inside the cone; a section ``{x in cone : x + n_k in S}`` that is
+    the whole cone proves the criterion, and for each common n_k every pair
+    x, y of section points up to ``grade`` is tried for x + y + n_k outside
+    S.  FALSE needs a violation for every common n_k.
+    """
+    mults = S.multiplicities()
+    extra = sorted(set(S.generators) - set(mults))
+    if not extra:
+        return "true"
+    usable = []
+    for m in extra:
+        ks = {i for i, n in enumerate(mults) if S.cone.contains(_sub(m, n))}
+        if not ks:
+            return "false"
+        usable.append(ks)
+    common = sorted(set.intersection(*usable))
+    if not common:
+        return "inconclusive"
+    if any(ray_section_is_cone_by_scan(S, mults[i]) for i in common):
+        return "true"
+    all_violated = True
+    for i in common:
+        n_k = mults[i]
+        section = [
+            x
+            for g in range(grade + 1)
+            for x in S.cone.graded_points(g)
+            if S.contains(_add(x, n_k))
+        ]
+        # sums of section members stay in the cone, so non-membership of
+        # x + y + n_k refutes closure outright
+        violated = any(
+            not S.contains(_add(_add(x, y), n_k))
+            for x in section
+            for y in section
+        )
+        if not violated:
+            all_violated = False
+    return "false" if all_violated else "inconclusive"
 
 
 def removable_pairs(member, cone_points, base_gaps):

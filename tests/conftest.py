@@ -14,6 +14,9 @@ S1_GAPS = ((3, 1), (4, 1), (7, 2), (8, 2))
 # same cone, even multiples only on the (3,1) ray: not a C-semigroup
 S2_GENS = ((5, 1), (6, 2), (8, 2), (9, 2), (12, 3))
 
+# the 3-dimensional fixture: the orthant less (1,0,0)
+D3_GENS = ((2, 0, 0), (3, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1))
+
 
 @pytest.fixture(scope="session")
 def deglex():

@@ -148,14 +148,17 @@ SIMPLICIAL_CONES = (
 
 
 @st.composite
-def simplicial_semigroups(draw):
-    """Generators of a semigroup over one of ``SIMPLICIAL_CONES``, C or not.
+def simplicial_semigroups(draw, max_dim=3):
+    """Generators of a semigroup over one of ``SIMPLICIAL_CONES`` of
+    dimension at most ``max_dim``, C or not.
 
     Two multiples (up to 5) of each ray and up to three drawn cone
     points of low grade.  Returns the generators, the cone test and a
     lister of the cone's lattice points up to a grade.
     """
-    rays, in_cone = draw(st.sampled_from(SIMPLICIAL_CONES))
+    rays, in_cone = draw(
+        st.sampled_from([c for c in SIMPLICIAL_CONES if len(c[0][0]) <= max_dim])
+    )
     dim = len(rays[0])
     top = {1: 12, 2: 6, 3: 4}[dim]
 

@@ -22,9 +22,7 @@ from csemigroups import (
     with_frobenius,
 )
 from bruteforce import closure_member
-
-# the 3-dimensional fixture: the orthant less (1,0,0)
-D3 = ((2, 0, 0), (3, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1))
+from conftest import D3_GENS as D3
 
 
 def test_numerical_semigroup_gaps():

@@ -19,6 +19,7 @@ from csemigroups import (
     minimal_elements,
     verify_isemigroup,
 )
+from csemigroups import Cone, med
 from csemigroups.med import _ray_section_is_cone
 from bruteforce import (
     box_filter_core,
@@ -30,8 +31,9 @@ from bruteforce import (
     ray_section_is_cone_by_scan,
     reduced_translates,
     sum_closure,
+    type2_by_box_scan,
 )
-from conftest import S1_GENS, S2_GENS
+from conftest import D3_GENS, S1_GENS, S2_GENS
 from strategies import apery_inputs, simplicial_semigroups
 
 EXPECTED_MSG_T = frozenset(
@@ -242,12 +244,51 @@ def test_decomposition_walk_matches_the_per_point_check(data):
         assert broken.verify_on_box(12) == (first is None)
 
 
+@given(data=simplicial_semigroups(max_dim=2))
+@settings(max_examples=60, deadline=None)
+def test_decomposition_walk_matches_the_per_point_check_to_grade_40(data):
+    """At grade 40 the walk ends at its stop grade, below 40 on most draws,
+    and still finds the per-point check's first disagreement.  Doubling a
+    ray element raises the stop grade, and so does a head holding the last
+    gap up to grade 40."""
+    gens, _, _ = data
+    S = GenSemigroup(gens, warn_redundant=False)
+    dec = decompose(S)
+    broken = _broken_decompositions(dec, 40)
+    last_gap = next(
+        (x for g in range(40, -1, -1) for x in reversed(S.cone.graded_points(g))
+         if not S.contains(x)),
+        None,
+    )
+    if last_gap is not None:
+        broken.append(replace(dec, head=dec.head | {last_gap}))
+    for d in [dec, *broken]:
+        assert d._first_disagreement(40) == decomposition_disagreement_by_scan(d, 40)
+
+
+@pytest.mark.parametrize("gens", [S1_GENS, D3_GENS])
+def test_decomposition_walk_stops_at_its_bound(gens, monkeypatch):
+    """A point of S outside the cover sheds no n_i, so lies below grade
+    Σ w(n_i); a point of the cover outside S is in the head.  The walk
+    asks for no grade above the larger bound."""
+    dec = decompose(GenSemigroup(gens))
+    stop = max(sum(map(sum, dec.ray_elements)) - 1, max(map(sum, dec.head)))
+    asked = []
+    graded_split = Cone.graded_split
+    monkeypatch.setattr(
+        Cone, "graded_split", lambda self, g: asked.append(g) or graded_split(self, g)
+    )
+    assert dec.verify_on_box(40)
+    assert stop < 40
+    assert asked == list(range(stop + 1))
+
+
 @pytest.mark.parametrize(
     "gens",
     [
         S1_GENS,
         ((2, 0), (3, 0), (0, 1), (1, 1)),
-        ((2, 0, 0), (3, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1)),
+        D3_GENS,
     ],
 )
 def test_broken_decompositions_fail_the_box_check(gens):
@@ -301,6 +342,28 @@ def test_med_type2(s1_gen, s2_gen, n2):
     # multiplicities, so no single section certifies the criterion
     assert med_type2_check(s1_gen) is TriState.INCONCLUSIVE
     assert med_type2_check(n2) is TriState.TRUE
+
+
+@given(data=simplicial_semigroups())
+@settings(max_examples=150, deadline=None)
+def test_type2_least_points_match_the_box_scan(data):
+    """The scan of the section's least points against the scan of every
+    section point, on a grade-12 box (the full box at grade 40 is too slow
+    for 3-D draws), on C and non-C semigroups over cones of full and lower
+    dimension.  The least-point scan lists no cone points."""
+    gens, _, _ = data
+    S = GenSemigroup(gens, warn_redundant=False)
+    expected = type2_by_box_scan(S, 12)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(med, "_TYPE2_BOX_GRADE", 12)
+        mp.setattr(Cone, "graded_points", None)
+        assert med_type2_check(S).value == expected
+
+
+@pytest.mark.parametrize("gens", [S1_GENS, S2_GENS, D3_GENS])
+def test_type2_least_points_match_the_box_scan_at_grade_40(gens):
+    S = GenSemigroup(gens)
+    assert med_type2_check(S).value == type2_by_box_scan(S, 40)
 
 
 def test_med_type2_implies_med(s1, s2_gen, n2):

@@ -429,6 +429,27 @@ def test_apery_core_is_built_without_the_sum_box():
     assert ctx.core <= ctx.sum_box
 
 
+def test_apery_core_closure_splits_only_the_ray_elements(monkeypatch):
+    # the closure carries each core point's numerators, so it splits 0 and
+    # the t ray elements, never a sum or a difference
+    gens = [(7, 0), (9, 0), (0, 7), (0, 9), (3, 3), (4, 5)]
+    S = GenSemigroup(gens)
+    splits = []
+    split = S._numerators
+    monkeypatch.setattr(S, "_numerators", lambda x: splits.append(x) or split(x))
+    cone_split = Cone._numerators
+    monkeypatch.setattr(
+        Cone, "_numerators", lambda self, x: splits.append(x) or cone_split(self, x)
+    )
+    core = semigroups._apery_core(S, S.multiplicities())
+    monkeypatch.undo()
+    assert len(splits) <= len(S.cone.rays) + 1
+    fresh = GenSemigroup(gens)
+    assert core == fresh._apery_table().core
+    assert len(core) == 121
+    assert len(S._memo) == len(fresh._memo)
+
+
 def test_apery_law(s2_gen):
     ctx = apery_context(s2_gen, [(5, 1), (6, 2)])
     for s in ctx.core:
