@@ -14,6 +14,7 @@ set) so counts and golden files are stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge
 
 from .errors import BudgetExceeded, NotDegreeCompatible, SemigroupError
 from .lattice import GT, LT, MonomialOrder, Point, vadd, vsub, zero
@@ -45,16 +46,30 @@ def _remove(S: GapSemigroup, T: IdealSemigroup, x: Point) -> IdealSemigroup:
     :class:`SemigroupError` names x.  The promoted x + n, n ∈ msg(S), that
     no other generator divides are incomparable with each other and with
     the kept generators, so the result's ``gens`` stays canonical.
+
+    Divisibility is read on cone coordinates N (``S._split``): y − g is in
+    S exactly when N(y) ≥ N(g) componentwise and y − g is no gap of S.  A
+    step has N(x + n) = N(x) + N(n), and the promoted steps join S's split
+    memo, so every generator is split once per base.
     """
     if x in T.gaps:
         raise SemigroupError(f"ideal generator {x} is a gap of the parent")
+    split = S._split
     rest = T.gens - {x}
-    for g in rest:
-        if S.contains(vsub(x, g)):
+    kept = [(g, split(g)) for g in rest]
+    nx = split(x)
+    for g, ng in kept:
+        if all(map(ge, nx, ng)) and vsub(x, g) not in S.gaps:
             raise SemigroupError(f"ideal generator {x} is divisible by {g}")
-    steps = {vadd(x, n) for n in S.minimal_generators()}
-    promoted = {y for y in steps if not any(S.contains(vsub(y, g)) for g in rest)}
-    return IdealSemigroup(S, T.gaps | {x}, rest | promoted)
+    promoted = {}
+    for n in S.minimal_generators():
+        y, ny = vadd(x, n), vadd(nx, split(n))
+        if not any(
+            all(map(ge, ny, ng)) and vsub(y, g) not in S.gaps for g, ng in kept
+        ):
+            promoted[y] = ny
+    S._splits.update(promoted)
+    return IdealSemigroup(S, T.gaps | {x}, rest.union(promoted))
 
 
 def _removal_walk(
@@ -161,7 +176,7 @@ def with_frobenius(
         raise NotDegreeCompatible(
             "the region below f is only finite for degree-compatible orders"
         )
-    if len(f) != S.dim or not any(f) or min(f) < 0 or not S.cone.contains(f):
+    if len(f) != S.dim or not any(f) or min(f) < 0 or S._split(f) is None:
         raise ValueError(f"{f} is not a nonzero cone point")
     if S.gaps:
         fb = order.max(S.gaps)
@@ -173,10 +188,12 @@ def with_frobenius(
         below += (x for x in S.cone.graded_points(g) if order.compare(x, f) == LT)
         if len(below) > budget:
             raise BudgetExceeded(f"over {budget} cone points below {f} (grade {g})")
-    in_s = [x for x in below if S.contains(x)]
-    candidates = frozenset(
-        x for x in in_s if not (min(d := vsub(f, x)) >= 0 and S.contains(d))
-    )
+    in_s = [x for x in below if x not in S.gaps]
+    f_in_s = f not in S.gaps
+    # f − x is f itself for x = 0, else of lower grade than f, so listed in
+    # ``below`` when it is a cone point: it is in S exactly when in ``elements``
+    elements = set(in_s) | ({f} if f_in_s else set())
+    candidates = frozenset(x for x in in_s if vsub(f, x) not in elements)
     pool = candidates - {zero(S.dim)}
     # each x in the pool gives its own result, the top less x's divisors
     if len(pool) >= budget:
@@ -187,7 +204,7 @@ def with_frobenius(
     for x in in_s:
         if any(x) and x not in candidates:
             top = _remove(S, top, x)
-    if S.contains(f):
+    if f_in_s:
         top = _remove(S, top, f)
     results = _removal_walk(S, top, pool, budget)
     results.sort(key=_result_key)

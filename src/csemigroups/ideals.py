@@ -59,6 +59,8 @@ class Ideal:
 
     def contains(self, x) -> bool:
         x = tuple(x)
+        if len(x) != self.base.dim:
+            return False
         for y in self.gens:
             d = vsub(x, y)
             if min(d) >= 0 and self.base.contains(d):
@@ -111,14 +113,20 @@ class IdealSemigroup(GapSemigroup):
     ``msg``, when given, pre-fill the caches; otherwise ``gens`` is derived
     from the minimal generators, which the inherited scan computes.
     Equality and hashing are those of the gap set.
+
+    The points the base lost are checked through the base's split memo
+    (``GapSemigroup._split``), which the removal steps of
+    :mod:`.enumeration` fill: there divisibility is read on cone
+    coordinates, and a lost point was an ideal generator of the parent,
+    so its check is a lookup.
     """
 
     def __init__(self, base: GapSemigroup, gap_set, gens=None, msg=None):
-        gaps = frozenset(tuple(h) for h in gap_set)
-        # the base validated its own gaps, so only the others are checked
-        super().__init__(base.cone, gaps - base.gaps, msg)
-        self.gaps = gaps
         self.base = base
+        super().__init__(base.cone, (), msg)
+        self.gaps = frozenset(tuple(h) for h in gap_set)
+        # the base validated its own gaps, so only the others are checked
+        self._check_gaps(self.gaps - base.gaps, lambda h: base._split(h) is not None)
         if gens is not None:
             self.gens = frozenset(gens)
 

@@ -34,8 +34,10 @@ exceeding all gaps found, no gap can exist above the window and the scan is
 complete.
 
 All values are immutable after construction; the only mutable state is the
-internal membership memo of :class:`GenSemigroup`, which is append-only and
-safe to share between threads, and the Apery core of its multiplicities,
+internal membership memo of :class:`GenSemigroup` and the split memo of
+:class:`GapSemigroup` (points' cone coordinates, which the removal steps
+and the ideal semigroups built on that base read), both append-only and
+safe to share between threads, and the Apery core of the multiplicities,
 built once.
 """
 
@@ -262,15 +264,31 @@ class GapSemigroup:
     def __init__(self, cone: Cone, gap_set, msg=None):
         self.cone = cone
         self.gaps = frozenset(tuple(h) for h in gap_set)
-        for h in self.gaps:
-            if len(h) != cone.dim:
-                raise ValueError(f"gap {h} does not match dimension {cone.dim}")
-            if not any(h):
-                raise ValueError("0 cannot be a gap")
-            if not cone.contains(h):
-                raise ValueError(f"gap {h} lies outside the cone")
+        self._check_gaps(self.gaps, cone.contains)
         if msg is not None:
             self._msg = frozenset(msg)
+
+    def _check_gaps(self, points, in_cone):
+        for h in points:
+            if len(h) != self.dim:
+                raise ValueError(f"gap {h} does not match dimension {self.dim}")
+            if not any(h):
+                raise ValueError("0 cannot be a gap")
+            if not in_cone(h):
+                raise ValueError(f"gap {h} lies outside the cone")
+
+    @cached_property
+    def _splits(self) -> dict[Point, Point | None]:
+        return {}
+
+    def _split(self, x: Point) -> Point | None:
+        """Cone coordinates of the point x (``Cone._numerators``), or None
+        outside the cone.  Memoized, so each point is split once; x must
+        have the cone's dimension."""
+        splits = self._splits
+        if x not in splits:
+            splits[x] = self.cone._numerators(x)
+        return splits[x]
 
     @property
     def dim(self):

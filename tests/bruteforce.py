@@ -10,14 +10,18 @@ Fractions (the library's simplex works on a fraction-free integer tableau).
 The exceptions are former library routines kept to check the ones
 that replaced them: the ray-section grade scan, which checks the
 Apery-table test; the decomposition check by per-point cone re-tests,
-which checks the walk over split cone points; and the type-2 MED check by
+which checks the walk over split cone points; the type-2 MED check by
 a scan of every section point of a grade box, which checks the scan of
-the section's least points.  They read a ``GenSemigroup``'s descent
-membership and cone points.
+the section's least points; and the certified removal step with its
+divisibility tests in point space, which checks the step on cone
+coordinates.  They read a ``GenSemigroup``'s descent membership and cone
+points, or a ``GapSemigroup``'s ``contains``.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+
+from csemigroups import IdealSemigroup, SemigroupError
 
 
 def sum_closure(gens, max_grade):
@@ -303,6 +307,20 @@ def removable_pairs(member, cone_points, base_gaps):
         for a, b in combinations(few, 2)
         if divisors[a] <= {b} and divisors[b] <= {a}
     }
+
+
+def remove_in_point_space(S, T, x):
+    """The certified removal step (``enumeration._remove``) with each "g
+    divides y" read as ``S.contains(y − g)``, one cone test per pair."""
+    if x in T.gaps:
+        raise SemigroupError(f"ideal generator {x} is a gap of the parent")
+    rest = T.gens - {x}
+    for g in rest:
+        if S.contains(_sub(x, g)):
+            raise SemigroupError(f"ideal generator {x} is divisible by {g}")
+    steps = {_add(x, n) for n in S.minimal_generators()}
+    promoted = {y for y in steps if not any(S.contains(_sub(y, g)) for g in rest)}
+    return IdealSemigroup(S, T.gaps | {x}, rest | promoted)
 
 
 def _sub(a, b):

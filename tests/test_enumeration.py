@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -6,8 +8,10 @@ from csemigroups import (
     BudgetExceeded,
     Cone,
     GapSemigroup,
+    GenSemigroup,
     IdealSemigroup,
     MonomialOrder,
+    NotCSemigroup,
     NotDegreeCompatible,
     SemigroupError,
     apery_context,
@@ -15,6 +19,7 @@ from csemigroups import (
     children,
     enumerate_tree,
     frobenius,
+    gaps,
     ideal_from_set,
     isemigroup_from_ideal,
     med_construct,
@@ -35,9 +40,10 @@ from bruteforce import (
     in_fixture_cone,
     multiplicity_fiber_by_masks,
     removable_pairs,
+    remove_in_point_space,
 )
 from conftest import S1_GENS
-from strategies import orthant_csemigroups, small_csemigroups
+from strategies import orthant_csemigroups, simplicial_semigroups, small_csemigroups
 
 EXPECTED_POOL = [
     (5, 1), (9, 2), (9, 3), (10, 3), (12, 3), (13, 3), (13, 4),
@@ -79,6 +85,86 @@ def test_children_certificate_rejects_corrupt_parent(s1, deglex):
     holds_gap = IdealSemigroup(s1, s1.gaps, msg | {(3, 1)})
     with pytest.raises(SemigroupError, match=r"\(3, 1\) is a gap"):
         children(s1, holds_gap, deglex)
+
+
+def test_removal_steps_split_each_point_once(monkeypatch):
+    # on a fresh base, the tree and both fibers read one split memo: the
+    # removal steps split the minimal generators, a promoted step gets its
+    # coordinates as a sum, a lost point is looked up, and the Frobenius
+    # target joins the memo; no step tests membership in point space.  The
+    # generated form behind the Apery pool is built before the count, so
+    # its own descent splits (through a method bound then) are not counted.
+    S = gaps(GenSemigroup(S1_GENS))
+    S.as_generated()
+    splits = []
+    split = Cone._numerators
+    monkeypatch.setattr(
+        Cone, "_numerators", lambda self, x: splits.append(x) or split(self, x)
+    )
+    monkeypatch.setattr(GapSemigroup, "contains", None)
+    monkeypatch.setattr(Cone, "contains", None)
+    order = MonomialOrder("deglex")
+    levels = enumerate_tree(S, 9, order)
+    fiber = with_frobenius(S, (14, 3), order)
+    results = with_multiplicities(S, [(10, 2), (6, 2)])
+    monkeypatch.undo()
+    assert [len(level) for level in levels] == [1, 8, 30, 77, 166, 334]
+    assert (len(fiber.results), len(results)) == (320, 352)
+    assert len(splits) == len(set(splits))
+    assert set(splits) <= S.minimal_generators() | {(14, 3)}
+
+
+def _outcome(run):
+    """What a fiber or a list of children gives: the semigroups' gap sets
+    and ideal generators, or the error's type and message."""
+    try:
+        out = run()
+    except (SemigroupError, BudgetExceeded) as exc:
+        return type(exc).__name__, str(exc)
+    return [(T.gaps, T.gens) for T in out]
+
+
+def _agrees_with_point_space(run):
+    got = _outcome(run)
+    with mock.patch.object(enumeration, "_remove", remove_in_point_space):
+        assert got == _outcome(run)
+
+
+@given(data=simplicial_semigroups(), draws=st.data())
+@settings(max_examples=150, deadline=None)
+def test_removal_step_matches_point_space(data, draws):
+    """The removal step on cone coordinates against the step that tests
+    each divisibility in point space: two levels of tree children, a
+    Frobenius fiber and a multiplicity fiber, in dimensions 1-3 and over
+    cones of lower dimension than their lattice.  Corrupt parents, one
+    holding a gap and one a generator's multiple, give the same errors."""
+    gens, _, points = data
+    try:
+        S = gaps(GenSemigroup(gens, warn_redundant=False))
+    except NotCSemigroup:
+        assume(False)
+    order = MonomialOrder("deglex")
+    root = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
+    _agrees_with_point_space(lambda: children(S, root, order))
+    for T in children(S, root, order):
+        _agrees_with_point_space(lambda: children(S, T, order))
+    T = draws.draw(st.sampled_from(children(S, root, order)))
+    (lost,) = T.gaps - S.gaps
+    g = draws.draw(st.sampled_from(sorted(T.gens)))
+    n = draws.draw(st.sampled_from(sorted(S.minimal_generators())))
+    for bad in (lost, tuple(a + b for a, b in zip(g, n))):
+        corrupt = IdealSemigroup(S, T.gaps, T.gens | {bad})
+        _agrees_with_point_space(lambda: children(S, corrupt, order))
+        _agrees_with_point_space(lambda: [enumeration._remove(S, corrupt, bad)])
+    grade = draws.draw(st.integers(1, {1: 14, 2: 10, 3: 5}[S.dim]))
+    at_grade = [p for p in points(grade) if sum(p) == grade]
+    if at_grade:
+        f = draws.draw(st.sampled_from(at_grade))
+        fiber = lambda: with_frobenius(S, f, order, budget=300).results
+        _agrees_with_point_space(fiber)
+    k = draws.draw(st.integers(1, 2))
+    M = [tuple(k * a for a in m) for m in S.multiplicities()]
+    _agrees_with_point_space(lambda: with_multiplicities(S, M, budget=300))
 
 
 def test_children_filter_rule(s1, deglex):

@@ -83,6 +83,16 @@ def test_ideal_from_set_errors(s1):
         ideal_from_set(s1, [(8, 2)])
 
 
+def test_ideal_contains_only_points_of_its_dimension(s1, s1_gen):
+    # a point of another dimension is no member, as for GapSemigroup.contains
+    for base in (s1, s1_gen):
+        P = ideal_from_set(base, [(5, 1)])
+        assert P.contains((5, 1)) and (10, 2) in P
+        assert not P.contains((5, 1, 7))
+        assert (5, 1, 0) not in P
+        assert not P.contains((5,))
+
+
 def test_ideal_axiom_on_box(s1):
     P = ideal_from_set(s1, [(5, 1), (9, 3)])
     msg = s1.minimal_generators()

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -358,6 +359,35 @@ def test_type2_least_points_match_the_box_scan(data):
         mp.setattr(med, "_TYPE2_BOX_GRADE", 12)
         mp.setattr(Cone, "graded_points", None)
         assert med_type2_check(S).value == expected
+
+
+# semigroups whose only violating pair of least section points (the pair
+# named) has a point of exactly the grade given: the box of that grade
+# refutes closure, the box one grade smaller sees none
+TYPE2_EDGE_CASES = [
+    # ⟨3, 7⟩ on the ray (1, 2), a cone of lower dimension than ℤ²
+    ([(3, 6), (7, 14)], 12, ((4, 8), (4, 8))),
+    ([(4,), (14,), (25,)], 21, ((10,), (21,))),
+]
+
+
+@pytest.mark.parametrize("gens, grade, pair", TYPE2_EDGE_CASES)
+def test_type2_box_includes_its_boundary_grade(gens, grade, pair):
+    S = GenSemigroup(gens)
+    (n,) = S.multiplicities()  # one ray: the common multiplicity
+    least = sorted(set(med._least_section_points(S._apery_table(), 0)))
+    violations = [
+        (a, b)
+        for a, b in combinations_with_replacement(least, 2)
+        if max(sum(a), sum(b)) <= grade
+        and not S.contains(tuple(u + v + w for u, v, w in zip(a, b, n)))
+    ]
+    assert violations == [pair] and max(map(sum, pair)) == grade
+    for box, expected in ((grade - 1, "inconclusive"), (grade, "false")):
+        assert type2_by_box_scan(S, box) == expected
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(med, "_TYPE2_BOX_GRADE", box)
+            assert med_type2_check(GenSemigroup(gens)).value == expected
 
 
 @pytest.mark.parametrize("gens", [S1_GENS, S2_GENS, D3_GENS])
