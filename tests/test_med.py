@@ -387,7 +387,7 @@ def test_type2_box_includes_its_boundary_grade(gens, grade, pair):
         assert type2_by_box_scan(S, box) == expected
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(med, "_TYPE2_BOX_GRADE", box)
-            assert med_type2_check(GenSemigroup(gens)).value == expected
+            assert med_type2_check(S).value == expected
 
 
 @pytest.mark.parametrize("gens", [S1_GENS, S2_GENS, D3_GENS])
