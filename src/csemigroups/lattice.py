@@ -5,7 +5,11 @@ this module (and in the rest of the package) is exact, never floating point.
 Monomial-order comparisons and cone membership use integers only: one
 fraction-free elimination (:func:`bareiss`) gives each simplicial cone an
 integer adjugate solver, so a membership test is a few integer dot products
-and sign tests.  The simplex that decides ray extremality runs on a
+and sign tests.  Ray extremality is first decided by a certificate: a
+direction that alone attains the extreme value of some x_i over the
+coordinate sum is extremal, and when these rays are linearly independent
+their solver rules out every direction inside their cone.  The simplex
+runs only for the directions the certificate leaves undecided, on a
 fraction-free integer tableau, so ``fractions.Fraction`` appears only in
 the coordinates :meth:`Cone.coordinates` returns.
 
@@ -239,6 +243,29 @@ def _nonneg_combination_exists(columns, target) -> bool:
     return not any(row[-1] for row, b in zip(tab, basis) if b >= n)
 
 
+def _certified_rays(dirs) -> tuple[Point, ...]:
+    """The directions (distinct primitive vectors in ℕ^p) that are the
+    unique minimiser of x_i/w or of −x_i/w for some coordinate i, w the
+    coordinate sum; :meth:`Cone.from_generators` explains why each is an
+    extremal ray."""
+    weights = [sum(d) for d in dirs]
+    found = set()
+    for i in range(len(dirs[0])):
+        for sign in (1, -1):
+            best = [0]
+            for j in range(1, len(dirs)):
+                # sign·(x_i/w of j − x_i/w of the best), over w(j)·w(best) > 0
+                b = best[0]
+                c = sign * (dirs[j][i] * weights[b] - dirs[b][i] * weights[j])
+                if c < 0:
+                    best = [j]
+                elif c == 0:
+                    best.append(j)
+            if len(best) == 1:
+                found.add(dirs[best[0]])
+    return tuple(sorted(found))
+
+
 @dataclass(frozen=True)
 class Cone:
     """Pointed rational cone spanned by primitive extremal ray directions.
@@ -260,22 +287,44 @@ class Cone:
 
     @classmethod
     def from_generators(cls, points) -> "Cone":
-        """Cone spanned by ``points``; keeps only primitive extremal directions."""
+        """Cone spanned by ``points`` in ℕ^p; keeps only primitive extremal
+        directions.
+
+        A certificate decides most directions without linear programming.
+        With w the coordinate sum, a direction that alone attains the least
+        x_i/w or the largest x_i/w over the directions is a vertex of the
+        section w = 1, so an extremal ray (Ziegler, *Lectures on Polytopes*,
+        1995); the ratios are compared by integer cross-multiplication.
+        When these certified rays R are linearly independent, a direction
+        that R's integer solver places in cone(R) is not extremal.  The
+        phase-one simplex runs only for the directions left undecided (tied
+        ratios, or directions outside cone(R) as in non-simplicial cones).
+        When it runs for none, the cone on R is returned with the
+        elimination its solver already holds.
+        """
         points = [tuple(p) for p in points]
         if not points:
             raise ZeroCone("no generators given")
         dim = len(points[0])
         for p in points:
             _check_dim(p, dim)
+            if any(x < 0 for x in p):
+                raise ValueError(f"generator {p} has a negative coordinate")
         dirs = sorted({primitive(p) for p in points if any(p)})
         if not dirs:
             raise ZeroCone("all generators are zero")
-        extremal = [
+        certified = cls(dim, _certified_rays(dirs))
+        rays = set(certified.rays)
+        inside = certified._numerators if certified.simplicial else lambda d: None
+        undecided = [d for d in dirs if d not in rays and inside(d) is None]
+        if not undecided:
+            return certified
+        rays.update(
             d
-            for d in dirs
+            for d in undecided
             if not _nonneg_combination_exists([e for e in dirs if e != d], d)
-        ]
-        return cls(dim, tuple(extremal))
+        )
+        return cls(dim, tuple(sorted(rays)))
 
     @cached_property
     def _elimination(self):

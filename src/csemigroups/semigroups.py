@@ -116,7 +116,8 @@ class GenSemigroup:
         # removing redundant generators does not change the cone
         self.cone = Cone.from_generators(gens)
         self._numerators = self.cone._numerators if self.cone.simplicial else tuple
-        self._memo: dict[Point, int | None] = {self._numerators(zero(dim)): -1}
+        self._origin = self._numerators(zero(dim))
+        self._memo: dict[Point, int | None] = {self._origin: -1}
         self._core: frozenset[Point] | None = None
         self.generators, self._gen_nums = self._reduce(gens, warn_redundant)
 
@@ -127,7 +128,7 @@ class GenSemigroup:
         # is decided before the descent, and one memo serves every test.
         kept: list[Point] = []
         kept_nums: list[Point] = []
-        memo: dict[Point, int | None] = {self._numerators(zero(self.dim)): -1}
+        memo: dict[Point, int | None] = {self._origin: -1}
         for g in gens:
             nums = self._numerators(g)
             if _combination_index(nums, kept_nums, memo) is not None:
@@ -210,7 +211,9 @@ class GenSemigroup:
         self.cone._require_simplicial()
         mults = self.multiplicities()
         if self._core is None:
-            self._core = _apery_core(self, mults, budget)
+            # each multiplicity is a generator, already split by _reduce
+            nums = dict(zip(self.generators, self._gen_nums))
+            self._core = _apery_core(self, [nums[m] for m in mults], budget)
         return AperyContext(self, mults, self._core)
 
 
@@ -621,18 +624,18 @@ def _match_rays(cone: Cone, M) -> tuple[Point, ...]:
     return tuple(by_ray[d] for d in cone.rays)
 
 
-def _apery_core(S: GenSemigroup, ray_elements, budget=None) -> frozenset[Point]:
-    """Common Apery core of the ray elements, by closure from 0: if w = z + n
-    is in the core, z in S and n a generator, then z is in the core (z − m ∈
-    S would put w − m in S).  Each sum is tested once, on numerators carried
-    along: w + n gets w's plus n's, and y − m is in the cone exactly when
-    y's dominate m's, so only 0 and the ray elements are ever split.  Raises
+def _apery_core(S: GenSemigroup, thresholds, budget=None) -> frozenset[Point]:
+    """Common Apery core of the ray elements m, given by their cone
+    coordinates ``thresholds``, by closure from 0: if w = z + n is in the
+    core, z in S and n a generator, then z is in the core (z − m ∈ S would
+    put w − m in S).  Each sum is tested once, on numerators carried along:
+    w + n gets w's plus n's, and y − m is in the cone exactly when y's
+    dominate m's, so no point is split here.  Raises
     :class:`BudgetExceeded` after a layer of sums in which the membership
     descents have decided more than ``budget`` points in all."""
     origin = zero(S.dim)
-    thresholds = [S._numerators(m) for m in ray_elements]
     core = {origin}
-    frontier = {origin: S._numerators(origin)}
+    frontier = {origin: S._origin}
     seen = {origin}
     start = len(S._memo)
     while frontier:
@@ -669,9 +672,11 @@ def apery_context(S, M) -> AperyContext:
     S = _as_generated(S)
     S.cone._require_simplicial()
     ray_elements = _match_rays(S.cone, M)
-    for m in ray_elements:
-        if not S.contains(m):
+    # a ray element lies in the cone, so its split is its closure threshold
+    thresholds = [S._numerators(m) for m in ray_elements]
+    for m, t in zip(ray_elements, thresholds):
+        if not S._member(t):
             raise NotInSemigroup(m)
     if ray_elements == S.multiplicities():
         return S._apery_table()
-    return AperyContext(S, ray_elements, _apery_core(S, ray_elements))
+    return AperyContext(S, ray_elements, _apery_core(S, thresholds))

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,6 +22,8 @@ from csemigroups import (
     enumerate_cone_points,
 )
 from bruteforce import in_fixture_cone, nonneg_combination_exists
+from conftest import D3_GENS, S1_GENS, S2_GENS
+from csemigroups import lattice
 from csemigroups.lattice import _nonneg_combination_exists, bareiss, primitive
 
 ORDERS = [
@@ -91,6 +94,13 @@ def test_cone_from_generators_errors():
         cone_from_generators([(0, 0)])
     with pytest.raises(ZeroCone):
         cone_from_generators([])
+
+
+@pytest.mark.parametrize("points", [[(-1, 0), (1, 0)], [(1, -2), (0, 1), (1, 0)]])
+def test_cone_from_generators_refuses_negative_coordinates(points):
+    # a line, and a cone leaving ℕ², both once given a single wrong ray
+    with pytest.raises(ValueError, match="has a negative coordinate"):
+        cone_from_generators(points)
 
 
 def test_ray_primitivity_random():
@@ -416,3 +426,112 @@ def test_extremal_rays_match_fraction_oracle(points):
         d for d in dirs if not nonneg_combination_exists([e for e in dirs if e != d], d)
     ]
     assert cone_from_generators(points).rays == tuple(expected)
+
+
+def extremal_oracle(points):
+    dirs = sorted({primitive(p) for p in points if any(p)})
+    return tuple(
+        d for d in dirs if not nonneg_combination_exists([e for e in dirs if e != d], d)
+    )
+
+
+@st.composite
+def certificate_branches(draw):
+    """Generator sets in ℕ³ for each branch of the ray certificate.
+
+    ``plane``: points on a plane or a line through 0 (t < p rays).
+    ``ties``: two or three directions share the largest x_1/w (w the
+    coordinate sum), and the points on the face x_1 = 0 share the least.
+    ``polygon``: a cone over a rectangle or a pentagon at height h, so four
+    or five rays, plus sums of its vertices inside it.  The coordinates are
+    then permuted.
+    """
+    small = st.integers(0, 3)
+    kind = draw(st.sampled_from(["plane", "ties", "polygon"]))
+    if kind == "plane":
+        u, v = draw(st.lists(st.tuples(small, small, small), min_size=2, max_size=2))
+        coeffs = draw(st.lists(st.tuples(small, small), min_size=1, max_size=6))
+        points = [tuple(a * x + b * y for x, y in zip(u, v)) for a, b in coeffs]
+    elif kind == "ties":
+        k = draw(st.integers(1, 3))
+        tops = draw(st.lists(st.integers(0, k), min_size=2, max_size=3, unique=True))
+        floor = draw(st.lists(st.tuples(st.just(0), small, small), max_size=3))
+        below = st.tuples(small, small, small).filter(lambda q: q[0] < q[1] + q[2])
+        points = [(k, a, k - a) for a in tops] + floor + draw(st.lists(below, max_size=3))
+    else:
+        a, b, h = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        base = draw(st.sampled_from([
+            [(0, 0), (a, 0), (0, b), (a, b)],
+            [(0, 0), (2, 0), (2, 1), (1, 2), (0, 2)],
+        ]))
+        vertices = [(x, y, h) for x, y in base]
+        pairs = draw(st.lists(st.tuples(*[st.sampled_from(vertices)] * 2), max_size=3))
+        points = vertices + [tuple(map(sum, zip(p, q))) for p, q in pairs]
+    perm = draw(st.permutations(range(3)))
+    points = [tuple(q[i] for i in perm) for q in points]
+    assume(any(map(any, points)))
+    return points
+
+
+@given(points=certificate_branches())
+@settings(max_examples=300, deadline=None)
+def test_extremal_rays_match_fraction_oracle_on_certificate_branches(points):
+    assert cone_from_generators(points).rays == extremal_oracle(points)
+
+
+def _refuse_simplex(columns, target):
+    raise AssertionError(f"simplex run for {target}")
+
+
+@given(
+    points=st.integers(1, 2).flatmap(
+        lambda dim: st.lists(
+            st.lists(st.integers(0, 9), min_size=dim, max_size=dim).map(tuple),
+            min_size=1,
+            max_size=8,
+        ).filter(lambda pts: any(map(any, pts)))
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_certificate_decides_dimensions_one_and_two_without_the_simplex(points):
+    # in ℕ¹ and ℕ² the least and the largest x_1/w are never tied
+    with mock.patch.object(lattice, "_nonneg_combination_exists", _refuse_simplex):
+        cone = cone_from_generators(points)
+    assert cone.rays == extremal_oracle(points)
+    assert "_elimination" in vars(cone)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        S1_GENS,
+        S2_GENS,
+        D3_GENS,
+        [(3, 1), (5, 1)],
+        [(1, 0), (0, 1)],
+        [(5,), (7,), (9,)],
+        [(2, 0), (3, 0), (0, 1)],
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+    ],
+)
+def test_certificate_decides_the_fixtures_without_the_simplex(points):
+    with mock.patch.object(lattice, "_nonneg_combination_exists", _refuse_simplex):
+        cone = cone_from_generators(points)
+    assert cone.rays == extremal_oracle(points)
+    assert cone.simplicial and "_elimination" in vars(cone)
+
+
+def test_simplex_runs_only_for_the_undecided_directions():
+    # the four-ray cone: (1,0,0) and (0,1,0) are certified, and the tied
+    # (1,0,1) and (0,1,1) lie outside their cone
+    targets = []
+
+    def simplex(columns, target):
+        targets.append(target)
+        return _nonneg_combination_exists(columns, target)
+
+    points = [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (2, 1, 2)]
+    with mock.patch.object(lattice, "_nonneg_combination_exists", simplex):
+        cone = cone_from_generators(points)
+    assert cone.rays == ((0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1))
+    assert sorted(targets) == [(0, 1, 1), (1, 0, 1), (1, 1, 1), (2, 1, 2)]

@@ -430,8 +430,8 @@ def test_apery_core_is_built_without_the_sum_box():
 
 
 def test_apery_core_closure_splits_only_the_ray_elements(monkeypatch):
-    # the closure carries each core point's numerators, so it splits 0 and
-    # the t ray elements, never a sum or a difference
+    # the closure carries each core point's numerators, so it splits the t
+    # ray elements, never 0, a sum or a difference
     gens = [(7, 0), (9, 0), (0, 7), (0, 9), (3, 3), (4, 5)]
     S = GenSemigroup(gens)
     splits = []
@@ -441,13 +441,41 @@ def test_apery_core_closure_splits_only_the_ray_elements(monkeypatch):
     monkeypatch.setattr(
         Cone, "_numerators", lambda self, x: splits.append(x) or cone_split(self, x)
     )
-    core = semigroups._apery_core(S, S.multiplicities())
+    core = semigroups._apery_core(S, [S._numerators(m) for m in S.multiplicities()])
     monkeypatch.undo()
-    assert len(splits) <= len(S.cone.rays) + 1
+    assert len(splits) <= len(S.cone.rays)
     fresh = GenSemigroup(gens)
     assert core == fresh._apery_table().core
     assert len(core) == 121
     assert len(S._memo) == len(fresh._memo)
+
+
+def test_semigroup_and_apery_table_split_each_point_once(monkeypatch):
+    # building S1 splits 0 and each generator once; the table of (10,2),
+    # (6,2) splits each ray element once for its membership test and its
+    # closure threshold.  The cone's own ray certificate is not counted.
+    splits = []
+    cone_split = Cone._numerators
+    monkeypatch.setattr(
+        Cone, "_numerators", lambda self, x: splits.append(x) or cone_split(self, x)
+    )
+    build = Cone.from_generators.__func__
+
+    def uncounted(cls, points):
+        before = len(splits)
+        cone = build(cls, points)
+        del splits[before:]
+        return cone
+
+    monkeypatch.setattr(Cone, "from_generators", classmethod(uncounted))
+    S = GenSemigroup(S1_GENS)
+    ctx = apery_context(S, [(10, 2), (6, 2)])
+    monkeypatch.undo()
+    assert len(set(splits)) == 10
+    assert len(splits) <= 11
+    member = closure_member(list(S1_GENS), 70)
+    elems = sum_closure(list(S1_GENS), 60)
+    assert ctx.core == brute_apery_core(member, elems, [(10, 2), (6, 2)])
 
 
 def test_apery_law(s2_gen):
