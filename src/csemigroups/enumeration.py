@@ -14,10 +14,9 @@ set) so counts and golden files are stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import ge
 
 from .errors import BudgetExceeded, NotDegreeCompatible, SemigroupError
-from .lattice import GT, LT, MonomialOrder, Point, vadd, vsub, zero
+from .lattice import LT, MonomialOrder, Point, vadd, vsub, zero
 from .semigroups import DEFAULT_BUDGET, GapSemigroup, apery_context
 from .ideals import IdealSemigroup
 
@@ -38,6 +37,31 @@ def big_o(S: GapSemigroup, T, order: MonomialOrder) -> Point | None:
     return order.max(diff)
 
 
+def _bit(mask: int) -> int:
+    """The bit of the point whose divisor mask is ``mask``, its highest."""
+    return 1 << (mask.bit_length() - 1)
+
+
+def _generator_mask(S: GapSemigroup, g: Point) -> int:
+    """D(g) for an ideal generator g of a parent.
+
+    A point gets a mask only once it is known to be a nonzero element of S
+    of S's dimension, so on the tree's own path this check is a lookup; a
+    point that fails it raises :class:`SemigroupError` naming it.
+    """
+    mask = S._divisors[0].get(g)
+    if mask is not None:
+        return mask
+    if len(g) != S.dim:
+        raise SemigroupError(f"ideal generator {g} does not match dimension {S.dim}")
+    ng = S._split(g)
+    if ng is None:
+        raise SemigroupError(f"ideal generator {g} lies outside the cone")
+    if not any(g) or g in S.gaps:
+        raise SemigroupError(f"ideal generator {g} is 0 or a gap of the base")
+    return S._divisor_mask(g, ng)
+
+
 def _remove(S: GapSemigroup, T: IdealSemigroup, x: Point) -> IdealSemigroup:
     """T less its ideal generator x, certified locally.
 
@@ -45,31 +69,41 @@ def _remove(S: GapSemigroup, T: IdealSemigroup, x: Point) -> IdealSemigroup:
     it minimal in the ideal P, so P ∖ {x} is an ideal; otherwise
     :class:`SemigroupError` names x.  The promoted x + n, n ∈ msg(S), that
     no other generator divides are incomparable with each other and with
-    the kept generators, so the result's ``gens`` stays canonical.
+    the kept generators, so the result's ``gens`` stays canonical.  A
+    generator that is no nonzero element of S is refused by name.
 
-    Divisibility is read on cone coordinates N (``S._split``): y − g is in
-    S exactly when N(y) ≥ N(g) componentwise and y − g is no gap of S.  A
-    step has N(x + n) = N(x) + N(n), and the promoted steps join S's split
-    memo, so every generator is split once per base.
+    Divisibility is read on S's divisor masks
+    (``GapSemigroup._divisor_mask``): with K the bits of the generators
+    other than x, x is certified by D(x) & K == 0 and x + n is promoted
+    when D(x + n) & K == 0.  The child carries its generators' bits and
+    checks only x, so a step costs O(|msg(S)|) mask reads, whatever the
+    number of generators or the depth.
     """
     if x in T.gaps:
         raise SemigroupError(f"ideal generator {x} is a gap of the parent")
-    split = S._split
-    rest = T.gens - {x}
-    kept = [(g, split(g)) for g in rest]
-    nx = split(x)
-    for g, ng in kept:
-        if all(map(ge, nx, ng)) and vsub(x, g) not in S.gaps:
-            raise SemigroupError(f"ideal generator {x} is divisible by {g}")
-    promoted = {}
-    for n in S.minimal_generators():
-        y, ny = vadd(x, n), vadd(nx, split(n))
-        if not any(
-            all(map(ge, ny, ng)) and vsub(y, g) not in S.gaps for g, ng in kept
-        ):
-            promoted[y] = ny
-    S._splits.update(promoted)
-    return IdealSemigroup(S, T.gaps | {x}, rest.union(promoted))
+    gens_mask = T._gens_mask if T.base is S else None
+    if gens_mask is None:
+        gens_mask = 0
+        for g in T.gens:
+            gens_mask |= _bit(_generator_mask(S, g))
+    masks, _, msg = S._divisors
+    dx = _generator_mask(S, x)
+    rest = gens_mask & ~_bit(dx)
+    if dx & rest:
+        g = next(g for g in T.gens - {x} if dx & _bit(masks[g]))
+        raise SemigroupError(f"ideal generator {x} is divisible by {g}")
+    nx = S._split(x)
+    promoted, child_mask = [], rest
+    for n, nn in msg:
+        y = vadd(x, n)
+        dy = masks.get(y)
+        if dy is None:
+            dy = S._divisor_mask(y, vadd(nx, nn))
+        if not dy & rest:
+            promoted.append(y)
+            child_mask |= _bit(dy)
+    gens = (T.gens - {x}).union(promoted)
+    return IdealSemigroup._less(T, x, gens, child_mask)
 
 
 def _removal_walk(
@@ -98,18 +132,25 @@ def _removal_walk(
     return out
 
 
+def _children(S: GapSemigroup, T: IdealSemigroup, order: MonomialOrder, threshold):
+    """``(x, T less x)`` for the canonical generators x of T above
+    ``threshold`` (all of them when it is None), in sorted order of x."""
+    xs = sorted(T.gens)
+    if threshold is not None:
+        key, above = order.key, order.key(threshold)
+        xs = [x for x in xs if key(x) > above]
+    return [(x, _remove(S, T, x)) for x in xs]
+
+
 def children(S: GapSemigroup, T: IdealSemigroup, order: MonomialOrder):
     """Child nodes of T in the genus tree of S.
 
     Exactly the certified removals (:func:`_remove`) of the canonical ideal
-    generators exceeding ``big_o(S, T)``.
+    generators exceeding ``big_o(S, T)``.  Each child costs O(|msg(S)|)
+    divisor-mask reads; this function recomputes ``big_o``, which
+    :func:`enumerate_tree` carries down instead.
     """
-    threshold = big_o(S, T, order)
-    return [
-        _remove(S, T, x)
-        for x in sorted(T.gens)
-        if threshold is None or order.compare(x, threshold) == GT
-    ]
+    return [child for _, child in _children(S, T, order, big_o(S, T, order))]
 
 
 @dataclass(frozen=True)
@@ -127,7 +168,11 @@ def enumerate_tree(
     """All ideal-derived semigroups of S with genus at most ``max_genus``.
 
     Returns breadth-first levels; level k holds exactly the semigroups of
-    genus ``genus(S) + k``.
+    genus ``genus(S) + k``.  The threshold of a node's children is the
+    point it removed: a child removes an x beyond every point its parent
+    lost, so x is its ``big_o``.  A node thus costs one certified removal
+    step per child, O(|msg(S)|) divisor-mask reads, and no work that grows
+    with its depth.
     """
     g0 = S.genus
     if max_genus < g0:
@@ -135,12 +180,11 @@ def enumerate_tree(
     root = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
     levels = [[TreeNode(root, None, g0)]]
     for genus in range(g0 + 1, max_genus + 1):
-        level = []
-        for node in levels[-1]:
-            for child in children(S, node.semigroup, order):
-                (removed,) = child.gaps - node.semigroup.gaps
-                level.append(TreeNode(child, removed, genus))
-        levels.append(level)
+        levels.append([
+            TreeNode(child, x, genus)
+            for node in levels[-1]
+            for x, child in _children(S, node.semigroup, order, node.removed)
+        ])
     return levels
 
 

@@ -115,20 +115,36 @@ class IdealSemigroup(GapSemigroup):
     Equality and hashing are those of the gap set.
 
     The points the base lost are checked through the base's split memo
-    (``GapSemigroup._split``), which the removal steps of
-    :mod:`.enumeration` fill: there divisibility is read on cone
-    coordinates, and a lost point was an ideal generator of the parent,
-    so its check is a lookup.
+    (``GapSemigroup._split``).  A child built by a removal step of
+    :mod:`.enumeration` (:meth:`_less`) checks only its one new point.
     """
 
+    #: the bits of ``gens`` in the base's divisor masks
+    #: (``GapSemigroup._divisor_mask``), set by the removal step that built it
+    _gens_mask: int | None = None
+
     def __init__(self, base: GapSemigroup, gap_set, gens=None, msg=None):
+        gap_set = frozenset(tuple(h) for h in gap_set)
+        # the base validated its own gaps, so only the others are checked
+        self._build(base, gap_set, gap_set - base.gaps, gens, msg)
+
+    def _build(self, base, gap_set, new, gens, msg):
         self.base = base
         super().__init__(base.cone, (), msg)
-        self.gaps = frozenset(tuple(h) for h in gap_set)
-        # the base validated its own gaps, so only the others are checked
-        self._check_gaps(self.gaps - base.gaps, lambda h: base._split(h) is not None)
+        self.gaps = gap_set
+        self._check_gaps(new, lambda h: base._split(h) is not None)
         if gens is not None:
             self.gens = frozenset(gens)
+
+    @classmethod
+    def _less(cls, T: "IdealSemigroup", x: Point, gens, gens_mask: int):
+        """T less its ideal generator x, with the ideal generators ``gens``
+        whose bits are ``gens_mask``.  Only x is checked: T's other gaps
+        were checked when T was built."""
+        child = cls.__new__(cls)
+        child._build(T.base, T.gaps | {x}, (x,), gens, None)
+        child._gens_mask = gens_mask
+        return child
 
     @cached_property
     def gens(self) -> frozenset[Point]:

@@ -34,11 +34,16 @@ exceeding all gaps found, no gap can exist above the window and the scan is
 complete.
 
 All values are immutable after construction; the only mutable state is the
-internal membership memo of :class:`GenSemigroup` and the split memo of
-:class:`GapSemigroup` (points' cone coordinates, which the removal steps
-and the ideal semigroups built on that base read), both append-only and
-safe to share between threads, and the Apery core of the multiplicities,
-built once.
+internal membership memo of :class:`GenSemigroup`, two memos of
+:class:`GapSemigroup` and the Apery core of the multiplicities, built
+once.  The split memo holds points' cone coordinates, which the removal
+steps and the ideal semigroups built on that base read.  The divisor-mask
+memo holds, for points y of S∖{0}, the bitmask D(y) of their divisors in
+S∖{0}, which the removal steps of :mod:`.enumeration` read.  The memos are
+append-only and safe to share between threads: the divisor-mask memo is
+created with ``dict.setdefault``, and its bits are drawn from an
+``itertools.count`` and stored with ``dict.setdefault``, so two walks on
+one base cannot give two points the same bit.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import count
 from math import gcd, lcm, prod
 from operator import ge
 
@@ -292,6 +298,55 @@ class GapSemigroup:
         if x not in splits:
             splits[x] = self.cone._numerators(x)
         return splits[x]
+
+    @property
+    def _divisors(self) -> tuple[dict[Point, int], count, tuple]:
+        """The divisor-mask memo: the masks, the counter that draws their
+        bits, and the minimal generators with their cone coordinates.  It
+        is stored with ``dict.setdefault``, so threads that read it first
+        at the same time share one memo."""
+        memo = vars(self).get("_divisor_memo")
+        if memo is None:
+            msg = tuple((n, self._split(n)) for n in self.minimal_generators())
+            memo = vars(self).setdefault("_divisor_memo", ({}, count(), msg))
+        return memo
+
+    def _divisor_mask(self, y: Point, ny: Point) -> int:
+        """D(y), the bitmask of the z in S∖{0} with y − z ∈ S, for a
+        nonzero point y of S with cone coordinates ``ny``.
+
+        D(y) is y's own bit together with D(y − n) for each n ∈ msg(S)
+        with y − n ∈ S∖{0}, read on cone coordinates: N(y − n) =
+        N(y) − N(n) ≥ 0 and y − n is no gap, so no point is split.  A mask
+        is built on first demand after those of its terms, and only then is
+        y's bit drawn, so it is the highest bit of D(y).  A masked point's
+        coordinates join the split memo.
+        """
+        masks, bits, msg = self._divisors
+        if y in masks:
+            return masks[y]
+        gaps, splits = self.gaps, self._splits
+        stack = [(y, ny)]
+        while stack:
+            z, nz = stack[-1]
+            if z in masks:
+                stack.pop()
+                continue
+            mask, ready = 0, True
+            for n, nn in msg:
+                nw = vsub(nz, nn)
+                if min(nw) < 0 or not any(nw) or (w := vsub(z, n)) in gaps:
+                    continue
+                if (dw := masks.get(w)) is None:
+                    stack.append((w, nw))
+                    ready = False
+                else:
+                    mask |= dw
+            if ready:
+                splits.setdefault(z, nz)
+                masks.setdefault(z, mask | 1 << next(bits))
+                stack.pop()
+        return masks[y]
 
     @property
     def dim(self):

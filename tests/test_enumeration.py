@@ -1,3 +1,7 @@
+import random
+import re
+import sys
+import threading
 from unittest import mock
 
 import pytest
@@ -114,6 +118,66 @@ def test_removal_steps_split_each_point_once(monkeypatch):
     assert set(splits) <= S.minimal_generators() | {(14, 3)}
 
 
+@pytest.mark.parametrize(
+    "removed, bad, reason",
+    [
+        (None, (1, 2), "lies outside the cone"),
+        (None, (5, 1, 0), "does not match dimension 2"),
+        # below the threshold (5, 1), so kept, never removed
+        ((5, 1), (4, 1), "is 0 or a gap of the base"),
+        ((5, 1), (0, 0), "is 0 or a gap of the base"),
+    ],
+)
+def test_removal_step_refuses_generators_outside_the_base(
+    s1, deglex, removed, bad, reason
+):
+    parent = _root(s1)
+    if removed is not None:
+        (parent,) = [T for T in children(s1, parent, deglex) if removed in T.gaps]
+    corrupt = IdealSemigroup(s1, parent.gaps, parent.gens | {bad})
+    message = re.escape(f"ideal generator {bad} {reason}")
+    with pytest.raises(SemigroupError, match=message):
+        children(s1, corrupt, deglex)
+
+
+def test_threads_sharing_a_base_draw_distinct_bits():
+    # four threads fill the divisor-mask memo of one fresh base at once, each
+    # in its own order, switching every microsecond; a bit drawn twice shows
+    # up in about half the rounds of a racy draw, so ten rounds are run
+    for seed in range(10):
+        S = gaps(GenSemigroup(S1_GENS))
+        points = [x for x in fixture_cone_points(60) if any(x) and S.contains(x)]
+        barrier = threading.Barrier(4)
+
+        def fill(points):
+            barrier.wait(timeout=60)
+            for y in points:
+                S._divisor_mask(y, S._split(y))
+
+        orders = [random.Random(4 * seed + k).sample(points, len(points)) for k in range(4)]
+        threads = [threading.Thread(target=fill, args=(order,)) for order in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        masks = S._divisors[0]
+        point_of = {mask.bit_length() - 1: y for y, mask in masks.items()}
+        assert len(point_of) == len(masks) == len(points)
+    # the last round's masks hold exactly the divisors in S∖{0}
+    for y in points:
+        mask = masks[y]
+        divisors = {point_of[i] for i in range(mask.bit_length()) if mask >> i & 1}
+        assert divisors == {
+            z for z in points if z == y or S.contains(tuple(a - b for a, b in zip(y, z)))
+        }
+
+
 def _outcome(run):
     """What a fiber or a list of children gives: the semigroups' gap sets
     and ideal generators, or the error's type and message."""
@@ -165,6 +229,66 @@ def test_removal_step_matches_point_space(data, draws):
     k = draws.draw(st.integers(1, 2))
     M = [tuple(k * a for a in m) for m in S.multiplicities()]
     _agrees_with_point_space(lambda: with_multiplicities(S, M, budget=300))
+
+
+@given(data=simplicial_semigroups(), draws=st.data())
+@settings(max_examples=60, deadline=None)
+def test_removal_path_matches_point_space(data, draws):
+    """Down a drawn path of children, up to six levels below the root,
+    where the divisor-mask memo has grown and every parent carries its
+    generators' bits: each level's children, a corrupt parent holding a
+    generator's multiple, and its removal give the same gap sets, ideal
+    generators and error messages as the step in point space."""
+    gens, _, _ = data
+    try:
+        S = gaps(GenSemigroup(gens, warn_redundant=False))
+    except NotCSemigroup:
+        assume(False)
+    order = MonomialOrder("deglex")
+    msg = sorted(S.minimal_generators())
+    T = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
+    for _ in range(6):
+        _agrees_with_point_space(lambda: children(S, T, order))
+        g = draws.draw(st.sampled_from(sorted(T.gens)))
+        n = draws.draw(st.sampled_from(msg))
+        bad = tuple(a + b for a, b in zip(g, n))
+        corrupt = IdealSemigroup(S, T.gaps, T.gens | {bad})
+        _agrees_with_point_space(lambda: children(S, corrupt, order))
+        _agrees_with_point_space(lambda: [enumeration._remove(S, corrupt, bad)])
+        kids = children(S, T, order)
+        if not kids:
+            break
+        T = draws.draw(st.sampled_from(kids))
+
+
+@st.composite
+def _tree_orders(draw, dim):
+    priority = tuple(draw(st.permutations(range(dim))))
+    return draw(st.sampled_from([
+        MonomialOrder("deglex"),
+        MonomialOrder("lex"),
+        MonomialOrder("degrevlex", priority),
+    ]))
+
+
+@given(data=st.one_of(small_csemigroups(), orthant_csemigroups()), draws=st.data())
+@settings(max_examples=40, deadline=None)
+def test_tree_carries_its_threshold(data, draws):
+    """``enumerate_tree`` takes the point a node removed as the threshold
+    of its children.  Its levels equal a breadth-first walk over the
+    public ``children``, which recomputes ``big_o``, and every non-root
+    node removed its own ``big_o``."""
+    S = data[0]
+    order = draws.draw(_tree_orders(S.dim))
+    levels = enumerate_tree(S, S.genus + (2 if S.dim == 3 else 3), order)
+    walk = [[IdealSemigroup(S, S.gaps, gens=S.minimal_generators())]]
+    for _ in levels[1:]:
+        walk.append([child for T in walk[-1] for child in children(S, T, order)])
+    assert [[(n.semigroup.gaps, n.semigroup.gens) for n in lvl] for lvl in levels] == [
+        [(T.gaps, T.gens) for T in lvl] for lvl in walk
+    ]
+    for node in (n for lvl in levels[1:] for n in lvl):
+        assert node.removed == big_o(S, node.semigroup, order)
 
 
 def test_children_filter_rule(s1, deglex):
