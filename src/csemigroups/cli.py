@@ -81,7 +81,8 @@ def _gap_rep(S, budget) -> GapSemigroup:
 
 
 def _points(values):
-    return [list(p) for p in sorted(values)]
+    # json writes a tuple as it writes a list
+    return sorted(values)
 
 
 def _isemigroup_doc(T, full=True):
@@ -200,7 +201,7 @@ def cmd_tree(args):
         doc["semigroups"] = [
             dict(
                 _isemigroup_doc(node.semigroup),
-                removed=list(node.removed) if node.removed else None,
+                removed=node.removed,
             )
             for level in levels
             for node in level

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, NotDegreeCompatible, SemigroupError
-from .lattice import LT, MonomialOrder, Point, vadd, vsub, zero
+from .lattice import LT, MonomialOrder, Point, vsub, zero
 from .semigroups import DEFAULT_BUDGET, GapSemigroup, apery_context
 from .ideals import IdealSemigroup
 
@@ -75,35 +75,32 @@ def _remove(S: GapSemigroup, T: IdealSemigroup, x: Point) -> IdealSemigroup:
     Divisibility is read on S's divisor masks
     (``GapSemigroup._divisor_mask``): with K the bits of the generators
     other than x, x is certified by D(x) & K == 0 and x + n is promoted
-    when D(x + n) & K == 0.  The child carries its generators' bits and
-    checks only x, so a step costs O(|msg(S)|) mask reads, whatever the
-    number of generators or the depth.
+    when D(x + n) & K == 0.  The entries x + n come from x's up-row
+    (``GapSemigroup._up_row``), built the first time any step removes x,
+    so a step costs one ``&`` per n ∈ msg(S), whatever the number of
+    generators or the depth.  The child carries its generators' bits and
+    is built without a re-check (:meth:`IdealSemigroup._less`).
     """
     if x in T.gaps:
         raise SemigroupError(f"ideal generator {x} is a gap of the parent")
+    masks, _, _, rows = S._divisors
     gens_mask = T._gens_mask if T.base is S else None
     if gens_mask is None:
         gens_mask = 0
         for g in T.gens:
             gens_mask |= _bit(_generator_mask(S, g))
-    masks, _, msg = S._divisors
-    dx = _generator_mask(S, x)
+    dx = masks.get(x) or _generator_mask(S, x)
     rest = gens_mask & ~_bit(dx)
     if dx & rest:
         g = next(g for g in T.gens - {x} if dx & _bit(masks[g]))
         raise SemigroupError(f"ideal generator {x} is divisible by {g}")
-    nx = S._split(x)
     promoted, child_mask = [], rest
-    for n, nn in msg:
-        y = vadd(x, n)
-        dy = masks.get(y)
-        if dy is None:
-            dy = S._divisor_mask(y, vadd(nx, nn))
+    for y, dy, i in rows.get(x) or S._up_row(x):
         if not dy & rest:
             promoted.append(y)
-            child_mask |= _bit(dy)
+            child_mask |= 1 << i
     gens = (T.gens - {x}).union(promoted)
-    return IdealSemigroup._less(T, x, gens, child_mask)
+    return IdealSemigroup._less(S, T, x, gens, child_mask)
 
 
 def _removal_walk(
@@ -227,9 +224,9 @@ def with_frobenius(
         if order.compare(f, fb) == LT:
             return FrobeniusFiber(f, frozenset(), ())
 
-    below = []
+    below, key, kf = [], order.key, order.key(f)
     for g in range(sum(f) + 1):
-        below += (x for x in S.cone.graded_points(g) if order.compare(x, f) == LT)
+        below += (x for x in S.cone.graded_points(g) if key(x) < kf)
         if len(below) > budget:
             raise BudgetExceeded(f"over {budget} cone points below {f} (grade {g})")
     in_s = [x for x in below if x not in S.gaps]

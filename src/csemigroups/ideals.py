@@ -116,7 +116,9 @@ class IdealSemigroup(GapSemigroup):
 
     The points the base lost are checked through the base's split memo
     (``GapSemigroup._split``).  A child built by a removal step of
-    :mod:`.enumeration` (:meth:`_less`) checks only its one new point.
+    :mod:`.enumeration` (:meth:`_less`) skips ``__init__``: its fields are
+    set directly, and its one new point is checked only over a base other
+    than the one the step read.
     """
 
     #: the bits of ``gens`` in the base's divisor masks
@@ -124,25 +126,34 @@ class IdealSemigroup(GapSemigroup):
     _gens_mask: int | None = None
 
     def __init__(self, base: GapSemigroup, gap_set, gens=None, msg=None):
-        gap_set = frozenset(tuple(h) for h in gap_set)
-        # the base validated its own gaps, so only the others are checked
-        self._build(base, gap_set, gap_set - base.gaps, gens, msg)
-
-    def _build(self, base, gap_set, new, gens, msg):
         self.base = base
         super().__init__(base.cone, (), msg)
-        self.gaps = gap_set
-        self._check_gaps(new, lambda h: base._split(h) is not None)
+        self.gaps = frozenset(tuple(h) for h in gap_set)
+        # the base validated its own gaps, so only the others are checked
+        self._check_gaps(self.gaps - base.gaps, lambda h: base._split(h) is not None)
         if gens is not None:
             self.gens = frozenset(gens)
 
     @classmethod
-    def _less(cls, T: "IdealSemigroup", x: Point, gens, gens_mask: int):
+    def _less(
+        cls, S: GapSemigroup, T: "IdealSemigroup", x: Point, gens, gens_mask: int
+    ):
         """T less its ideal generator x, with the ideal generators ``gens``
-        whose bits are ``gens_mask``.  Only x is checked: T's other gaps
-        were checked when T was built."""
+        (a frozenset) whose bits in S's divisor masks are ``gens_mask``.
+
+        The child's fields are set directly.  T's gaps were checked when T
+        was built, and when T's base is S, x needs no check either: the
+        removal step gave it a divisor mask, which only a nonzero point of
+        S of S's dimension gets.  Over another base, x is checked as
+        ``__init__`` checks a lost point.
+        """
         child = cls.__new__(cls)
-        child._build(T.base, T.gaps | {x}, (x,), gens, None)
+        child.base = base = T.base
+        child.cone = base.cone
+        child.gaps = T.gaps | {x}
+        if base is not S:
+            child._check_gaps((x,), lambda h: base._split(h) is not None)
+        child.gens = gens
         child._gens_mask = gens_mask
         return child
 

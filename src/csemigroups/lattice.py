@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations
 from math import gcd
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 
 from .errors import DimensionMismatch, NonSimplicialCone, ZeroCone
 
@@ -92,8 +92,6 @@ class MonomialOrder:
         return self.kind != "lex"
 
     def _perm(self, dim):
-        if self.priority is None:
-            return range(dim)
         if len(self.priority) != dim:
             raise DimensionMismatch(
                 f"order priority has length {len(self.priority)}, point has {dim}"
@@ -101,7 +99,17 @@ class MonomialOrder:
         return self.priority
 
     def key(self, a: Point):
-        """Sort key realizing the order: ``key(a) < key(b)`` iff ``a`` precedes ``b``."""
+        """Sort key realizing the order: ``key(a) < key(b)`` iff ``a`` precedes ``b``.
+
+        Without a priority the key is built from the point tuple itself,
+        with no permutation.
+        """
+        if self.priority is None:
+            if self.kind == "deglex":
+                return (sum(a), a)
+            if self.kind == "lex":
+                return a
+            return (sum(a), tuple(map(neg, reversed(a))))
         perm = self._perm(len(a))
         if self.kind == "lex":
             return tuple(a[i] for i in perm)

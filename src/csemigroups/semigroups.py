@@ -39,11 +39,18 @@ internal membership memo of :class:`GenSemigroup`, two memos of
 once.  The split memo holds points' cone coordinates, which the removal
 steps and the ideal semigroups built on that base read.  The divisor-mask
 memo holds, for points y of S∖{0}, the bitmask D(y) of their divisors in
-S∖{0}, which the removal steps of :mod:`.enumeration` read.  The memos are
-append-only and safe to share between threads: the divisor-mask memo is
-created with ``dict.setdefault``, and its bits are drawn from an
-``itertools.count`` and stored with ``dict.setdefault``, so two walks on
-one base cannot give two points the same bit.
+S∖{0}, and for each point x a removal step took out, its up-row: the sums
+x + n, n ∈ msg(S), with their masks and bit indices.  The removal steps of
+:mod:`.enumeration` read both.  The memos are append-only and safe to
+share between threads: the divisor-mask memo is created with
+``dict.setdefault``, its bits are drawn from an ``itertools.count`` and
+stored with ``dict.setdefault``, and its up-rows are stored with
+``dict.setdefault``, so two walks on one base cannot give two points the
+same bit and share one row per point.  This memo leans on
+``dict.setdefault`` alone, not on ``functools.cached_property``, which
+takes no lock from Python 3.12 on.  The split memo is a cached property:
+two threads may then build two dicts, and a point whose coordinates went
+to the lost one is split again.
 """
 
 from __future__ import annotations
@@ -300,15 +307,15 @@ class GapSemigroup:
         return splits[x]
 
     @property
-    def _divisors(self) -> tuple[dict[Point, int], count, tuple]:
+    def _divisors(self) -> tuple[dict[Point, int], count, tuple, dict[Point, tuple]]:
         """The divisor-mask memo: the masks, the counter that draws their
-        bits, and the minimal generators with their cone coordinates.  It
-        is stored with ``dict.setdefault``, so threads that read it first
-        at the same time share one memo."""
+        bits, the minimal generators with their cone coordinates, and the
+        up-rows (:meth:`_up_row`).  It is stored with ``dict.setdefault``,
+        so threads that read it first at the same time share one memo."""
         memo = vars(self).get("_divisor_memo")
         if memo is None:
             msg = tuple((n, self._split(n)) for n in self.minimal_generators())
-            memo = vars(self).setdefault("_divisor_memo", ({}, count(), msg))
+            memo = vars(self).setdefault("_divisor_memo", ({}, count(), msg, {}))
         return memo
 
     def _divisor_mask(self, y: Point, ny: Point) -> int:
@@ -322,7 +329,7 @@ class GapSemigroup:
         y's bit drawn, so it is the highest bit of D(y).  A masked point's
         coordinates join the split memo.
         """
-        masks, bits, msg = self._divisors
+        masks, bits, msg, _ = self._divisors
         if y in masks:
             return masks[y]
         gaps, splits = self.gaps, self._splits
@@ -347,6 +354,24 @@ class GapSemigroup:
                 masks.setdefault(z, mask | 1 << next(bits))
                 stack.pop()
         return masks[y]
+
+    def _up_row(self, x: Point) -> tuple[tuple[Point, int, int], ...]:
+        """R(x), for a masked point x: one entry (x + n, D(x + n), the
+        index of x + n's bit) per n ∈ msg(S), in msg order.  x + n gets its
+        cone coordinates as the sum N(x) + N(n), so no point is split.
+        Built once per point and stored with ``dict.setdefault``.  The row
+        holds the bit's index, not the bit: a point's bit is as wide as its
+        mask, and a point lies in up to |msg(S)| rows."""
+        masks, _, msg, rows = self._divisors
+        row = rows.get(x)
+        if row is None:
+            nx, entries = self._split(x), []
+            for n, nn in msg:
+                y = vadd(x, n)
+                dy = masks.get(y) or self._divisor_mask(y, vadd(nx, nn))
+                entries.append((y, dy, dy.bit_length() - 1))
+            row = rows.setdefault(x, tuple(entries))
+        return row
 
     @property
     def dim(self):

@@ -178,6 +178,47 @@ def test_threads_sharing_a_base_draw_distinct_bits():
         }
 
 
+def test_threads_sharing_the_up_rows():
+    # four threads walk the tree of one fresh base at once, switching every
+    # microsecond, and fill its masks and up-rows between them; each walk
+    # must match a serial walk on another fresh base
+    def walk(S):
+        levels = enumerate_tree(S, 9, MonomialOrder("deglex"))
+        return [
+            [(n.semigroup.gaps, n.semigroup.gens, n.removed) for n in level]
+            for level in levels
+        ]
+
+    serial = walk(gaps(GenSemigroup(S1_GENS)))
+    for _ in range(3):
+        S = gaps(GenSemigroup(S1_GENS))
+        barrier = threading.Barrier(4)
+        got = [None] * 4
+
+        def run(k):
+            barrier.wait(timeout=60)
+            got[k] = walk(S)
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [serial] * 4
+        masks, _, msg, rows = S._divisors
+        assert rows
+        assert len({mask.bit_length() for mask in masks.values()}) == len(masks)
+        for x, row in rows.items():
+            ys = [tuple(a + b for a, b in zip(x, n)) for n, _ in msg]
+            assert row == tuple((y, masks[y], masks[y].bit_length() - 1) for y in ys)
+
+
 def _outcome(run):
     """What a fiber or a list of children gives: the semigroups' gap sets
     and ideal generators, or the error's type and message."""
@@ -259,6 +300,48 @@ def test_removal_path_matches_point_space(data, draws):
         if not kids:
             break
         T = draws.draw(st.sampled_from(kids))
+
+
+@given(data=simplicial_semigroups(), draws=st.data())
+@settings(max_examples=60, deadline=None)
+def test_lean_child_matches_full_child(data, draws):
+    """Down a drawn path of children, up to six levels below the root, each
+    child the removal step builds without ``__init__`` equals the one
+    ``IdealSemigroup`` builds and checks from its gaps, and carries its
+    generators' bits.  Over an equal base that is not S, the step checks
+    the lost point and keeps that base."""
+    gens, _, _ = data
+    try:
+        S = gaps(GenSemigroup(gens, warn_redundant=False))
+    except NotCSemigroup:
+        assume(False)
+    order = MonomialOrder("deglex")
+    T = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
+    for _ in range(6):
+        kids = children(S, T, order)
+        if not kids:
+            break
+        for child in kids:
+            full = IdealSemigroup(S, child.gaps, gens=child.gens)
+            assert (child.gaps, child.gens, child.base, child.cone) == (
+                full.gaps, full.gens, full.base, full.cone
+            )
+            assert child == full and hash(child) == hash(full)
+            assert child.minimal_generators() == full.minimal_generators()
+            assert child.multiplicities() == full.multiplicities()
+            assert child.gens == IdealSemigroup(S, child.gaps).gens
+            masks = S._divisors[0]
+            bits = 0
+            for g in child.gens:
+                bits |= 1 << masks[g].bit_length() - 1
+            assert child._gens_mask == bits
+        T = draws.draw(st.sampled_from(kids))
+    other = GapSemigroup(S.cone, S.gaps)
+    root = IdealSemigroup(other, other.gaps, gens=S.minimal_generators())
+    for x in sorted(root.gens):
+        child = enumeration._remove(S, root, x)
+        assert child.base is other
+        assert child == IdealSemigroup(other, child.gaps, gens=child.gens)
 
 
 @st.composite

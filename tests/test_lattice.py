@@ -80,6 +80,29 @@ def test_order_validation():
         MonomialOrder("deglex", (0, 1, 2)).compare((1, 2), (3, 4))
 
 
+@given(
+    dim=st.integers(1, 4),
+    kind=st.sampled_from(["lex", "deglex", "degrevlex"]),
+    draws=st.data(),
+)
+@settings(max_examples=120, deadline=None)
+def test_order_key_fast_path_matches_identity_priority(dim, kind, draws):
+    points = draws.draw(
+        st.lists(st.tuples(*[st.integers(0, 6)] * dim), min_size=1, max_size=12)
+    )
+    plain, identity = MonomialOrder(kind), MonomialOrder(kind, tuple(range(dim)))
+    for a in points:
+        assert plain.key(a) == identity.key(a)
+        for b in points:
+            assert plain.compare(a, b) == identity.compare(a, b)
+    assert plain.max(points) == identity.max(points)
+    wrong = MonomialOrder(kind, tuple(range(dim + 1)))
+    with pytest.raises(DimensionMismatch):
+        wrong.key(points[0])
+    with pytest.raises(DimensionMismatch):
+        wrong.compare(points[0], points[0])
+
+
 def test_cone_from_generators_examples():
     c = cone_from_generators(
         [(5, 1), (6, 2), (9, 2), (9, 3), (10, 3), (12, 3), (13, 4), (13, 3)]
