@@ -85,10 +85,11 @@ def _points(values):
     return sorted(values)
 
 
-def _isemigroup_doc(T, full=True):
+def _isemigroup_doc(T, full=True, **extra):
     doc = {
         "genus": T.genus,
         "imsg": _points(T.gens),
+        **extra,
     }
     if full:
         doc["gaps"] = _points(T.gaps)
@@ -199,10 +200,7 @@ def cmd_tree(args):
     }
     if args.full:
         doc["semigroups"] = [
-            dict(
-                _isemigroup_doc(node.semigroup),
-                removed=node.removed,
-            )
+            _isemigroup_doc(node.semigroup, removed=node.removed)
             for level in levels
             for node in level
         ]
@@ -346,7 +344,10 @@ def main(argv=None) -> int:
     if isinstance(result, str):
         sys.stdout.write(result)
     else:
-        print(json.dumps(result, sort_keys=True))
+        # A result is a tree of fresh dicts, lists and scalars that the
+        # command has just built, so no container can reach itself, and the
+        # encoder's cycle check (an id entry per container) guards nothing.
+        print(json.dumps(result, sort_keys=True, check_circular=False))
     return 0
 
 

@@ -538,6 +538,8 @@ def gaps(S: GenSemigroup, budget=DEFAULT_BUDGET) -> GapSemigroup:
     visits: those whose membership the core's closure decides (none when
     the core is cached), then the scanned points.  Beyond it
     :class:`BudgetExceeded` is raised (inconclusive).
+    The result's generated form is S itself, which has the same minimal
+    generators: the two share S's append-only memo and its cached core.
     """
     S.cone._require_simplicial()
     mults = S.multiplicities()
@@ -571,7 +573,9 @@ def gaps(S: GenSemigroup, budget=DEFAULT_BUDGET) -> GapSemigroup:
                     residue=r,
                 )
     gap_set = certified_gap_scan(S.cone, S.contains, mults, scan_budget)
-    return GapSemigroup(S.cone, gap_set, msg=S.generators)
+    G = GapSemigroup(S.cone, gap_set, msg=S.generators)
+    G._generated = S
+    return G
 
 
 def frobenius(S: GapSemigroup, order: MonomialOrder) -> Point:

@@ -19,7 +19,7 @@ from csemigroups import (
 from csemigroups import cli
 from csemigroups.cli import main
 from csemigroups.serialize import semigroup_to_document
-from conftest import S1_GENS, S2_GENS
+from conftest import D3_GENS, S1_GENS, S2_GENS
 
 
 @pytest.fixture()
@@ -40,6 +40,13 @@ def s2_file(tmp_path, s2_gen):
 def n2_file(tmp_path):
     path = tmp_path / "N2.json"
     path.write_text(json.dumps({"p": 2, "generators": [[1, 0], [0, 1]]}))
+    return str(path)
+
+
+@pytest.fixture()
+def d3_file(tmp_path):
+    path = tmp_path / "D3.json"
+    path.write_text(json.dumps({"p": 3, "generators": [list(g) for g in D3_GENS]}))
     return str(path)
 
 
@@ -183,6 +190,36 @@ def test_tree(capsys, s1_file, s1, deglex):
     code, full = run_json(capsys, "tree", "--max-genus", "5", s1_file, "--full")
     assert code == 0
     assert len(full["semigroups"]) == 9
+
+
+@pytest.mark.parametrize(
+    "fixture, argv",
+    [
+        ("s1_file", ("tree", "--max-genus", "7", "--full")),
+        ("d3_file", ("tree", "--max-genus", "3", "--full")),
+        ("s1_file", ("frobenius-fixed", "--f", "11,3")),
+        ("d3_file", ("frobenius-fixed", "--f", "0,2,1")),
+        ("s1_file", ("mult-fixed", "--m", "10,2", "--m", "6,2", "--full")),
+        ("d3_file", ("mult-fixed", "--m", "2,0,0", "--m", "0,2,0", "--m", "0,0,1", "--full")),
+        ("s1_file", ("gaps",)),
+        ("s1_file", ("msg",)),
+        ("s1_file", ("apery",)),
+        ("s1_file", ("pf",)),
+        ("s1_file", ("ideal", "5,1", "6,2")),
+        ("s1_file", ("med",)),
+        ("s1_file", ("decompose",)),
+    ],
+)
+def test_main_writes_the_default_encoding(capsys, request, fixture, argv):
+    # main encodes without the cycle check; its bytes must be those of the
+    # default encoder on the result the command itself returns
+    command, *options = argv
+    argv = [command, request.getfixturevalue(fixture), *options]
+    args = cli.build_parser().parse_args(argv)
+    result = args.func(args)
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(result, sort_keys=True) + "\n"
 
 
 def test_parser_reuse_keeps_output(capsys, s1_file):

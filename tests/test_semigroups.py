@@ -22,6 +22,7 @@ from csemigroups import (
     multiplicities,
     oracle_member,
     pseudo_frobenius,
+    with_multiplicities,
 )
 from csemigroups import semigroups
 from csemigroups.lattice import primitive
@@ -314,6 +315,24 @@ def test_gaps_keeps_the_generators_as_msg(data):
         return
     assert "_msg" in vars(G)
     assert G.minimal_generators() == GapSemigroup(S.cone, G.gaps).minimal_generators()
+
+
+def test_gap_form_reuses_the_generated_semigroup(monkeypatch):
+    """gaps(S) hands S itself to its result as the generated form, so a
+    fiber over the multiplicities reads the core that gaps() cached."""
+    S = GenSemigroup(S1_GENS)
+    G = gaps(S)
+    assert G.as_generated() is S
+
+    def refuse(*args):
+        raise AssertionError("the Apery core was built a second time")
+
+    monkeypatch.setattr(semigroups, "_apery_core", refuse)
+    results = with_multiplicities(G, S.multiplicities())
+    monkeypatch.undo()
+    fresh = GapSemigroup(S.cone, G.gaps)
+    assert fresh.as_generated() is not S
+    assert results == with_multiplicities(fresh, S.multiplicities())
 
 
 def test_minimal_generators_roundtrip(s1, s1_gen):
