@@ -36,13 +36,16 @@ complete.
 All values are immutable after construction; the only mutable state is the
 internal membership memo of :class:`GenSemigroup`, two memos of
 :class:`GapSemigroup` and the Apery core of the multiplicities, built
-once.  The split memo holds points' cone coordinates, which the removal
-steps and the ideal semigroups built on that base read.  The divisor-mask
-memo holds, for points y of S∖{0}, the bitmask D(y) of their divisors in
-S∖{0}, and for each point x a removal step took out, its up-row: the sums
-x + n, n ∈ msg(S), with their masks and bit indices.  The removal steps of
-:mod:`.enumeration` read both.  The memos are append-only and safe to
-share between threads: the divisor-mask memo is created with
+once.  The membership memo is one per semigroup: generator reduction
+starts it at construction, before the object can be shared, with the
+entries any later descent would write, and queries, witnesses and the core
+closure extend it.  The split memo holds points' cone coordinates, which
+the removal steps and the ideal semigroups built on that base read.  The
+divisor-mask memo holds, for points y of S∖{0}, the bitmask D(y) of their
+divisors in S∖{0}, and for each point x a removal step took out, its
+up-row: the sums x + n, n ∈ msg(S), with their masks and bit indices.  The
+removal steps of :mod:`.enumeration` read both.  The memos are append-only
+and safe to share between threads: the divisor-mask memo is created with
 ``dict.setdefault``, its bits are drawn from an ``itertools.count`` and
 stored with ``dict.setdefault``, and its up-rows are stored with
 ``dict.setdefault``, so two walks on one base cannot give two points the
@@ -138,10 +141,16 @@ class GenSemigroup:
         # A generator is redundant exactly when it is a sum of kept generators.
         # Every summand lies below it coordinatewise, so comes before it in
         # the lexicographic order of ``gens``: each generator a descent meets
-        # is decided before the descent, and one memo serves every test.
+        # is decided before the descent.  The descents write into the
+        # membership memo, and their entries are final: a descent from g
+        # meets only points z at or below g coordinatewise, and a generator
+        # that can end a decomposition of z lies below z, so is g itself
+        # (z = g, whose entry is g's own index) or lexicographically smaller
+        # than g and already kept or dropped.  Each entry is thus the one a
+        # descent over the final generators would write.
         kept: list[Point] = []
         kept_nums: list[Point] = []
-        memo: dict[Point, int | None] = {self._origin: -1}
+        memo = self._memo
         for g in gens:
             nums = self._numerators(g)
             if _combination_index(nums, kept_nums, memo) is not None:
@@ -712,11 +721,18 @@ def _apery_core(S: GenSemigroup, thresholds, budget=None) -> frozenset[Point]:
     """Common Apery core of the ray elements m, given by their cone
     coordinates ``thresholds``, by closure from 0: if w = z + n is in the
     core, z in S and n a generator, then z is in the core (z − m ∈ S would
-    put w − m in S).  Each sum is tested once, on numerators carried along:
-    w + n gets w's plus n's, and y − m is in the cone exactly when y's
-    dominate m's, so no point is split here.  Raises
+    put w − m in S).  No step goes along a ray element: (w + m) − m = w is
+    in S, so w + m is never in the core, and a generator whose numerators
+    equal a threshold is skipped.  Each sum is tested once, on numerators
+    carried along: w + n gets w's plus n's, and y − m is in the cone exactly
+    when y's dominate m's, so no point is split here.  Raises
     :class:`BudgetExceeded` after a layer of sums in which the membership
     descents have decided more than ``budget`` points in all."""
+    steps = [
+        (n, n_nums)
+        for n, n_nums in zip(S.generators, S._gen_nums)
+        if n_nums not in thresholds
+    ]
     origin = zero(S.dim)
     core = {origin}
     frontier = {origin: S._origin}
@@ -725,7 +741,7 @@ def _apery_core(S: GenSemigroup, thresholds, budget=None) -> frozenset[Point]:
     while frontier:
         fresh = {}
         for w, w_nums in frontier.items():
-            for n, n_nums in zip(S.generators, S._gen_nums):
+            for n, n_nums in steps:
                 y = vadd(w, n)
                 if y not in seen:
                     seen.add(y)

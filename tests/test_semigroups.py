@@ -25,9 +25,9 @@ from csemigroups import (
     with_multiplicities,
 )
 from csemigroups import semigroups
-from csemigroups.lattice import primitive
+from csemigroups.lattice import primitive, vadd
 from csemigroups.semigroups import certified_gap_scan
-from conftest import S1_GENS, S1_GAPS, S2_GENS
+from conftest import D3_GENS, S1_GENS, S1_GAPS, S2_GENS
 from bruteforce import (
     box_filter_core,
     brute_apery_core,
@@ -149,6 +149,33 @@ def test_reduce_keeps_lex_order_and_warns_in_lex_order():
     ]
 
 
+@given(
+    gens=st.one_of(
+        simplicial_semigroups().map(lambda data: data[0]), non_simplicial_generators()
+    ),
+    pairs=st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)), max_size=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_construction_memo_is_the_descent_memo(gens, pairs):
+    """Generator reduction leaves in the membership memo the entries that a
+    fresh descent over the final generators writes, with redundant
+    generators (sums of two drawn ones) in the input, over simplicial cones
+    of full and lower rank and the four-ray cone; witnesses then agree with
+    a semigroup whose memo was reset."""
+    redundant = [vadd(gens[i % len(gens)], gens[j % len(gens)]) for i, j in pairs]
+    S = GenSemigroup(gens + redundant, warn_redundant=False)
+    assert all(nums in S._memo for nums in S._gen_nums)
+    for nums, index in S._memo.items():
+        fresh = {S._origin: -1}
+        assert semigroups._combination_index(nums, S._gen_nums, fresh) == index, nums
+    reset = GenSemigroup(gens + redundant, warn_redundant=False)
+    reset._memo = {reset._origin: -1}
+    top = {1: 24, 2: 24, 3: 11}[S.dim]
+    for p in product(range(top + 1), repeat=S.dim):
+        if sum(p) <= top:
+            assert S.witness(p) == reset.witness(p), p
+
+
 def test_gaps_s1(s1_gen, s1):
     assert s1.genus == 4
     assert s1.gaps == frozenset(S1_GAPS)
@@ -174,12 +201,12 @@ def test_gaps_budget_exceeded_is_inconclusive():
         gaps(skew, budget=3000)
     assert info.value.residue == (1, 1)
     assert info.value.ray is None and info.value.gcd is None
-    # ⟨50,51⟩: the closure of its 50-point core decides 1,324 points, then
+    # ⟨50,51⟩: the closure of its 50-point core decides 1,273 points, then
     # the scan visits grades 0..2499, up to one window past the Frobenius
     # number 2449
     with pytest.raises(BudgetExceeded):
-        gaps(GenSemigroup([(50,), (51,)]), budget=3823)
-    assert gaps(GenSemigroup([(50,), (51,)]), budget=3824).genus == 1225
+        gaps(GenSemigroup([(50,), (51,)]), budget=3772)
+    assert gaps(GenSemigroup([(50,), (51,)]), budget=3773).genus == 1225
 
 
 def test_gaps_refuses_before_scanning(monkeypatch):
@@ -467,6 +494,32 @@ def test_apery_core_closure_splits_only_the_ray_elements(monkeypatch):
     assert core == fresh._apery_table().core
     assert len(core) == 121
     assert len(S._memo) == len(fresh._memo)
+
+
+# on these inputs no other generator, nor its cone coordinates, equals a
+# ray element or the coordinates of one (S1's (10,3) has coordinates (5,1))
+@pytest.mark.parametrize(
+    "gens, M",
+    [
+        (S2_GENS, None),
+        (S1_GENS, [(10, 2), (6, 2)]),
+        (((5,), (7,), (9,)), None),
+        (D3_GENS, None),
+    ],
+)
+def test_apery_core_takes_no_step_along_a_ray_element(monkeypatch, gens, M):
+    # (w + m) − m = w is in S, so w + m is never in the core: the closure
+    # adds neither a ray element nor its cone coordinates to a core point
+    S = GenSemigroup(gens)
+    M = M or S.multiplicities()
+    thresholds = [S._numerators(m) for m in M]
+    ray_steps = set(M) | set(thresholds)
+    summands = []
+    add = semigroups.vadd
+    monkeypatch.setattr(semigroups, "vadd", lambda a, b: summands.append(b) or add(a, b))
+    semigroups._apery_core(S, thresholds)
+    monkeypatch.undo()
+    assert summands and not ray_steps & set(summands)
 
 
 def test_semigroup_and_apery_table_split_each_point_once(monkeypatch):
