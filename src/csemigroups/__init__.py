@@ -20,12 +20,8 @@ from .lattice import (
     GT,
     LT,
     Cone,
-    Grading,
     MonomialOrder,
     Point,
-    cone_contains,
-    cone_from_generators,
-    enumerate_cone_points,
 )
 from .semigroups import (
     DEFAULT_BUDGET,
@@ -35,9 +31,6 @@ from .semigroups import (
     apery_context,
     frobenius,
     gaps,
-    minimal_generators,
-    multiplicities,
-    oracle_member,
     pseudo_frobenius,
 )
 from .ideals import (

@@ -161,9 +161,6 @@ class IdealSemigroup(GapSemigroup):
     def gens(self) -> frozenset[Point]:
         return imsg_of_isemigroup(self)
 
-    def as_gap_semigroup(self) -> GapSemigroup:
-        return self
-
 
 def isemigroup_from_ideal(P: Ideal, budget=DEFAULT_BUDGET) -> IdealSemigroup:
     """Gap representation of P ∪ {0} over a C-semigroup base.

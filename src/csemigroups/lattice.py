@@ -133,27 +133,6 @@ class MonomialOrder:
         return max(points, key=self.key)
 
 
-@dataclass(frozen=True)
-class Grading:
-    """Positive integer weight functional used as a termination measure."""
-
-    weights: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(self.weights))
-        if not self.weights or min(self.weights) <= 0:
-            raise ValueError("grading weights must be positive")
-
-    @classmethod
-    def standard(cls, dim: int) -> "Grading":
-        """Coordinate sum; strictly positive on every nonzero lattice point."""
-        return cls((1,) * dim)
-
-    def of(self, a: Point) -> int:
-        _check_dim(a, len(self.weights))
-        return sum(w * x for w, x in zip(self.weights, a))
-
-
 def _pivot(a, k, c, prev):
     """Bareiss step in place on pivot ``a[k][c]`` (exact division by ``prev``)."""
     prow = a[k]
@@ -432,7 +411,7 @@ class Cone:
         decomposition check of :mod:`.med`) holds no more than the point
         it is at.
         """
-        for x in _graded_tuples((1,) * self.dim, grade):
+        for x in _graded_tuples(self.dim, grade):
             nums = self._numerators(x)
             if nums is not None:
                 yield x, nums
@@ -440,61 +419,25 @@ class Cone:
     def graded_points(self, grade: int) -> tuple[Point, ...]:
         """Cone points of the given coordinate sum, lexicographically sorted.
 
-        The points of :meth:`graded_split`, cached per cone; the standard
-        grading is used.  Shared by every semigroup built over this cone
-        object.
+        The points of :meth:`graded_split`, cached per cone and shared by
+        every semigroup built over this cone object.
         """
         cache = self._graded_cache
         if grade not in cache:
             cache[grade] = tuple(x for x, _ in self.graded_split(grade))
         return cache[grade]
 
-    def points_upto(self, max_grade: int):
-        for g in range(max_grade + 1):
-            yield from self.graded_points(g)
 
-
-def _graded_tuples(weights, total):
-    """Lattice points with the given weighted sum, in ascending lex order."""
-    if len(weights) == 1:
-        if total % weights[0] == 0:
-            yield (total // weights[0],)
+def _graded_tuples(dim, total):
+    """Points of ℕ^dim with coordinate sum ``total``, in ascending lex order."""
+    if dim == 1:
+        yield (total,)
         return
-    if len(weights) == 2:
+    if dim == 2:
         # the last two coordinates in one loop, without a generator per x0
-        a, b = weights
-        for x0 in range(total // a + 1):
-            r = total - a * x0
-            if r % b == 0:
-                yield (x0, r // b)
+        for x0 in range(total + 1):
+            yield (x0, total - x0)
         return
-    head = weights[0]
-    for x0 in range(total // head + 1):
-        for rest in _graded_tuples(weights[1:], total - head * x0):
+    for x0 in range(total + 1):
+        for rest in _graded_tuples(dim - 1, total - x0):
             yield (x0,) + rest
-
-
-def cone_from_generators(points) -> Cone:
-    """Extremal primitive ray directions of the cone spanned by ``points``."""
-    return Cone.from_generators(points)
-
-
-def cone_contains(cone: Cone, x):
-    """Membership plus the rational ray coordinates (simplicial cones only)."""
-    coords = cone.coordinates(tuple(x))
-    return (coords is not None), coords
-
-
-def enumerate_cone_points(cone: Cone, grading: Grading, max_grade: int):
-    """Yield the cone points of grade at most ``max_grade``.
-
-    Points come out in non-decreasing grade and, within a grade, in
-    ascending lexicographic order.
-    """
-    if grading.weights == (1,) * cone.dim:
-        yield from cone.points_upto(max_grade)
-        return
-    for g in range(max_grade + 1):
-        for x in _graded_tuples(grading.weights, g):
-            if cone.contains(x):
-                yield x

@@ -155,7 +155,7 @@ class GenSemigroup:
             nums = self._numerators(g)
             if _combination_index(nums, kept_nums, memo) is not None:
                 if warn:
-                    warnings.warn(f"redundant generator {g} removed", stacklevel=4)
+                    warnings.warn(f"redundant generator {g} removed", stacklevel=3)
                 continue
             memo[nums] = len(kept)
             kept.append(g)
@@ -275,11 +275,6 @@ def _combination_index(x, gens, memo):
         memo[y] = found
         stack.pop()
     return memo[x]
-
-
-def oracle_member(S, x) -> bool:
-    """Reference membership decision (exhaustive memoized descent)."""
-    return S.contains(tuple(x))
 
 
 class GapSemigroup:
@@ -487,16 +482,6 @@ class GapSemigroup:
 
 def _as_generated(S) -> GenSemigroup:
     return S if isinstance(S, GenSemigroup) else S.as_generated()
-
-
-def multiplicities(S) -> tuple[Point, ...]:
-    """Per-ray least elements, canonical ray order."""
-    return S.multiplicities()
-
-
-def minimal_generators(S) -> frozenset[Point]:
-    """The unique minimal generating set of either representation."""
-    return S.minimal_generators()
 
 
 def certified_gap_scan(cone, member, ray_elements, budget=DEFAULT_BUDGET):

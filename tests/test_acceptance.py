@@ -109,7 +109,7 @@ def test_criterion_3_fixed_frobenius(s1, deglex):
         and fiber.candidates == frozenset(FIBER_X_POOL)
         and len(kept_parts) == 16
         and all(
-            frobenius(T.as_gap_semigroup(), deglex) == (11, 3)
+            frobenius(T, deglex) == (11, 3)
             for T in fiber.results
         )
     )
@@ -289,7 +289,7 @@ def test_criterion_8_property_suites(s1, s1_gen, s2_gen, n2, deglex):
     node_count = 0
     for level in levels:
         for node in level:
-            t = node.semigroup.as_gap_semigroup()
+            t = node.semigroup
             assert s1.gaps <= t.gaps  # T inside S
             lost = t.gaps - s1.gaps
             pf = pseudo_frobenius(t)

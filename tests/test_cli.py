@@ -368,8 +368,9 @@ _RAY_POINTS = {1: ["5", "7"], 2: ["5,1", "6,2", "10,2", "9,3", "1,0", "0,2"],
 
 
 def _point_texts(dim):
-    # fiber sizes grow fast with the grade of the target (the fibers have no
-    # size budget), so points stay at grade 6 or less, 3 in dimension 3
+    # fiber sizes grow fast with the grade of the target; the fibers are
+    # budgeted, but small targets keep each call cheap, so points stay at
+    # grade 6 or less, 3 in dimension 3
     top = 3 if dim == 3 else 6
     right = st.lists(st.integers(-1, top), min_size=dim, max_size=dim)
     wrong = st.lists(st.integers(-1, 3), min_size=1, max_size=4)
@@ -391,7 +392,7 @@ def _cli_calls(draw, tmp_dir):
     points = _point_texts(doc["p"])
     command = draw(st.sampled_from([
         "gaps", "msg", "pf", "member", "fast-member", "apery", "ideal", "tree",
-        "frobenius-fixed", "mult-fixed",
+        "frobenius-fixed", "mult-fixed", "med", "decompose", "gamma", "plot",
     ]))
     argv = [command, str(path)]
     if command in ("member", "fast-member"):
@@ -403,7 +404,16 @@ def _cli_calls(draw, tmp_dir):
         argv += ["--full"] if draw(st.booleans()) else []
     elif command == "frobenius-fixed":
         argv += ["--f", draw(points)]
-    elif command in ("apery", "mult-fixed"):
+    elif command == "plot":
+        argv += ["--ascii"] if draw(st.booleans()) else []
+        if draw(st.booleans()):
+            size = st.integers(0, 12).map(str)
+            argv += ["--window", draw(st.one_of(
+                size,
+                st.builds("{}x{}".format, size, size),
+                st.sampled_from(["", "-1", "3x", "x3", "2x3x4", "a", "1.5", "-2x3"]),
+            ))]
+    elif command in ("apery", "gamma", "mult-fixed"):
         for m in draw(st.lists(points, min_size=command == "mult-fixed", max_size=3)):
             argv += ["--m", m]
         if command == "mult-fixed":

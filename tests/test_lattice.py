@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from unittest import mock
 
 import pytest
@@ -13,13 +13,9 @@ from csemigroups import (
     LT,
     Cone,
     DimensionMismatch,
-    Grading,
     MonomialOrder,
     NonSimplicialCone,
     ZeroCone,
-    cone_contains,
-    cone_from_generators,
-    enumerate_cone_points,
 )
 from bruteforce import in_fixture_cone, nonneg_combination_exists
 from conftest import D3_GENS, S1_GENS, S2_GENS
@@ -104,26 +100,26 @@ def test_order_key_fast_path_matches_identity_priority(dim, kind, draws):
 
 
 def test_cone_from_generators_examples():
-    c = cone_from_generators(
+    c = Cone.from_generators(
         [(5, 1), (6, 2), (9, 2), (9, 3), (10, 3), (12, 3), (13, 4), (13, 3)]
     )
     assert set(c.rays) == {(5, 1), (3, 1)}
-    assert cone_from_generators([(1, 0), (0, 1)]).rays == ((0, 1), (1, 0))
-    assert cone_from_generators([(2, 2)]).rays == ((1, 1),)
+    assert Cone.from_generators([(1, 0), (0, 1)]).rays == ((0, 1), (1, 0))
+    assert Cone.from_generators([(2, 2)]).rays == ((1, 1),)
 
 
 def test_cone_from_generators_errors():
     with pytest.raises(ZeroCone):
-        cone_from_generators([(0, 0)])
+        Cone.from_generators([(0, 0)])
     with pytest.raises(ZeroCone):
-        cone_from_generators([])
+        Cone.from_generators([])
 
 
 @pytest.mark.parametrize("points", [[(-1, 0), (1, 0)], [(1, -2), (0, 1), (1, 0)]])
 def test_cone_from_generators_refuses_negative_coordinates(points):
     # a line, and a cone leaving ℕ², both once given a single wrong ray
     with pytest.raises(ValueError, match="has a negative coordinate"):
-        cone_from_generators(points)
+        Cone.from_generators(points)
 
 
 def test_ray_primitivity_random():
@@ -135,7 +131,7 @@ def test_ray_primitivity_random():
         ]
         if not any(any(p) for p in pts):
             continue
-        cone = cone_from_generators(pts)
+        cone = Cone.from_generators(pts)
         for r in cone.rays:
             assert gcd(*r) == 1
 
@@ -151,7 +147,7 @@ plane_points = st.lists(
 @settings(max_examples=120, deadline=None)
 def test_plane_extremality_matches_slope_oracle(points):
     # in the plane the extremal directions are the slope extremes
-    cone = cone_from_generators(points)
+    cone = Cone.from_generators(points)
     def slope_key(p):
         return Fraction(p[1], p[0]) if p[0] else Fraction(10**9)
     prims = sorted({primitive(p) for p in points}, key=slope_key)
@@ -160,17 +156,17 @@ def test_plane_extremality_matches_slope_oracle(points):
 
 
 def test_cone_contains_examples():
-    cone = cone_from_generators([(5, 1), (3, 1)])
-    ok, coords = cone_contains(cone, (4, 1))
-    assert ok and coords == (Fraction(1, 2), Fraction(1, 2))
-    ok, coords = cone_contains(cone, (2, 1))
-    assert not ok and coords is None
-    ok, coords = cone_contains(cone, (0, 0))
-    assert ok and coords == (Fraction(0), Fraction(0))
+    cone = Cone.from_generators([(5, 1), (3, 1)])
+    assert cone.contains((4, 1))
+    assert cone.coordinates((4, 1)) == (Fraction(1, 2), Fraction(1, 2))
+    assert not cone.contains((2, 1))
+    assert cone.coordinates((2, 1)) is None
+    assert cone.contains((0, 0))
+    assert cone.coordinates((0, 0)) == (Fraction(0), Fraction(0))
 
 
 def test_cone_contains_agrees_with_inequalities():
-    cone = cone_from_generators([(5, 1), (3, 1)])
+    cone = Cone.from_generators([(5, 1), (3, 1)])
     for s in range(31):
         for x in range(s + 1):
             p = (x, s - x)
@@ -178,7 +174,7 @@ def test_cone_contains_agrees_with_inequalities():
 
 
 def test_cone_contains_negative_and_mismatch():
-    cone = cone_from_generators([(5, 1), (3, 1)])
+    cone = Cone.from_generators([(5, 1), (3, 1)])
     assert not cone.contains((-3, -1))
     with pytest.raises(DimensionMismatch):
         cone.contains((1, 2, 3))
@@ -202,26 +198,29 @@ def test_simplicial_rank_deficient_membership():
 
 
 def test_extremality_in_three_dimensions():
-    cone = cone_from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    cone = Cone.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
     assert set(cone.rays) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
 
+def _points_to_grade(cone, max_grade):
+    return [x for g in range(max_grade + 1) for x in cone.graded_points(g)]
+
+
 def test_enumerate_cone_points_examples():
-    cone = cone_from_generators([(5, 1), (3, 1)])
-    grading = Grading.standard(2)
-    assert list(enumerate_cone_points(cone, grading, 6)) == [
+    cone = Cone.from_generators([(5, 1), (3, 1)])
+    assert _points_to_grade(cone, 6) == [
         (0, 0), (3, 1), (4, 1), (5, 1),
     ]
-    quadrant = cone_from_generators([(1, 0), (0, 1)])
-    assert list(enumerate_cone_points(quadrant, grading, 1)) == [
+    quadrant = Cone.from_generators([(1, 0), (0, 1)])
+    assert _points_to_grade(quadrant, 1) == [
         (0, 0), (0, 1), (1, 0),
     ]
-    assert list(enumerate_cone_points(cone, grading, 0)) == [(0, 0)]
+    assert _points_to_grade(cone, 0) == [(0, 0)]
 
 
 def test_enumerate_cone_points_matches_box_filter():
-    cone = cone_from_generators([(5, 1), (3, 1)])
-    got = list(enumerate_cone_points(cone, Grading.standard(2), 30))
+    cone = Cone.from_generators([(5, 1), (3, 1)])
+    got = _points_to_grade(cone, 30)
     expected = [
         (x, s - x)
         for s in range(31)
@@ -229,22 +228,6 @@ def test_enumerate_cone_points_matches_box_filter():
         if in_fixture_cone((x, s - x))
     ]
     assert got == expected
-
-
-def test_enumerate_respects_custom_grading():
-    cone = cone_from_generators([(1, 0), (0, 1)])
-    pts = list(enumerate_cone_points(cone, Grading((2, 3)), 6))
-    assert pts == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0)]
-    grades = [2 * x + 3 * y for x, y in pts]
-    assert grades == sorted(grades)
-
-
-def test_grading_validation():
-    with pytest.raises(ValueError):
-        Grading((1, 0))
-    assert Grading.standard(3).of((1, 2, 3)) == 6
-    with pytest.raises(DimensionMismatch):
-        Grading.standard(2).of((1, 2, 3))
 
 
 def cofactor_det(m):
@@ -384,11 +367,26 @@ def test_cone_matches_cramer_oracle(data):
         inside = alphas is not None and min(alphas) >= 0
         assert cone.coordinates(x) == (alphas if inside else None), x
         assert cone.contains(x) == (inside and min(x) >= 0), x
-        assert cone_contains(cone, x) == (inside, alphas if inside else None)
     with pytest.raises(DimensionMismatch):
         cone.contains(points[0] + (0,))
     with pytest.raises(DimensionMismatch):
         cone.coordinates(points[0] + (0,))
+
+
+orthants = st.integers(1, 4).map(
+    lambda dim: Cone(
+        dim, tuple(sorted(tuple(int(i == j) for j in range(dim)) for i in range(dim)))
+    )
+)
+
+
+@given(cone=simplicial_cones().map(lambda data: data[0]) | orthants, grade=st.integers(0, 8))
+@settings(max_examples=150, deadline=None)
+def test_graded_split_matches_brute_force(cone, grade):
+    # every point of the grade in a box, in lex order, split by the solver
+    box = sorted(x for x in product(range(grade + 1), repeat=cone.dim) if sum(x) == grade)
+    expected = [(x, cone._numerators(x)) for x in box]
+    assert list(cone.graded_split(grade)) == [(x, n) for x, n in expected if n is not None]
 
 
 @given(m=matrices(min_cols=2, max_cols=3, lo=0, hi=4))
@@ -448,7 +446,7 @@ def test_extremal_rays_match_fraction_oracle(points):
     expected = [
         d for d in dirs if not nonneg_combination_exists([e for e in dirs if e != d], d)
     ]
-    assert cone_from_generators(points).rays == tuple(expected)
+    assert Cone.from_generators(points).rays == tuple(expected)
 
 
 def extremal_oracle(points):
@@ -499,7 +497,7 @@ def certificate_branches(draw):
 @given(points=certificate_branches())
 @settings(max_examples=300, deadline=None)
 def test_extremal_rays_match_fraction_oracle_on_certificate_branches(points):
-    assert cone_from_generators(points).rays == extremal_oracle(points)
+    assert Cone.from_generators(points).rays == extremal_oracle(points)
 
 
 def _refuse_simplex(columns, target):
@@ -519,7 +517,7 @@ def _refuse_simplex(columns, target):
 def test_certificate_decides_dimensions_one_and_two_without_the_simplex(points):
     # in ℕ¹ and ℕ² the least and the largest x_1/w are never tied
     with mock.patch.object(lattice, "_nonneg_combination_exists", _refuse_simplex):
-        cone = cone_from_generators(points)
+        cone = Cone.from_generators(points)
     assert cone.rays == extremal_oracle(points)
     assert "_elimination" in vars(cone)
 
@@ -539,7 +537,7 @@ def test_certificate_decides_dimensions_one_and_two_without_the_simplex(points):
 )
 def test_certificate_decides_the_fixtures_without_the_simplex(points):
     with mock.patch.object(lattice, "_nonneg_combination_exists", _refuse_simplex):
-        cone = cone_from_generators(points)
+        cone = Cone.from_generators(points)
     assert cone.rays == extremal_oracle(points)
     assert cone.simplicial and "_elimination" in vars(cone)
 
@@ -555,6 +553,6 @@ def test_simplex_runs_only_for_the_undecided_directions():
 
     points = [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (2, 1, 2)]
     with mock.patch.object(lattice, "_nonneg_combination_exists", simplex):
-        cone = cone_from_generators(points)
+        cone = Cone.from_generators(points)
     assert cone.rays == ((0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1))
     assert sorted(targets) == [(0, 1, 1), (1, 0, 1), (1, 1, 1), (2, 1, 2)]

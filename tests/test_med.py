@@ -182,7 +182,7 @@ def test_csemigroup_preserved_by_construction(s1, s2_gen):
     # C-semigroup base gives a C-semigroup translate, and vice versa
     built = med_construct(s1, [(5, 1), (6, 2)])
     assert built.isemigroup is not None
-    gap_form = built.isemigroup.as_gap_semigroup()
+    gap_form = built.isemigroup
     gap_form.validate_closure()
     # non-C base: the translated semigroup cannot have finite gaps either
     built2 = med_construct(s2_gen, [(5, 1), (6, 2)])

@@ -1,3 +1,4 @@
+import inspect
 from itertools import product
 from math import prod
 
@@ -18,9 +19,6 @@ from csemigroups import (
     apery_context,
     frobenius,
     gaps,
-    minimal_generators,
-    multiplicities,
-    oracle_member,
     pseudo_frobenius,
     with_multiplicities,
 )
@@ -55,13 +53,13 @@ EXPECTED_SUM_BOX_S2 = {
 }
 
 
-def test_oracle_member_examples(s1_gen, s2_gen):
-    assert oracle_member(s2_gen, (31, 8))
-    assert oracle_member(s1_gen, (0, 0))
-    assert not oracle_member(s1_gen, (8, 2))
+def test_contains_examples(s1_gen, s2_gen):
+    assert s2_gen.contains((31, 8))
+    assert s1_gen.contains((0, 0))
+    assert not s1_gen.contains((8, 2))
 
 
-def test_oracle_member_agrees_with_forward_closure(s1_gen):
+def test_contains_agrees_with_forward_closure(s1_gen):
     member = closure_member(list(S1_GENS), 40)
     for p in fixture_cone_points(40):
         assert s1_gen.contains(p) == member(p), p
@@ -136,6 +134,13 @@ def test_redundant_generator_removed_with_warning():
     with pytest.warns(UserWarning, match="redundant"):
         s = GenSemigroup([(5, 1), (6, 2), (11, 3)])
     assert s.generators == ((5, 1), (6, 2))
+
+
+def test_redundant_generator_warning_names_the_calling_line():
+    with pytest.warns(UserWarning, match="redundant") as record:
+        line = inspect.currentframe().f_lineno + 1
+        GenSemigroup([(5, 1), (6, 2), (11, 3)])
+    assert (record[0].filename, record[0].lineno) == (__file__, line)
 
 
 def test_reduce_keeps_lex_order_and_warns_in_lex_order():
@@ -363,13 +368,13 @@ def test_gap_form_reuses_the_generated_semigroup(monkeypatch):
 
 
 def test_minimal_generators_roundtrip(s1, s1_gen):
-    assert minimal_generators(s1) == frozenset(S1_GENS)
-    regen = gaps(GenSemigroup(sorted(minimal_generators(s1))))
+    assert s1.minimal_generators() == frozenset(S1_GENS)
+    regen = gaps(GenSemigroup(sorted(s1.minimal_generators())))
     assert regen.gaps == s1.gaps
 
 
 def test_minimal_generators_full_cone(n2):
-    assert minimal_generators(n2) == {(1, 0), (0, 1)}
+    assert n2.minimal_generators() == {(1, 0), (0, 1)}
 
 
 def test_minimal_generators_after_removal(s1):
@@ -393,10 +398,10 @@ def test_frobenius_empty(n2, deglex):
 
 
 def test_multiplicities(s1_gen, s2_gen, n2, s1):
-    assert set(multiplicities(s1_gen)) == {(5, 1), (6, 2)}
-    assert set(multiplicities(s2_gen)) == {(5, 1), (6, 2)}
-    assert set(multiplicities(n2)) == {(1, 0), (0, 1)}
-    assert multiplicities(s1) == multiplicities(s1_gen)
+    assert set(s1_gen.multiplicities()) == {(5, 1), (6, 2)}
+    assert set(s2_gen.multiplicities()) == {(5, 1), (6, 2)}
+    assert set(n2.multiplicities()) == {(1, 0), (0, 1)}
+    assert s1.multiplicities() == s1_gen.multiplicities()
 
 
 def test_apery_context_s2(s2_gen):
