@@ -7,7 +7,8 @@ validation errors (a JSON error object naming the violated invariant is
 printed), 3 when a bounded search gave up before reaching a certificate.
 The environment variable ``SEMIGROUP_BUDGET`` overrides the default
 exploration budget; it also bounds the number of semigroups the
-``frobenius-fixed`` and ``mult-fixed`` fibers may list.
+``frobenius-fixed`` and ``mult-fixed`` fibers may list and the lattice
+points a ``plot`` window may hold.
 """
 
 from __future__ import annotations
@@ -271,8 +272,8 @@ def cmd_plot(args):
     S, _ = _load(args.semigroup)
     window = _parse_window(args.window) if args.window else None
     if args.ascii:
-        return plot.render_ascii(S, window)
-    return plot.render_svg(S, window)
+        return plot.render_ascii(S, window, _budget())
+    return plot.render_svg(S, window, _budget())
 
 
 @functools.cache

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import SemigroupError
+from .errors import BudgetExceeded, SemigroupError
+from .semigroups import DEFAULT_BUDGET
 
 CELL = 24
 MARGIN = 30
@@ -27,6 +28,24 @@ def _default_window(S):
     pts.update(S.minimal_generators())
     wx = max((p[0] for p in pts), default=6) + 3
     wy = max((p[1] for p in pts), default=3) + 2
+    return wx, wy
+
+
+def _window(S, window, budget):
+    """The window to draw, given or default, once S is known to be plane.
+
+    Drawing visits each of the window's lattice points, so a window that
+    holds more than ``budget`` of them raises :class:`BudgetExceeded` before
+    anything is drawn.
+    """
+    _require_plane(S)
+    wx, wy = window if window is not None else _default_window(S)
+    points = (wx + 1) * (wy + 1)
+    if points > budget:
+        raise BudgetExceeded(
+            f"the {wx}x{wy} window holds {points} lattice points, "
+            f"more than the budget {budget}"
+        )
     return wx, wy
 
 
@@ -49,10 +68,9 @@ def _ray_endpoint(d, wx, wy):
     return (t * d[0], t * d[1])
 
 
-def render_svg(S, window=None) -> str:
+def render_svg(S, window=None, budget=DEFAULT_BUDGET) -> str:
     """SVG 1.1 document of the semigroup within ``window = (wx, wy)``."""
-    _require_plane(S)
-    wx, wy = window if window is not None else _default_window(S)
+    wx, wy = _window(S, window, budget)
     width = wx * CELL + 2 * MARGIN
     height = wy * CELL + 2 * MARGIN
 
@@ -100,10 +118,9 @@ def render_svg(S, window=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_ascii(S, window=None) -> str:
+def render_ascii(S, window=None, budget=DEFAULT_BUDGET) -> str:
     """Terminal diagram: '*' element, 'o' gap, '.' cone-free window point."""
-    _require_plane(S)
-    wx, wy = window if window is not None else _default_window(S)
+    wx, wy = _window(S, window, budget)
     rows = []
     for y in range(wy, -1, -1):
         cells = []

@@ -21,17 +21,22 @@ decomposition head of :mod:`.med` read the same split.  For the
 multiplicities, ``gaps()`` reads that table: S is a C-semigroup exactly
 when every class holds a core element and, for each class and each ray i,
 some core element lies on ``r + ℕ m_i``.  Otherwise the missing class or
-ray is the proof.  A C-semigroup's gaps are listed by the window scan below.
+ray is the proof.  The same table bounds the gaps' grades: if ``h_i`` is
+the least λ_i among the class's λ-vectors that vanish off ray i, every gap
+``r + Σ ν_i m_i`` of the class has ``ν_i < h_i`` (``ν_i >= h_i`` would
+dominate ``h_i e_i``), so no gap lies above the grade
+``w(r) + Σ_i (h_i - 1) w(m_i)``, ``w`` the coordinate sum.
 
-Both ``gaps()`` and ``isemigroup_from_ideal`` list gaps by a scan stopped
-by a certificate.  Writing ``w`` for the coordinate
-sum, any gap ``x`` with ``w(x) >= sum_i w(n_i)`` has some simplicial
-coordinate at least 1, hence ``x - n_i`` stays in the cone and must itself
-be a gap (otherwise ``x`` would be an element).  Iterating descends through
-every grade window of width ``max_i w(n_i)``, so once every grade in
-``[W, W + max_i w(n_i))`` is free of gaps for some ``W >= sum_i w(n_i)``
-exceeding all gaps found, no gap can exist above the window and the scan is
-complete.
+Both ``gaps()`` and ``isemigroup_from_ideal`` list gaps by a scan in grade
+order stopped by a certificate; ``gaps()`` stops it at the largest of those
+grade bounds over the classes when that comes first.  The window
+certificate needs no table: any gap ``x`` with ``w(x) >= sum_i w(n_i)`` has
+some simplicial coordinate at least 1, hence ``x - n_i`` stays in the cone
+and must itself be a gap (otherwise ``x`` would be an element).  Iterating
+descends through every grade window of width ``max_i w(n_i)``, so once
+every grade in ``[W, W + max_i w(n_i))`` is free of gaps for some
+``W >= sum_i w(n_i)`` exceeding all gaps found, no gap can exist above the
+window and the scan is complete.
 
 All values are immutable after construction; the only mutable state is the
 internal membership memo of :class:`GenSemigroup`, two memos of
@@ -484,15 +489,18 @@ def _as_generated(S) -> GenSemigroup:
     return S if isinstance(S, GenSemigroup) else S.as_generated()
 
 
-def certified_gap_scan(cone, member, ray_elements, budget=DEFAULT_BUDGET):
+def certified_gap_scan(cone, member, ray_elements, budget=DEFAULT_BUDGET, top=None):
     """Gap set of a cofinite submonoid/ideal-with-zero of the cone.
 
     ``member`` must contain every ``ray_elements[i]`` and be closed under
     adding each of them; those are exactly the hypotheses of the window
-    certificate described in the module docstring.  It serves
-    ``isemigroup_from_ideal`` and, once the Apery table has shown S to be a
-    C-semigroup, ``gaps``; it raises :class:`BudgetExceeded` after visiting
-    ``budget`` cone points without reaching the certificate.
+    certificate described in the module docstring.  ``top``, when given,
+    is a proven bound on the gaps' grades, and the scan also stops once it
+    has visited grade ``top``, whichever certificate comes first.  It
+    serves ``isemigroup_from_ideal`` (window certificate only) and, once
+    the Apery table has shown S to be a C-semigroup and bounded its gap
+    grades, ``gaps``; it raises :class:`BudgetExceeded` after visiting
+    ``budget`` cone points without reaching a certificate.
     """
     wsum = sum(sum(n) for n in ray_elements)
     wmax = max(sum(n) for n in ray_elements)
@@ -502,7 +510,7 @@ def certified_gap_scan(cone, member, ray_elements, budget=DEFAULT_BUDGET):
     g = 0
     while True:
         window_start = max(wsum, max_gap_grade + 1)
-        if g >= window_start + wmax:
+        if g >= window_start + wmax or (top is not None and g > top):
             return frozenset(gap_list)
         for x in cone.graded_points(g):
             visited += 1
@@ -528,7 +536,9 @@ def gaps(S: GenSemigroup, budget=DEFAULT_BUDGET) -> GapSemigroup:
     multiplicity on ``ray``.
     Otherwise S is a C-semigroup and its gaps are listed by
     :func:`certified_gap_scan` over the multiplicities, which then always
-    reaches its certificate.  ``budget`` bounds the points this call
+    reaches a certificate.  The scan stops at the last gap grade the table
+    proves (module docstring), unless the window certificate comes first.
+    ``budget`` bounds the points this call
     visits: those whose membership the core's closure decides (none when
     the core is cached), then the scanned points.  Beyond it
     :class:`BudgetExceeded` is raised (inconclusive).
@@ -556,17 +566,23 @@ def gaps(S: GenSemigroup, budget=DEFAULT_BUDGET) -> GapSemigroup:
             "cone point of the others is a gap",
             residue=table._unmet_residue(),
         )
+    top = -1
     for r, lams in sorted(table.classes.values()):
+        grade = sum(r)
         for i, (d, n) in enumerate(zip(S.cone.rays, mults)):
-            # a core element on r + ℕ·n_i has λ = h·e_i
-            if not any(not any(lam[:i] + lam[i + 1 :]) for lam in lams):
+            # a core element on r + ℕ·n_i has λ = h·e_i, and a gap
+            # r + Σ ν_j n_j of the class has ν_i < h for the least such h
+            hits = [lam[i] for lam in lams if not any(lam[:i] + lam[i + 1 :])]
+            if not hits:
                 raise NotCSemigroup(
                     f"every point {r} + k·{n} is a gap: no element of S lies "
                     f"on the line from {r} along ray {d}",
                     ray=d,
                     residue=r,
                 )
-    gap_set = certified_gap_scan(S.cone, S.contains, mults, scan_budget)
+            grade += (min(hits) - 1) * sum(n)
+        top = max(top, grade)
+    gap_set = certified_gap_scan(S.cone, S.contains, mults, scan_budget, top=top)
     G = GapSemigroup(S.cone, gap_set, msg=S.generators)
     G._generated = S
     return G

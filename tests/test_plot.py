@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -67,3 +69,29 @@ def test_cli_plot(capsys, tmp_path, s1_gen):
     art = capsys.readouterr().out
     assert code == 0
     assert "*" in art and "o" in art
+
+
+# SHA-256 of the S1 SVG at --window 600 (601² = 361,201 lattice points, below
+# the default budget of 500,000), as drawn before windows were budgeted
+S1_SVG_600 = "48b6a3f99a30903c67fa806311ff8908312d691bc905f9592ad0861d5ee3f7a2"
+
+
+def test_cli_plot_window_budget(capsys, tmp_path, s1_gen, monkeypatch):
+    from csemigroups.serialize import semigroup_to_document
+
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(semigroup_to_document(s1_gen)))
+    start = time.perf_counter()
+    code = main(["plot", "--window", "100000", str(path)])
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert json.loads(capsys.readouterr().out)["error"] == "BudgetExceeded"
+    assert main(["plot", "--window", "600", str(path)]) == 0
+    svg = capsys.readouterr().out.encode()
+    assert hashlib.sha256(svg).hexdigest() == S1_SVG_600
+    # a 6x6 window holds 49 lattice points, a 7x6 window 56
+    monkeypatch.setenv("SEMIGROUP_BUDGET", "49")
+    assert main(["plot", "--ascii", "--window", "6", str(path)]) == 0
+    assert main(["plot", "--ascii", "--window", "7x6", str(path)]) == 3
+    # the default window of S1 is 16x6, 119 lattice points
+    assert main(["plot", str(path)]) == 3

@@ -207,11 +207,11 @@ def test_gaps_budget_exceeded_is_inconclusive():
     assert info.value.residue == (1, 1)
     assert info.value.ray is None and info.value.gcd is None
     # ⟨50,51⟩: the closure of its 50-point core decides 1,273 points, then
-    # the scan visits grades 0..2499, up to one window past the Frobenius
-    # number 2449
+    # the scan visits grades 0..2449, up to the Frobenius number 2449, the
+    # last gap grade the Apery table proves
     with pytest.raises(BudgetExceeded):
-        gaps(GenSemigroup([(50,), (51,)]), budget=3772)
-    assert gaps(GenSemigroup([(50,), (51,)]), budget=3773).genus == 1225
+        gaps(GenSemigroup([(50,), (51,)]), budget=3722)
+    assert gaps(GenSemigroup([(50,), (51,)]), budget=3723).genus == 1225
 
 
 def test_gaps_refuses_before_scanning(monkeypatch):
@@ -231,10 +231,38 @@ def test_gaps_budget_bounds_the_core_closure():
     with pytest.raises(BudgetExceeded):
         gaps(S, budget=1000)
     assert len(S._memo) < 2000
-    # a cached core costs nothing: the 2,500 scanned points fill the budget
+    # a cached core costs nothing: the 2,450 scanned points, grades
+    # 0..2449, fill the budget
     T = GenSemigroup([(50,), (51,)])
     T._apery_table()
-    assert gaps(T, budget=2500).genus == 1225
+    with pytest.raises(BudgetExceeded):
+        gaps(T, budget=2449)
+    assert gaps(T, budget=2450).genus == 1225
+
+
+@pytest.mark.parametrize(
+    "gens, top",
+    [
+        (S1_GENS, 10),
+        (((5,), (7,), (9,)), 13),
+        (D3_GENS, 1),
+        (((50,), (51,)), 2449),
+        (((3,), (5,)), 7),
+    ],
+)
+def test_gaps_scan_stops_at_the_last_gap_grade(monkeypatch, gens, top):
+    # a gap of a class has ν_i below the least ray hit h_i of its core
+    # elements, so no gap lies above the largest w(r) + Σ (h_i − 1)·w(n_i);
+    # on these fixtures that bound is the last gap grade, where the window
+    # certificate alone would scan on to one ray-grade window past Σ w(n_i)
+    grades = []
+    listing = Cone.graded_points
+    monkeypatch.setattr(
+        Cone, "graded_points", lambda self, g: grades.append(g) or listing(self, g)
+    )
+    G = gaps(GenSemigroup(gens))
+    monkeypatch.undo()
+    assert max(grades) == G.max_gap_grade == top
 
 
 @pytest.mark.parametrize(
