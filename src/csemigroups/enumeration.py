@@ -1,14 +1,17 @@
 """Enumeration of the ideal-derived semigroups of a fixed C-semigroup.
 
 Each is S ∖ D for a finite down-set D of (S∖{0}, ≤_S), where x ≤_S y means
-y − x ∈ S, and each is built from S by one certified step that removes a
-minimal generator of the current ideal.  The genus tree removes, per
-child, a canonical generator larger than the element that produced the
+y − x ∈ S, and each is built from a parent by one certified step that
+removes a minimal generator of the current ideal.  The genus tree removes,
+per child, a canonical generator larger than the element that produced the
 parent.  The fibers with a prescribed Frobenius element or prescribed
 per-ray multiplicities walk a finite pool in grade-then-lex order (reverse
-search, Avis and Fukuda 1996), so they cost time in proportion to their
-results.  Results are emitted in a canonical order (genus, then sorted gap
-set) so counts and golden files are stable.
+search, Avis and Fukuda 1996) from a top, so they cost time in proportion
+to their results: the multiplicity fiber starts at S, and the Frobenius
+fiber at S less the divisors of its target, which one walk over those
+divisors builds (:meth:`.IdealSemigroup._from_lost`).  Results are emitted
+in a canonical order (genus, then sorted gap set) so counts and golden
+files are stable.
 """
 
 from __future__ import annotations
@@ -205,9 +208,11 @@ def with_frobenius(
     """All ideal-derived semigroups of S with Frobenius element ``f``.
 
     Requires a degree-compatible order so that the region below ``f`` is
-    finite; plain lex is rejected.  Removal steps take S to the fiber's top,
-    S less the nonzero divisors of ``f`` (``f`` among them when in S), and
-    the removal walk over the nonzero candidates lists the fiber from there.
+    finite; plain lex is rejected.  The fiber's top, S less the nonzero
+    divisors of ``f`` (``f`` among them when in S), is built in one walk
+    over those divisors (:meth:`IdealSemigroup._from_lost`), and the removal
+    walk over the nonzero candidates lists the fiber from there, one
+    certified removal step per further result.
     Raises :class:`BudgetExceeded` when the scan lists more than ``budget``
     cone points below ``f``, before any removal, or when the fiber has
     more than ``budget`` semigroups.
@@ -239,14 +244,10 @@ def with_frobenius(
     # each x in the pool gives its own result, the top less x's divisors
     if len(pool) >= budget:
         raise BudgetExceeded(f"{len(pool)} candidates give over {budget} semigroups")
-    # the nonzero divisors of f in S form a down-set; ``in_s`` lists them in
-    # increasing grade, and f, when in S, is the only one of its grade
-    top = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
-    for x in in_s:
-        if any(x) and x not in candidates:
-            top = _remove(S, top, x)
-    if f_in_s:
-        top = _remove(S, top, f)
+    # the top loses the nonzero divisors of f in S, a down-set: the points
+    # of ``in_s`` that are no candidates, and f when in S
+    lost = elements.difference(candidates)
+    top = IdealSemigroup._from_lost(S, lost.__contains__, budget)
     results = _removal_walk(S, top, pool, budget)
     results.sort(key=_result_key)
     return FrobeniusFiber(f, candidates, tuple(results))

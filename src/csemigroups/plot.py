@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import BudgetExceeded, SemigroupError
-from .semigroups import DEFAULT_BUDGET
+from .errors import BudgetExceeded, NotCSemigroup, SemigroupError
+from .semigroups import DEFAULT_BUDGET, GapSemigroup, gaps
 
 CELL = 24
 MARGIN = 30
@@ -23,9 +23,17 @@ def _require_plane(S):
         raise SemigroupError(f"plotting supports dimension 2 only, got {S.dim}")
 
 
-def _default_window(S):
-    pts = set(getattr(S, "gaps", ()) or ())
-    pts.update(S.minimal_generators())
+def _default_window(S, budget):
+    """Three columns and two rows past the gaps and minimal generators.
+
+    A semigroup given by generators has its gaps listed under ``budget``;
+    one with infinitely many gaps is sized from its generators alone.
+    """
+    pts = set(S.minimal_generators())
+    try:
+        pts.update(S.gaps if isinstance(S, GapSemigroup) else gaps(S, budget).gaps)
+    except NotCSemigroup:
+        pass
     wx = max((p[0] for p in pts), default=6) + 3
     wy = max((p[1] for p in pts), default=3) + 2
     return wx, wy
@@ -39,7 +47,7 @@ def _window(S, window, budget):
     anything is drawn.
     """
     _require_plane(S)
-    wx, wy = window if window is not None else _default_window(S)
+    wx, wy = window if window is not None else _default_window(S, budget)
     points = (wx + 1) * (wy + 1)
     if points > budget:
         raise BudgetExceeded(

@@ -27,12 +27,14 @@ the least λ_i among the class's λ-vectors that vanish off ray i, every gap
 dominate ``h_i e_i``), so no gap lies above the grade
 ``w(r) + Σ_i (h_i - 1) w(m_i)``, ``w`` the coordinate sum.
 
-Both ``gaps()`` and ``isemigroup_from_ideal`` list gaps by a scan in grade
-order stopped by a certificate; ``gaps()`` stops it at the largest of those
-grade bounds over the classes when that comes first.  The window
-certificate needs no table: any gap ``x`` with ``w(x) >= sum_i w(n_i)`` has
-some simplicial coordinate at least 1, hence ``x - n_i`` stays in the cone
-and must itself be a gap (otherwise ``x`` would be an element).  Iterating
+``gaps()`` lists the gaps by a scan in grade order stopped by a
+certificate: at the largest of those grade bounds over the classes, or at
+the window certificate if that comes first.  (An ideal's semigroup needs no
+scan: its new gaps are a down-set of S∖{0}, which :mod:`.ideals` lists by a
+walk from 0.)  The window certificate needs no table: any gap ``x`` with
+``w(x) >= sum_i w(n_i)`` has some simplicial coordinate at least 1, hence
+``x - n_i`` stays in the cone and must itself be a gap (otherwise ``x``
+would be an element).  Iterating
 descends through every grade window of width ``max_i w(n_i)``, so once
 every grade in ``[W, W + max_i w(n_i))`` is free of gaps for some
 ``W >= sum_i w(n_i)`` exceeding all gaps found, no gap can exist above the
@@ -496,11 +498,11 @@ def certified_gap_scan(cone, member, ray_elements, budget=DEFAULT_BUDGET, top=No
     adding each of them; those are exactly the hypotheses of the window
     certificate described in the module docstring.  ``top``, when given,
     is a proven bound on the gaps' grades, and the scan also stops once it
-    has visited grade ``top``, whichever certificate comes first.  It
-    serves ``isemigroup_from_ideal`` (window certificate only) and, once
-    the Apery table has shown S to be a C-semigroup and bounded its gap
-    grades, ``gaps``; it raises :class:`BudgetExceeded` after visiting
-    ``budget`` cone points without reaching a certificate.
+    has visited grade ``top``, whichever certificate comes first.  Its one
+    caller is ``gaps``, once the Apery table has shown S to be a
+    C-semigroup and bounded its gap grades; it raises
+    :class:`BudgetExceeded` after visiting ``budget`` cone points without
+    reaching a certificate.
     """
     wsum = sum(sum(n) for n in ray_elements)
     wmax = max(sum(n) for n in ray_elements)

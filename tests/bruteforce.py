@@ -12,16 +12,18 @@ that replaced them: the ray-section grade scan, which checks the
 Apery-table test; the decomposition check by per-point cone re-tests,
 which checks the walk over split cone points; the type-2 MED check by
 a scan of every section point of a grade box, which checks the scan of
-the section's least points; and the certified removal step with its
+the section's least points; the certified removal step with its
 divisibility tests in point space, which checks the step on cone
-coordinates.  They read a ``GenSemigroup``'s descent membership and cone
-points, or a ``GapSemigroup``'s ``contains``.
+coordinates; and the Frobenius fiber's top by one removal step per
+divisor of the target, which checks the walk that builds it at once.
+They read a ``GenSemigroup``'s descent membership and cone points, or a
+``GapSemigroup``'s ``contains``.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
-from csemigroups import IdealSemigroup, SemigroupError
+from csemigroups import IdealSemigroup, SemigroupError, enumeration
 
 
 def sum_closure(gens, max_grade):
@@ -321,6 +323,22 @@ def remove_in_point_space(S, T, x):
     steps = {_add(x, n) for n in S.minimal_generators()}
     promoted = {y for y in steps if not any(S.contains(_sub(y, g)) for g in rest)}
     return IdealSemigroup(S, T.gaps | {x}, rest | promoted)
+
+
+def frobenius_top_by_removals(S, f):
+    """S less the nonzero divisors of f in S, with its ideal generators,
+    by one certified removal step (``enumeration._remove``) per divisor.
+
+    The divisors are the points x of S∖{0} up to the grade of f with
+    f − x in S, f itself when in S; they are removed in increasing grade,
+    a linear extension of ≤_S, so each is an ideal generator when removed.
+    """
+    T = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
+    for g in range(1, sum(f) + 1):
+        for x in S.cone.graded_points(g):
+            if S.contains(x) and S.contains(_sub(f, x)):
+                T = enumeration._remove(S, T, x)
+    return T
 
 
 def _sub(a, b):

@@ -41,6 +41,7 @@ from bruteforce import (
     closure_member,
     fixture_cone_points,
     frobenius_fiber_by_masks,
+    frobenius_top_by_removals,
     in_fixture_cone,
     multiplicity_fiber_by_masks,
     removable_pairs,
@@ -276,6 +277,68 @@ def test_removal_step_matches_point_space(data, draws):
     k = draws.draw(st.integers(1, 2))
     M = [tuple(k * a for a in m) for m in S.multiplicities()]
     _agrees_with_point_space(lambda: with_multiplicities(S, M, budget=300))
+
+
+@given(data=simplicial_semigroups(), draws=st.data())
+@settings(max_examples=100, deadline=None)
+def test_frobenius_top_matches_removal_steps(data, draws):
+    """The Frobenius fiber's top, built in one walk over the divisors of
+    the target, against one certified removal step per divisor: the same
+    gaps and ideal generators, and the same fiber (or budget error) walked
+    from either top, in dimensions 1-3, under degree-compatible orders and
+    over cones of lower dimension than their lattice."""
+    gens, _, points = data
+    try:
+        S = gaps(GenSemigroup(gens, warn_redundant=False))
+    except NotCSemigroup:
+        assume(False)
+    priority = tuple(draws.draw(st.permutations(range(S.dim))))
+    name = draws.draw(st.sampled_from(["deglex", "degrevlex"]))
+    order = MonomialOrder(name, priority)
+    grade = draws.draw(st.integers(1, {1: 14, 2: 10, 3: 5}[S.dim]))
+    at_grade = [p for p in points(grade) if sum(p) == grade]
+    assume(at_grade)
+    f = draws.draw(st.sampled_from(at_grade))
+    walks = []
+    walk = enumeration._removal_walk
+
+    def recorded(S, T, pool, budget):
+        walks.append((T, pool))
+        return walk(S, T, pool, budget)
+
+    with mock.patch.object(enumeration, "_removal_walk", recorded):
+        got = _outcome(lambda: with_frobenius(S, f, order, budget=300).results)
+    if not walks:
+        # no top: f lies below a gap, or the candidates alone exceed the budget
+        assert got == [] or got[0] == "BudgetExceeded"
+        return
+    ((top, pool),) = walks
+    expected = frobenius_top_by_removals(S, f)
+    assert (top.gaps, top.gens) == (expected.gaps, expected.gens)
+
+    def from_expected():
+        return sorted(walk(S, expected, pool, 300), key=enumeration._result_key)
+
+    assert got == _outcome(from_expected)
+
+
+@pytest.mark.parametrize(
+    "gens, f, count",
+    [(S1_GENS, (11, 3), 16), (S1_GENS, (14, 3), 320), (((3,), (5,)), (4000,), 7)],
+)
+def test_frobenius_fiber_takes_one_removal_step_per_result(gens, f, count, monkeypatch):
+    # the top is built without removal steps, so every step is the walk's,
+    # one per result below the top; one step per divisor of f would make
+    # 18, 322 and 3,998 steps here
+    S = gaps(GenSemigroup(gens))
+    steps = []
+    remove = enumeration._remove
+    monkeypatch.setattr(
+        enumeration, "_remove", lambda *args: steps.append(args[2]) or remove(*args)
+    )
+    fiber = with_frobenius(S, f, MonomialOrder("deglex"))
+    assert len(fiber.results) == count
+    assert len(steps) == count - 1
 
 
 @given(data=simplicial_semigroups(), draws=st.data())

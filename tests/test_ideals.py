@@ -1,15 +1,19 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from csemigroups import (
     ConeMismatch,
     GapSemigroup,
+    GenSemigroup,
     IdealSemigroup,
     NotCSemigroup,
     NotInSemigroup,
     SemigroupError,
     apery_context,
+    gaps,
     ideal_from_set,
     ideal_is_csemigroup,
     imsg_of_isemigroup,
@@ -17,7 +21,9 @@ from csemigroups import (
     minimal_elements,
     verify_isemigroup,
 )
+from csemigroups.semigroups import certified_gap_scan
 from bruteforce import brute_minimals, fixture_cone_points
+from strategies import simplicial_semigroups
 
 # the twelve-element generating sets that collapse to the same ideal
 M_FIX = [(10, 2), (6, 2)]
@@ -142,6 +148,34 @@ def test_isemigroup_rejects_bad_added_gaps(s1):
 def test_isemigroup_from_ideal_rejects_ray_misses(s1):
     with pytest.raises(NotCSemigroup):
         isemigroup_from_ideal(ideal_from_set(s1, [(10, 2)]))
+
+
+@given(data=simplicial_semigroups(), draws=st.data())
+@settings(max_examples=100, deadline=None)
+def test_isemigroup_from_ideal_matches_window_scan(data, draws):
+    """P ∪ {0}, built by the walk over the points P loses, against the
+    window-certified scan of the cone, on drawn ideals that meet every ray
+    (the whole semigroup among them) in dimensions 1-3 and over cones of
+    lower dimension than their lattice: the same gaps, and as ``gens`` the
+    ideal's canonical generators, msg(S) for the whole semigroup."""
+    gens, _, points = data
+    try:
+        S = gaps(GenSemigroup(gens, warn_redundant=False))
+    except NotCSemigroup:
+        assume(False)
+    elements = [p for p in points({1: 12, 2: 6, 3: 4}[S.dim]) if S.contains(p)]
+    X = draws.draw(st.lists(st.sampled_from(elements), max_size=3))
+    # one element per ray, so the scan's window certificate holds
+    rays = len(S.cone.rays)
+    ks = draws.draw(st.lists(st.integers(1, 3), min_size=rays, max_size=rays))
+    M = [tuple(k * a for a in m) for k, m in zip(ks, S.multiplicities())]
+    P = ideal_from_set(S, X + M)
+    T = isemigroup_from_ideal(P)
+    origin = (0,) * S.dim
+    expected = certified_gap_scan(S.cone, lambda x: x == origin or P.contains(x), M)
+    assert T.gaps == expected
+    assert T.gens == (S.minimal_generators() if origin in X else P.gens)
+    assert T.gens == imsg_of_isemigroup(IdealSemigroup(S, expected))
 
 
 def test_imsg_of_isemigroup_two_routes(s1):

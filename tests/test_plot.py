@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from csemigroups import GenSemigroup, SemigroupError
+from csemigroups import GenSemigroup, SemigroupError, gaps
 from csemigroups.cli import main
 from csemigroups.plot import render_ascii, render_svg
 
@@ -47,6 +47,22 @@ def test_ascii_markers(s1):
     assert row2.strip().startswith("2")
     cells = row2[4:].split(" ")
     assert cells[6] == "*" and cells[7] == "o" and cells[8] == "o"
+
+
+def test_default_window_holds_every_gap_of_a_generated_semigroup():
+    # the minimal generators reach column 7, the twelve gaps column 23
+    S = GenSemigroup([(5, 0), (7, 0), (0, 1), (1, 1), (2, 1), (3, 1), (4, 1)])
+    art = render_ascii(S)
+    assert art.count("o") == 12
+    assert art.splitlines()[-2].split()[1 + 23] == "o"  # the gap (23, 0)
+    assert art == render_ascii(S, (26, 3)) == render_ascii(gaps(S))
+    assert render_svg(S).count('fill="none" stroke="#2c3e50"') == 12
+
+
+def test_default_window_of_a_non_c_semigroup_spans_its_generators():
+    # (1, k) is a gap for every k, so only the generators size the window
+    S = GenSemigroup([(2, 0), (3, 0), (0, 1)])
+    assert render_ascii(S) == render_ascii(S, (6, 3))
 
 
 def test_plot_needs_plane():
