@@ -49,6 +49,7 @@ from .enumeration import (
     big_o,
     children,
     enumerate_tree,
+    tree_counts,
     with_frobenius,
     with_multiplicities,
 )

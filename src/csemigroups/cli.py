@@ -2,13 +2,17 @@
 
 Every subcommand loads a semigroup description from a JSON file, runs the
 corresponding library operation and prints a machine-readable JSON object
-(or an SVG/ASCII diagram for ``plot``).  Exit codes: 0 on success, 2 on
-validation errors (a JSON error object naming the violated invariant is
-printed), 3 when a bounded search gave up before reaching a certificate.
-The environment variable ``SEMIGROUP_BUDGET`` overrides the default
-exploration budget; it also bounds the number of semigroups the
+(or an SVG/ASCII diagram for ``plot``).  Exit codes: 0 on success, 1 when
+the reader closed stdout before all output was written (as ``| head``
+does; no traceback is printed), 2 on validation errors (a JSON error
+object naming the violated invariant is printed), 3 when a bounded search
+gave up before reaching a certificate.  The environment variable
+``SEMIGROUP_BUDGET`` overrides the default exploration budget; it also
+bounds the nodes of the ``tree`` walk, the number of semigroups the
 ``frobenius-fixed`` and ``mult-fixed`` fibers may list and the lattice
-points a ``plot`` window may hold.
+points a ``plot`` window may hold.  ``tree`` without ``--full`` counts its
+levels as the depth-first walk streams, so it holds one path of the tree,
+not its levels.
 """
 
 from __future__ import annotations
@@ -189,14 +193,18 @@ def cmd_ideal(args):
 
 def cmd_tree(args):
     S, order = _load(args.semigroup)
-    G = _gap_rep(S, _budget())
-    levels = enumeration.enumerate_tree(G, args.max_genus, order)
+    budget = _budget()
+    G = _gap_rep(S, budget)
+    if args.full:
+        levels = enumeration.enumerate_tree(G, args.max_genus, order, budget)
+        counts = [len(level) for level in levels]
+    else:
+        counts = enumeration.tree_counts(G, args.max_genus, order, budget)
     doc = {
         "root_genus": G.genus,
-        "total": sum(len(level) for level in levels),
+        "total": sum(counts),
         "levels": [
-            {"genus": G.genus + i, "count": len(level)}
-            for i, level in enumerate(levels)
+            {"genus": G.genus + i, "count": count} for i, count in enumerate(counts)
         ],
     }
     if args.full:
@@ -323,33 +331,38 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    code = 0
     try:
         result = args.func(args)
     except BudgetExceeded as exc:
-        print(json.dumps({"error": "BudgetExceeded", "message": str(exc)}))
-        return 3
+        result, code = {"error": "BudgetExceeded", "message": str(exc)}, 3
     except InvalidSemigroupFile as exc:
-        print(
-            json.dumps(
-                {
-                    "error": "InvalidSemigroupFile",
-                    "invariant": exc.invariant,
-                    "message": str(exc),
-                }
-            )
-        )
-        return 2
+        result = {
+            "error": "InvalidSemigroupFile",
+            "invariant": exc.invariant,
+            "message": str(exc),
+        }
+        code = 2
     except (SemigroupError, ValueError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
-        return 2
-    if isinstance(result, str):
-        sys.stdout.write(result)
-    else:
-        # A result is a tree of fresh dicts, lists and scalars that the
-        # command has just built, so no container can reach itself, and the
-        # encoder's cycle check (an id entry per container) guards nothing.
-        print(json.dumps(result, sort_keys=True, check_circular=False))
-    return 0
+        result, code = {"error": type(exc).__name__, "message": str(exc)}, 2
+    try:
+        if isinstance(result, str):
+            sys.stdout.write(result)
+        else:
+            # A result is a tree of fresh dicts, lists and scalars that the
+            # command has just built, so no container can reach itself, and
+            # the encoder's cycle check (an id entry per container) guards
+            # nothing.
+            print(json.dumps(result, sort_keys=True, check_circular=False))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): point stdout at
+        # devnull so that the flush at exit cannot fail again, and exit 1
+        # without a traceback, as the Python docs on SIGPIPE advise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -2,16 +2,20 @@
 
 Each is S ∖ D for a finite down-set D of (S∖{0}, ≤_S), where x ≤_S y means
 y − x ∈ S, and each is built from a parent by one certified step that
-removes a minimal generator of the current ideal.  The genus tree removes,
-per child, a canonical generator larger than the element that produced the
-parent.  The fibers with a prescribed Frobenius element or prescribed
-per-ray multiplicities walk a finite pool in grade-then-lex order (reverse
-search, Avis and Fukuda 1996) from a top, so they cost time in proportion
-to their results: the multiplicity fiber starts at S, and the Frobenius
-fiber at S less the divisors of its target, which one walk over those
-divisors builds (:meth:`.IdealSemigroup._from_lost`).  Results are emitted
-in a canonical order (genus, then sorted gap set) so counts and golden
-files are stable.
+removes a minimal generator of the current ideal.  One depth-first removal
+walk (reverse search, Avis and Fukuda 1996) lists the genus tree and both
+fibers: a node's children remove its generators that follow the point it
+removed, under the semigroup's monomial order for the tree and in
+grade-then-lex order over a finite pool for the fibers.  The walk holds
+only the open siblings on its path and charges every node to a budget.
+The tree's levels are its nodes grouped by depth, and ``tree_counts``
+counts them as they stream (Fromentin and Hivert 2016 walk the tree of
+numerical semigroups this way).  The fibers cost time in proportion to their results: the
+multiplicity fiber starts at S, and the Frobenius fiber at S less the
+divisors of its target, which one walk over those divisors builds
+(:meth:`.IdealSemigroup._from_lost`).  Fiber results are emitted in a
+canonical order (genus, then sorted gap set) so counts and golden files
+are stable.
 """
 
 from __future__ import annotations
@@ -106,51 +110,67 @@ def _remove(S: GapSemigroup, T: IdealSemigroup, x: Point) -> IdealSemigroup:
     return IdealSemigroup._less(S, T, x, gens, child_mask)
 
 
+def _walk(
+    S: GapSemigroup, T: IdealSemigroup, key, budget, pool=None, depth=None, removed=None
+):
+    """``(k, x, U)`` for T and every semigroup U reached from it by k
+    certified removal steps, depth first; x is the point U's last step
+    removed (``removed`` for T).
+
+    A node that removed x has as children the removals of its generators
+    that follow x under ``key`` (every generator when x is None),
+    restricted to ``pool`` when one is given, in ascending tuple order.
+    With a key that extends ≤_S, every removable set of points is reached
+    once, in increasing key order, and the nodes of one depth come out in
+    the lexicographic order of their removal sequences: the breadth-first
+    order of that level.  Nodes at ``depth`` get no children.  Only the
+    open siblings along the path to the current node are held.  Raises
+    :class:`BudgetExceeded` once more than ``budget`` nodes have been
+    emitted.
+    """
+    above = None if removed is None else key(removed)
+    stack, emitted = [(0, removed, above, T)], 0
+    while stack:
+        k, x, above, U = stack.pop()
+        emitted += 1
+        if emitted > budget:
+            raise BudgetExceeded(
+                f"removal walk emitted more than {budget} semigroups"
+                + ("" if pool is None else f" over a pool of {len(pool)} points")
+            )
+        yield k, x, U
+        if k == depth:
+            continue
+        kids = []
+        for y in sorted(U.gens if pool is None else U.gens & pool):
+            ky = key(y)
+            if above is None or ky > above:
+                kids.append((k + 1, y, ky, _remove(S, U, y)))
+        stack.extend(reversed(kids))  # popped in ascending order of y
+
+
 def _removal_walk(
     S: GapSemigroup, T: IdealSemigroup, pool, budget: int
 ) -> list[IdealSemigroup]:
-    """T and every semigroup reached from it by removing points of ``pool``.
-
-    Each step removes a generator that comes after the walk's last removal
-    in grade-then-lex order, a linear extension of ≤_S, so every set of
-    pool points that can be removed is reached once, in increasing order.
-    Raises :class:`BudgetExceeded` once more than ``budget`` semigroups
-    have been emitted.
-    """
-    out, stack = [], [(T, ())]
-    while stack:
-        T, last = stack.pop()
-        out.append(T)
-        if len(out) > budget:
-            raise BudgetExceeded(
-                f"removal walk emitted more than {budget} semigroups "
-                f"over a pool of {len(pool)} points"
-            )
-        for x in T.gens & pool:
-            if (key := (sum(x), x)) > last:
-                stack.append((_remove(S, T, x), key))
-    return out
-
-
-def _children(S: GapSemigroup, T: IdealSemigroup, order: MonomialOrder, threshold):
-    """``(x, T less x)`` for the canonical generators x of T above
-    ``threshold`` (all of them when it is None), in sorted order of x."""
-    xs = sorted(T.gens)
-    if threshold is not None:
-        key, above = order.key, order.key(threshold)
-        xs = [x for x in xs if key(x) > above]
-    return [(x, _remove(S, T, x)) for x in xs]
+    """T and every semigroup reached from it by removing points of ``pool``
+    in grade-then-lex order, a linear extension of ≤_S (:func:`_walk`),
+    read as each point's rank in that order."""
+    rank = {x: i for i, x in enumerate(sorted(pool, key=lambda x: (sum(x), x)))}
+    return [U for _, _, U in _walk(S, T, rank.__getitem__, budget, pool)]
 
 
 def children(S: GapSemigroup, T: IdealSemigroup, order: MonomialOrder):
     """Child nodes of T in the genus tree of S.
 
     Exactly the certified removals (:func:`_remove`) of the canonical ideal
-    generators exceeding ``big_o(S, T)``.  Each child costs O(|msg(S)|)
-    divisor-mask reads; this function recomputes ``big_o``, which
-    :func:`enumerate_tree` carries down instead.
+    generators exceeding ``big_o(S, T)``, in sorted order: the first step
+    of the tree's walk from T.  Each child costs O(|msg(S)|) divisor-mask
+    reads; this function recomputes ``big_o``, which the walk carries down
+    instead.
     """
-    return [child for _, child in _children(S, T, order, big_o(S, T, order))]
+    # at most one node per generator besides T, so the budget never binds
+    walk = _walk(S, T, order.key, len(T.gens) + 1, depth=1, removed=big_o(S, T, order))
+    return [U for k, _, U in walk if k]
 
 
 @dataclass(frozen=True)
@@ -162,30 +182,46 @@ class TreeNode:
     genus: int
 
 
+def _tree(S: GapSemigroup, max_genus: int, order: MonomialOrder, budget: int):
+    """The number of levels of S's genus tree up to ``max_genus``, and the
+    walk (:func:`_walk`) that lists its nodes."""
+    levels = max_genus - S.genus + 1
+    if levels < 1:
+        raise ValueError(f"max_genus {max_genus} is below the root genus {S.genus}")
+    root = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
+    return levels, _walk(S, root, order.key, budget, depth=levels - 1)
+
+
 def enumerate_tree(
-    S: GapSemigroup, max_genus: int, order: MonomialOrder
+    S: GapSemigroup, max_genus: int, order: MonomialOrder, budget=DEFAULT_BUDGET
 ) -> list[list[TreeNode]]:
     """All ideal-derived semigroups of S with genus at most ``max_genus``.
 
     Returns breadth-first levels; level k holds exactly the semigroups of
-    genus ``genus(S) + k``.  The threshold of a node's children is the
-    point it removed: a child removes an x beyond every point its parent
-    lost, so x is its ``big_o``.  A node thus costs one certified removal
-    step per child, O(|msg(S)|) divisor-mask reads, and no work that grows
-    with its depth.
+    genus ``genus(S) + k``, grouped from the depth-first walk.  The
+    threshold of a node's children is the point it removed: a child
+    removes an x beyond every point its parent lost, so x is its
+    ``big_o``.  A node thus costs one certified removal step, O(|msg(S)|)
+    divisor-mask reads, and no work that grows with its depth.  Raises
+    :class:`BudgetExceeded` when the tree has more than ``budget`` nodes.
     """
-    g0 = S.genus
-    if max_genus < g0:
-        raise ValueError(f"max_genus {max_genus} is below the root genus {g0}")
-    root = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
-    levels = [[TreeNode(root, None, g0)]]
-    for genus in range(g0 + 1, max_genus + 1):
-        levels.append([
-            TreeNode(child, x, genus)
-            for node in levels[-1]
-            for x, child in _children(S, node.semigroup, order, node.removed)
-        ])
+    n, walk = _tree(S, max_genus, order, budget)
+    levels = [[] for _ in range(n)]
+    for k, x, T in walk:
+        levels[k].append(TreeNode(T, x, S.genus + k))
     return levels
+
+
+def tree_counts(
+    S: GapSemigroup, max_genus: int, order: MonomialOrder, budget=DEFAULT_BUDGET
+) -> list[int]:
+    """The sizes of :func:`enumerate_tree`'s levels, counted as the walk
+    streams, so only the open siblings on the path are held."""
+    n, walk = _tree(S, max_genus, order, budget)
+    counts = [0] * n
+    for k, _, _ in walk:
+        counts[k] += 1
+    return counts
 
 
 @dataclass(frozen=True)

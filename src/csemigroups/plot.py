@@ -3,12 +3,10 @@
 Lattice points inside the cone window are drawn as filled circles
 (elements) or hollow circles (gaps), with the two boundary rays as lines
 from the origin.  Output is built by string concatenation over integers
-and exact rationals only, so identical inputs give identical bytes.
+only, so identical inputs give identical bytes.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import BudgetExceeded, NotCSemigroup, SemigroupError
 from .semigroups import DEFAULT_BUDGET, GapSemigroup, gaps
@@ -57,23 +55,26 @@ def _window(S, window, budget):
     return wx, wy
 
 
-def _frac_str(value: Fraction) -> str:
-    """Deterministic decimal rendering with three places, exact truncation."""
-    milli = (value.numerator * 1000) // value.denominator
+def _frac_str(num: int, den: int) -> str:
+    """num/den (den > 0) in decimal with three places, exact truncation."""
+    milli = (num * 1000) // den
     sign = "-" if milli < 0 else ""
     milli = abs(milli)
     return f"{sign}{milli // 1000}.{milli % 1000:03d}"
 
 
 def _ray_endpoint(d, wx, wy):
-    """Intersection of the ray from the origin with the window border."""
-    candidates = []
-    if d[0]:
-        candidates.append(Fraction(wx, d[0]))
-    if d[1]:
-        candidates.append(Fraction(wy, d[1]))
-    t = min(candidates)
-    return (t * d[0], t * d[1])
+    """Intersection of the ray from the origin along d ≥ 0 with the window
+    border, as ``(x, y, den)`` for the point (x/den, y/den).
+
+    The ray meets x = wx at t = wx/d[0] and y = wy/d[1] at t = wy/d[1]; the
+    nearer border is chosen by cross-multiplying the two.
+    """
+    if not d[1] or (d[0] and wx * d[1] <= wy * d[0]):
+        t, den = wx, d[0]
+    else:
+        t, den = wy, d[1]
+    return t * d[0], t * d[1], den
 
 
 def render_svg(S, window=None, budget=DEFAULT_BUDGET) -> str:
@@ -100,11 +101,11 @@ def render_svg(S, window=None, budget=DEFAULT_BUDGET) -> str:
         'stroke="#999" stroke-width="1"/>',
     ]
     for d in S.cone.rays:
-        ex, ey = _ray_endpoint(d, wx, wy)
+        ex, ey, den = _ray_endpoint(d, wx, wy)
         lines.append(
             f'<line x1="{px(0)}" y1="{py(0)}" '
-            f'x2="{_frac_str(MARGIN + ex * CELL)}" '
-            f'y2="{_frac_str(height - MARGIN - ey * CELL)}" '
+            f'x2="{_frac_str(MARGIN * den + ex * CELL, den)}" '
+            f'y2="{_frac_str((height - MARGIN) * den - ey * CELL, den)}" '
             'stroke="#444" stroke-width="1" stroke-dasharray="4 3"/>'
         )
     for x in range(wx + 1):

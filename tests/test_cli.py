@@ -2,6 +2,10 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -270,6 +274,62 @@ def test_mult_fixed_budget_env(capsys, s1_file, monkeypatch):
     code, doc = run_json(capsys, *argv)
     assert code == 0
     assert doc["count"] == 352
+
+
+@pytest.mark.parametrize("full", [(), ("--full",)])
+def test_tree_budget_env_exit_3(capsys, s1_file, monkeypatch, full):
+    # S1 to genus 6 has 1 + 8 + 30 = 39 tree nodes, the root among them
+    argv = ("tree", "--max-genus", "6", *full, s1_file)
+    monkeypatch.setenv("SEMIGROUP_BUDGET", "38")
+    code, doc = run_json(capsys, *argv)
+    assert code == 3
+    assert doc["error"] == "BudgetExceeded"
+    assert "removal walk" in doc["message"]
+    monkeypatch.setenv("SEMIGROUP_BUDGET", "39")
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    assert doc["total"] == 39
+
+
+def test_tree_counts_hold_one_path(s1_file):
+    """``tree`` without ``--full`` streams its counts: to genus 12 on S1
+    (4,616 nodes) its traced allocations peak under 3 MB, where holding
+    every level takes about 7 MB."""
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(["tree", "--max-genus", "12", s1_file])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(out.getvalue())["total"] == 4616
+    assert peak < 3 * 2**20
+
+
+def test_closed_stdout_exits_1_without_traceback(s1_file):
+    # about 250 kB of output, more than a pipe buffer holds, so the write
+    # itself meets the closed pipe
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    argv = ["tree", "--max-genus", "10", "--full", s1_file]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "csemigroups", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert head.startswith(b'{"levels": ')
+    assert b"Traceback" not in err
+    assert err == b""
 
 
 def test_tree_bad_genus_exit_2(capsys, s1_file):

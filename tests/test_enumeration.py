@@ -29,6 +29,7 @@ from csemigroups import (
     med_construct,
     minimal_elements,
     pseudo_frobenius,
+    tree_counts,
     verify_isemigroup,
     with_frobenius,
     with_multiplicities,
@@ -441,6 +442,27 @@ def test_tree_carries_its_threshold(data, draws):
     ]
     for node in (n for lvl in levels[1:] for n in lvl):
         assert node.removed == big_o(S, node.semigroup, order)
+
+
+@given(data=st.one_of(small_csemigroups(), orthant_csemigroups()), draws=st.data())
+@settings(max_examples=40, deadline=None)
+def test_tree_counts_stream_the_levels(data, draws):
+    """The counts streamed from the depth-first walk equal the sizes of
+    ``enumerate_tree``'s levels, in dimensions 1-3 under every order kind."""
+    S = data[0]
+    order = draws.draw(_tree_orders(S.dim))
+    max_genus = S.genus + draws.draw(st.integers(0, 2 if S.dim == 3 else 4))
+    levels = enumerate_tree(S, max_genus, order)
+    assert tree_counts(S, max_genus, order) == [len(l) for l in levels]
+
+
+def test_tree_budget_counts_every_node(s1, deglex):
+    # S1 to genus 6 has 1 + 8 + 30 = 39 nodes, the root among them
+    for walk in (enumerate_tree, tree_counts):
+        with pytest.raises(BudgetExceeded):
+            walk(s1, 6, deglex, budget=38)
+    assert [len(l) for l in enumerate_tree(s1, 6, deglex, budget=39)] == [1, 8, 30]
+    assert tree_counts(s1, 6, deglex, budget=39) == [1, 8, 30]
 
 
 def test_children_filter_rule(s1, deglex):
