@@ -294,12 +294,12 @@ def with_multiplicities(
 ) -> tuple[IdealSemigroup, ...]:
     """All ideal-derived semigroups of S with the given per-ray elements M.
 
-    Every element of S outside the finite pool B (the nonzero Apery core of
-    M) lies in M + S, and B is a down-set, so the results are the nodes of
-    the removal walk over B.  With ``verify_multiplicities`` the results
-    are post-filtered to those whose per-ray least elements equal M
-    exactly; the others lost a multiplicity because the pool holds a ray
-    point.  Raises :class:`BudgetExceeded` when the walk emits more than
+    The pool B is the finite down-set that the ideal M + S loses, the
+    nonzero Apery core of M.  A result keeps M, so keeps M + S, and the
+    results are the nodes of the removal walk over B.  With
+    ``verify_multiplicities`` the results are post-filtered to those whose
+    per-ray least elements equal M exactly; the others lost a multiplicity
+    because the pool holds a ray point.  Raises :class:`BudgetExceeded` when the walk emits more than
     ``budget`` semigroups, counted before that filter.
     """
     ctx = apery_context(S, M)

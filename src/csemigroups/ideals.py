@@ -13,13 +13,16 @@ generating set of its ideal part.  The lost elements form a finite down-set
 D of (S∖{0}, ≤_S), and one constructor (:meth:`IdealSemigroup._from_lost`)
 builds S ∖ D with its ideal generators from a test for D, by a walk over D
 alone: it serves :func:`isemigroup_from_ideal` and the top of the Frobenius
-fiber in :mod:`.enumeration`.
+fiber in :mod:`.enumeration`.  The walk is the one that lists the Apery core
+in :mod:`.semigroups`: for M one element per extremal ray, the ideal M + S
+has the canonical generators M and loses exactly Ap(S, M) ∖ {0}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 
 from .errors import (
     BudgetExceeded,
@@ -28,8 +31,8 @@ from .errors import (
     NotInSemigroup,
     SemigroupError,
 )
-from .lattice import Point, primitive, vadd, vsub, zero
-from .semigroups import DEFAULT_BUDGET, GapSemigroup
+from .lattice import Point, primitive, vsub, zero
+from .semigroups import DEFAULT_BUDGET, GapSemigroup, _down_set
 
 # not called here: perfbench/test_perfbench.py pins this name as the tracer's
 # patch target until the benchmark maintenance of ROADMAP item 1 unpins it
@@ -171,39 +174,24 @@ class IdealSemigroup(GapSemigroup):
         """S less the finite down-set D = {y ∈ S∖{0} : is_lost(y)} of
         (S∖{0}, ≤_S), with the canonical generators of S ∖ (D ∪ {0}).
 
-        A breadth-first walk from 0 along msg(S) lists D: the partial sums
-        of a decomposition of y ∈ D divide y.  Its other steps y = d + n
-        hold every ideal generator, and y is one exactly when each y − n′
-        (n′ ∈ msg(S)) in S lies in D ∪ {0}.  Cone coordinates are carried
-        as sums, N(y) = N(d) + N(n), and y − n′ is in the cone exactly when
-        N(y) − N(n′) ≥ 0, so no point is split; the lost points' coordinates
-        join S's split memo, where ``__init__`` looks them up.  ``is_lost``
-        is asked once per step, and :class:`BudgetExceeded` is raised once
-        D has more than ``budget`` points.
+        The :func:`_down_set` walk along msg(S) lists D.  Its steps out of D
+        hold every ideal generator, and such a step y is one exactly when
+        each y − n′ (n′ ∈ msg(S)) in S lies in D ∪ {0}.  The lost points'
+        coordinates join S's split memo, where ``__init__`` looks them up.
+        ``is_lost`` is asked once per step, and :class:`BudgetExceeded` is
+        raised once D has more than ``budget`` points.
         """
         msg, gaps = S._divisors[2], S.gaps
-        origin = zero(S.dim)
-        # D ∪ {0} and the steps out of it, each with its cone coordinates
-        down, steps = {origin: zero(len(S.cone.rays))}, {}
-        frontier = [origin]
-        while frontier:
-            fresh = []
-            for d in frontier:
-                nd = down[d]
-                for n, nn in msg:
-                    y = vadd(d, n)
-                    if y in down or y in steps:
-                        continue
-                    if not is_lost(y):
-                        steps[y] = vadd(nd, nn)
-                        continue
-                    down[y] = vadd(nd, nn)
-                    fresh.append(y)
-                    if len(down) > budget + 1:
-                        raise BudgetExceeded(
-                            f"the ideal loses more than {budget} points"
-                        )
-            frontier = fresh
+        origin, lost = zero(S.dim), count(1)
+
+        def keep(y, ny):
+            if not is_lost(y):
+                return False
+            if next(lost) > budget:
+                raise BudgetExceeded(f"the ideal loses more than {budget} points")
+            return True
+
+        down, steps = _down_set(origin, zero(len(S.cone.rays)), msg, keep)
         gens = frozenset(
             y
             for y, ny in steps.items()

@@ -30,15 +30,16 @@ dominate ``h_i e_i``), so no gap lies above the grade
 ``gaps()`` lists the gaps by a scan in grade order stopped by a
 certificate: at the largest of those grade bounds over the classes, or at
 the window certificate if that comes first.  (An ideal's semigroup needs no
-scan: its new gaps are a down-set of S∖{0}, which :mod:`.ideals` lists by a
-walk from 0.)  The window certificate needs no table: any gap ``x`` with
-``w(x) >= sum_i w(n_i)`` has some simplicial coordinate at least 1, hence
-``x - n_i`` stays in the cone and must itself be a gap (otherwise ``x``
-would be an element).  Iterating
-descends through every grade window of width ``max_i w(n_i)``, so once
-every grade in ``[W, W + max_i w(n_i))`` is free of gaps for some
-``W >= sum_i w(n_i)`` exceeding all gaps found, no gap can exist above the
-window and the scan is complete.
+scan: its new gaps are a down-set of S∖{0}, listed by :func:`_down_set`,
+the one walk from 0 that also builds the Apery core, which less 0 is the
+set the ideal ``M + S`` loses.)  The window certificate needs no table: any
+gap ``x`` with ``w(x) >= sum_i w(n_i)`` has some simplicial coordinate at
+least 1, hence ``x - n_i`` stays in the cone and must itself be a gap
+(otherwise ``x`` would be an element).  Iterating descends through every
+grade window of width ``max_i w(n_i)``, so once every grade in
+``[W, W + max_i w(n_i))`` is free of gaps for some ``W >= sum_i w(n_i)``
+exceeding all gaps found, no gap can exist above the window and the scan
+is complete.
 
 All values are immutable after construction; the only mutable state is the
 internal membership memo of :class:`GenSemigroup`, two memos of
@@ -720,50 +721,60 @@ def _match_rays(cone: Cone, M) -> tuple[Point, ...]:
     return tuple(by_ray[d] for d in cone.rays)
 
 
+def _down_set(origin, n_origin, steps, keep):
+    """The points D ∪ {0} a breadth-first walk from 0 keeps, and the steps
+    out of D, each as a dict from point to cone coordinates.
+
+    ``steps`` are pairs (n, N(n)) of a step and its cone coordinates, and
+    ``origin`` is 0 with coordinates ``n_origin``.  D is the set of sums
+    y = d + n (d ∈ D ∪ {0}) with ``keep(y, N(y))``, asked once per sum; a
+    point of a down-set along the steps is reached through its partial
+    sums, so D is that down-set when ``keep`` defines one.  Coordinates are
+    carried as sums, N(d + n) = N(d) + N(n), so no point is split, and
+    y − z is in the cone exactly when N(y) − N(z) ≥ 0."""
+    down, out, frontier = {origin: n_origin}, {}, [origin]
+    # the list grows while the loop reads it: a breadth-first queue
+    for d in frontier:
+        nd = down[d]
+        for n, nn in steps:
+            y = vadd(d, n)
+            if y in down or y in out:
+                continue
+            ny = vadd(nd, nn)
+            if keep(y, ny):
+                down[y] = ny
+                frontier.append(y)
+            else:
+                out[y] = ny
+    return down, out
+
+
 def _apery_core(S: GenSemigroup, thresholds, budget=None) -> frozenset[Point]:
     """Common Apery core of the ray elements m, given by their cone
-    coordinates ``thresholds``, by closure from 0: if w = z + n is in the
-    core, z in S and n a generator, then z is in the core (z − m ∈ S would
-    put w − m in S).  No step goes along a ray element: (w + m) − m = w is
-    in S, so w + m is never in the core, and a generator whose numerators
-    equal a threshold is skipped.  Each sum is tested once, on numerators
-    carried along: w + n gets w's plus n's, and y − m is in the cone exactly
-    when y's dominate m's, so no point is split here.  Raises
-    :class:`BudgetExceeded` after a layer of sums in which the membership
-    descents have decided more than ``budget`` points in all."""
+    coordinates ``thresholds``: the :func:`_down_set` of the sums y with no
+    y − m in S, the set the ideal M + S loses, with 0.  It is a down-set:
+    if w = z + n is in the core, z in S and n a generator, then z is in the
+    core (z − m ∈ S would put w − m in S).  No step goes along a ray
+    element: (w + m) − m = w is in S, so w + m is never in the core, and a
+    generator whose coordinates equal a threshold is skipped.  Raises
+    :class:`BudgetExceeded` once the membership descents have decided more
+    than ``budget`` points."""
     steps = [
-        (n, n_nums)
-        for n, n_nums in zip(S.generators, S._gen_nums)
-        if n_nums not in thresholds
+        (n, nn) for n, nn in zip(S.generators, S._gen_nums) if nn not in thresholds
     ]
-    origin = zero(S.dim)
-    core = {origin}
-    frontier = {origin: S._origin}
-    seen = {origin}
-    start = len(S._memo)
-    while frontier:
-        fresh = {}
-        for w, w_nums in frontier.items():
-            for n, n_nums in steps:
-                y = vadd(w, n)
-                if y not in seen:
-                    seen.add(y)
-                    fresh[y] = vadd(w_nums, n_nums)
-        frontier = {
-            y: nums
-            for y, nums in fresh.items()
-            if not any(
-                all(map(ge, nums, t)) and S._member(vsub(nums, t))
-                for t in thresholds
-            )
-        }
-        core.update(frontier)
-        if budget is not None and len(S._memo) - start > budget:
+    memo, start = S._memo, len(S._memo)
+
+    def keep(y, ny):
+        kept = not any(
+            all(map(ge, ny, t)) and S._member(vsub(ny, t)) for t in thresholds
+        )
+        if budget is not None and len(memo) - start > budget:
             raise BudgetExceeded(
-                f"the Apery core's closure decided more than {budget} points "
-                f"({len(core)} core points so far)"
+                f"the Apery core's closure decided more than {budget} points"
             )
-    return frozenset(core)
+        return kept
+
+    return frozenset(_down_set(zero(S.dim), S._origin, steps, keep)[0])
 
 
 def apery_context(S, M) -> AperyContext:

@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from csemigroups import (
+    BudgetExceeded,
     ConeMismatch,
     GapSemigroup,
     GenSemigroup,
@@ -21,9 +22,10 @@ from csemigroups import (
     minimal_elements,
     verify_isemigroup,
 )
-from csemigroups.semigroups import certified_gap_scan
+from csemigroups.semigroups import _as_generated, certified_gap_scan
 from bruteforce import brute_minimals, fixture_cone_points
-from strategies import simplicial_semigroups
+from conftest import S1_GENS
+from strategies import apery_inputs, simplicial_semigroups
 
 # the twelve-element generating sets that collapse to the same ideal
 M_FIX = [(10, 2), (6, 2)]
@@ -130,6 +132,32 @@ def test_isemigroup_from_ideal_gap_law(s1, s1_gen):
     core = apery_context(s1_gen, M).core
     assert T.gaps == s1.gaps | (core - {(0, 0)})
     assert T.genus == s1.genus + len(core) - 1
+
+
+@given(data=apery_inputs())
+@example(data=(GenSemigroup(S1_GENS), [(10, 2), (6, 2)], None, None, None))
+@example(data=(GenSemigroup([(50,), (51,)]), [(50,)], None, None, None))
+@settings(max_examples=60, deadline=None)
+def test_apery_core_is_the_set_the_ideal_m_plus_s_loses(data):
+    """Ap(S, M) = S ∖ (M + S), and M is the canonical generating set of the
+    ideal M + S: one element per extremal ray, so no m_j divides m_i.  The
+    semigroup (M + S) ∪ {0} therefore loses exactly the nonzero core."""
+    S, M = data[:2]
+    try:
+        G = gaps(_as_generated(S))
+    except NotCSemigroup:
+        assume(False)
+    T = isemigroup_from_ideal(ideal_from_set(G, M))
+    assert T.gaps - G.gaps == apery_context(G, M).core - {(0,) * G.dim}
+    assert T.gens == set(M)
+
+
+def test_isemigroup_from_ideal_budget_counts_lost_points(s1):
+    # the ideal of (5,1) and (6,2) loses six points of S1
+    P = ideal_from_set(s1, [(5, 1), (6, 2)])
+    with pytest.raises(BudgetExceeded, match=r"^the ideal loses more than 5 points$"):
+        isemigroup_from_ideal(P, budget=5)
+    assert isemigroup_from_ideal(P, budget=6).genus == s1.genus + 6
 
 
 def test_isemigroup_from_whole_semigroup(s1):
