@@ -123,7 +123,7 @@ class IdealSemigroup(GapSemigroup):
     ``base`` and ``gens``, the canonical generating set of the ideal part
     (P itself when proper, otherwise of base minus zero).  ``gens`` and
     ``msg``, when given, pre-fill the caches; otherwise ``gens`` is derived
-    from the minimal generators, which the inherited scan computes.
+    from the minimal generators of the inherited generated form.
     Equality and hashing are those of the gap set.
 
     The points the base lost are checked through the base's split memo

@@ -124,19 +124,13 @@ class MedConstruction:
 
 
 def med_construct(S, M) -> MedConstruction:
-    """Build the semigroup (M + S) ∪ {0}, generated by the translates of
-    the Apery core; it always has maximal embedding dimension."""
+    """Build the semigroup (M + S) ∪ {0}, generated by the translates
+    m + w of the Apery core, which :class:`.semigroups.GenSemigroup` reduces
+    to its minimal generators; it always has maximal embedding dimension."""
     gap_base = S if isinstance(S, GapSemigroup) else None
     ctx = apery_context(S, M)
-    # a translate decomposes inside the new semigroup exactly when it still
-    # lies in the ideal after shedding two ray elements
-    pairs = {vadd(a, b) for a in ctx.ray_elements for b in ctx.ray_elements}
-    reduced = [
-        t
-        for t in {vadd(m, w) for m in ctx.ray_elements for w in ctx.core}
-        if not any(ctx.base.contains(vsub(t, p)) for p in pairs)
-    ]
-    T = GenSemigroup(reduced, warn_redundant=False)
+    translates = {vadd(m, w) for m in ctx.ray_elements for w in ctx.core}
+    T = GenSemigroup(translates, warn_redundant=False)
     iso = None
     if gap_base is not None:
         iso = IdealSemigroup(

@@ -287,7 +287,8 @@ def _combination_index(x, gens, memo):
 
 class GapSemigroup:
     """C-semigroup as (cone, finite sorted gap set); O(1) membership.
-    ``msg``, when given, is its minimal generating set, else found by a scan."""
+    ``msg``, when given, is its minimal generating set, else that of its
+    generated form (:attr:`_generated`)."""
 
     def __init__(self, cone: Cone, gap_set, msg=None):
         self.cone = cone
@@ -429,40 +430,23 @@ class GapSemigroup:
 
     @cached_property
     def _msg(self) -> frozenset[Point]:
-        # A generator x either lies in the box sum_i [0, 1) n_i of the ray
-        # multiplicities, below grade sum_i w(n_i), or x - n_i is in the cone
-        # for some i and then 0 or a gap, so w(x) <= w(n_i) + (largest gap
-        # grade); the scan below stops there.  Each sum of a nonzero element
-        # and a generator is marked before the scan reaches its grade; both
-        # lists ascend in grade.
-        weights = [sum(n) for n in self.multiplicities()]
-        bound = max(sum(weights) - 1, max(weights) + max(self.max_gap_grade, 0))
-        found: list[tuple[Point, int]] = []
-        elements: list[tuple[Point, int]] = []
-        sums: set[Point] = set()
-        for g in range(1, bound + 1):
-            for x in self.cone.graded_points(g):
-                if x in self.gaps:
-                    continue
-                if x not in sums:
-                    found.append((x, g))
-                    for y, gy in elements:
-                        if gy + g > bound:
-                            break
-                        sums.add(vadd(y, x))
-                elements.append((x, g))
-                for m, gm in found:
-                    if g + gm > bound:
-                        break
-                    sums.add(vadd(x, m))
-        return frozenset(x for x, _ in found)
+        return frozenset(self._generated.generators)
 
     def minimal_generators(self) -> frozenset[Point]:
         return self._msg
 
     @cached_property
     def _generated(self) -> GenSemigroup:
-        return GenSemigroup(sorted(self._msg), warn_redundant=False)
+        """The semigroup ⟨E⟩, reduced to its minimal generators.  E is the
+        set of elements up to the generator bound: a generator x either lies
+        in the box ``Σ_i [0, 1) n_i`` of the ray multiplicities, below grade
+        ``Σ_i w(n_i)``, or x − n_i is in the cone for some i and then 0 or a
+        gap, so ``w(x) <= w(n_i) + max_gap_grade``."""
+        weights = [sum(n) for n in self.multiplicities()]
+        bound = max(sum(weights) - 1, max(weights) + max(self.max_gap_grade, 0))
+        grades = map(self.cone.graded_points, range(1, bound + 1))
+        E = [x for points in grades for x in points if x not in self.gaps]
+        return GenSemigroup(E, warn_redundant=False)
 
     def as_generated(self) -> GenSemigroup:
         return self._generated
@@ -470,22 +454,19 @@ class GapSemigroup:
     def validate_closure(self):
         """Check that cone minus gaps is closed under addition.
 
-        A violation is a gap expressible as a sum of two nonzero elements;
-        both summands then have smaller grade than the gap, so scanning the
-        points below each gap is exhaustive.  Raises ValueError on the first
-        violation.
+        Every element lies in ⟨E⟩ (:attr:`_generated`), by induction on
+        the grade: one above the generator bound sheds some n_i inside the
+        cone and leaves a nonzero point above every gap, an element of
+        lower grade.  So S is closed exactly when no gap lies in ⟨E⟩.
+        Otherwise a ValueError names the gap h of least grade, then lex, in
+        ⟨E⟩, as x + y with x the first generator its witness uses: y is a
+        nonzero point of ⟨E⟩ below h, so no gap, and x lies in E.
         """
-        for h in sorted(self.gaps):
-            hg = sum(h)
-            for g in range(1, hg):
-                for x in self.cone.graded_points(g):
-                    if x in self.gaps:
-                        continue
-                    y = vsub(h, x)
-                    if min(y) >= 0 and any(y) and self.contains(y):
-                        raise ValueError(
-                            f"gap {h} is the sum of elements {x} and {y}"
-                        )
+        G = self._generated
+        h = min(filter(G.contains, self.gaps), key=lambda h: (sum(h), h), default=None)
+        if h is not None:
+            x = next(g for g, c in zip(G.generators, G.witness(h)) if c)
+            raise ValueError(f"gap {h} is the sum of elements {x} and {vsub(h, x)}")
 
 
 def _as_generated(S) -> GenSemigroup:

@@ -17,7 +17,9 @@ divisibility tests in point space, which checks the step on cone
 coordinates; and the Frobenius fiber's top by one removal step per
 divisor of the target, which checks the walk that builds it at once.
 They read a ``GenSemigroup``'s descent membership and cone points, or a
-``GapSemigroup``'s ``contains``.
+``GapSemigroup``'s ``contains``.  One more, the pairwise closure scan of a
+gap set, checks the closure proof that a ``GapSemigroup`` reads from its
+generated form; it reads only the gaps and an explicit cone test.
 """
 
 from fractions import Fraction
@@ -116,6 +118,23 @@ def brute_msg(member, points):
         if not splittable:
             gens.append(s)
     return frozenset(gens)
+
+
+def closure_violation(gap_set, in_cone, points):
+    """First (h, x, y) with h in the set ``gap_set`` and x, y nonzero cone
+    points off the gaps that sum to h, or None when the cone less the gaps
+    is closed.
+
+    The gaps are taken in lex order and x in the order of ``points(n)``,
+    which lists the cone points of grade at most n by grade.  Both summands
+    lie below h's grade, so the scan is exhaustive.
+    """
+    for h in sorted(gap_set):
+        for x in points(sum(h) - 1):
+            y = _sub(h, x)
+            if any(x) and any(y) and in_cone(y) and not {x, y} & gap_set:
+                return h, x, y
+    return None
 
 
 def brute_apery_core(member, elems, ray_elements):

@@ -147,6 +147,18 @@ SIMPLICIAL_CONES = (
 )
 
 
+def _low_grades(rays, in_cone):
+    """The dimension of a cone of ``SIMPLICIAL_CONES``, the grade up to which
+    draws over it take points, and a lister of its lattice points up to a
+    grade, by grade."""
+    dim = len(rays[0])
+
+    def points(n):
+        return [p for p in _lattice_points(dim, n) if in_cone(p)]
+
+    return dim, {1: 12, 2: 6, 3: 4}[dim], points
+
+
 @st.composite
 def simplicial_semigroups(draw, max_dim=3):
     """Generators of a semigroup over one of ``SIMPLICIAL_CONES`` of
@@ -159,12 +171,7 @@ def simplicial_semigroups(draw, max_dim=3):
     rays, in_cone = draw(
         st.sampled_from([c for c in SIMPLICIAL_CONES if len(c[0][0]) <= max_dim])
     )
-    dim = len(rays[0])
-    top = {1: 12, 2: 6, 3: 4}[dim]
-
-    def points(n):
-        return [p for p in _lattice_points(dim, n) if in_cone(p)]
-
+    _, top, points = _low_grades(rays, in_cone)
     gens = {
         tuple(k * x for x in d)
         for d in rays
@@ -172,3 +179,21 @@ def simplicial_semigroups(draw, max_dim=3):
     }
     gens |= set(draw(st.lists(st.sampled_from(points(top)[1:]), max_size=3)))
     return sorted(gens), in_cone, points
+
+
+@st.composite
+def gap_documents(draw):
+    """A gap-form document over one of ``SIMPLICIAL_CONES``, closed or not.
+
+    The gaps are the nonzero cone points below a drawn grade, with up to
+    four drawn points of low grade toggled.  Returns the document, the cone
+    test and the lister of ``simplicial_semigroups``.
+    """
+    rays, in_cone = draw(st.sampled_from(SIMPLICIAL_CONES))
+    dim, top, points = _low_grades(rays, in_cone)
+    low = points(top)[1:]
+    below = draw(st.integers(1, top))
+    toggled = set(draw(st.lists(st.sampled_from(low), max_size=4)))
+    gap_set = {p for p in low if sum(p) < below} ^ toggled
+    rays, gaps = [list(d) for d in rays], sorted(map(list, gap_set))
+    return {"p": dim, "rays": rays, "gaps": gaps}, in_cone, points

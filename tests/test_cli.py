@@ -24,6 +24,7 @@ from csemigroups import cli
 from csemigroups.cli import main
 from csemigroups.serialize import semigroup_to_document
 from conftest import D3_GENS, S1_GENS, S2_GENS
+from strategies import gap_documents
 
 
 @pytest.fixture()
@@ -406,8 +407,8 @@ def test_invalid_file_exit_2(capsys, tmp_path):
 # Documents for the CLI fuzz test: valid ones (one lex-ordered), the gap form
 # of S1, a semigroup that is no C-semigroup by its ray gcd, a non-simplicial
 # cone (four extremal rays in dimension 3) and one that is no C-semigroup by
-# a class that misses a ray; drawn generator lists in dimension 1-2 are added
-# to them.
+# a class that misses a ray; drawn generator lists in dimension 1-2 and drawn
+# gap documents in dimension 1-3, closed or not, are added to them.
 _FUZZ_DOCUMENTS = [
     {"p": 2, "generators": [list(g) for g in S1_GENS], "order": "deglex"},
     {"p": 2, "generators": [list(g) for g in S1_GENS], "order": "lex"},
@@ -446,7 +447,8 @@ def _point_texts(dim):
 @st.composite
 def _cli_calls(draw, tmp_dir):
     fixed = st.sampled_from(_FUZZ_DOCUMENTS)
-    doc = draw(st.one_of(fixed, fixed, _drawn_documents))
+    drawn_gaps = gap_documents().map(lambda data: data[0])
+    doc = draw(st.one_of(fixed, fixed, _drawn_documents, drawn_gaps))
     path = tmp_dir / "fuzz.json"
     path.write_text(json.dumps(doc))
     points = _point_texts(doc["p"])

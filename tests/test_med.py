@@ -178,6 +178,19 @@ def test_med_criteria_agree(s1_gen, s2_gen, n2):
         assert a == b == c
 
 
+@given(data=simplicial_semigroups())
+@settings(max_examples=60, deadline=None)
+def test_med_criteria_agree_on_drawn_semigroups(data):
+    """The definition, the pairwise criterion and the translate identity
+    agree in dimensions 1-3, C-semigroup or not, and a TRUE from the type-2
+    check implies MED."""
+    S = GenSemigroup(data[0], warn_redundant=False)
+    is_med = is_med_definition(S).is_med
+    assert is_med_pairwise(S) == is_med == med_via_translates(S)
+    if med_type2_check(S) is TriState.TRUE:
+        assert is_med
+
+
 def test_csemigroup_preserved_by_construction(s1, s2_gen):
     # C-semigroup base gives a C-semigroup translate, and vice versa
     built = med_construct(s1, [(5, 1), (6, 2)])

@@ -366,8 +366,8 @@ def test_gaps_matches_closure(data):
 @given(data=simplicial_semigroups())
 @settings(max_examples=80, deadline=None)
 def test_gaps_keeps_the_generators_as_msg(data):
-    """gaps() hands S's minimal generators to its result, which a scan of
-    the gap set reproduces."""
+    """gaps() hands S's minimal generators to its result, which the
+    generated form of the gap set alone reproduces."""
     S = GenSemigroup(data[0], warn_redundant=False)
     try:
         G = gaps(S)

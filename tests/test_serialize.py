@@ -1,4 +1,7 @@
 import json
+import re
+from ast import literal_eval
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,9 @@ from csemigroups.serialize import (
     load_semigroup,
     semigroup_to_document,
 )
+from bruteforce import brute_msg, closure_violation
 from conftest import S1_GAPS
+from strategies import gap_documents
 
 
 def test_generator_roundtrip(s1_gen):
@@ -168,3 +173,39 @@ def test_loader_only_raises_invalid_file(doc):
         load_document(doc)
     except InvalidSemigroupFile:
         pass
+
+
+_CLOSURE_MESSAGE = re.compile(
+    r"gap (\(.*\)) is the sum of elements (\(.*\)) and (\(.*\))"
+)
+
+
+@given(data=gap_documents())
+@settings(max_examples=400, deadline=None)
+def test_gap_document_loads_exactly_when_closed(data):
+    """Loading accepts a gap set exactly when the pairwise scan finds no gap
+    that is a sum of two elements; an accepted set has the minimal
+    generators of a scan of all two-part splits, and a rejected one names a
+    gap that is such a sum."""
+    doc, in_cone, points = data
+    gap_set = {tuple(h) for h in doc["gaps"]}
+    violation = closure_violation(gap_set, in_cone, points)
+    try:
+        S, _ = load_document(doc)
+    except InvalidSemigroupFile as exc:
+        assert violation is not None
+        assert exc.invariant == "gap-closure"
+        h, x, y = map(literal_eval, _CLOSURE_MESSAGE.fullmatch(str(exc)).groups())
+        assert h in gap_set and tuple(map(sum, zip(x, y))) == h
+        assert all(any(z) and in_cone(z) and z not in gap_set for z in (x, y))
+        return
+    assert violation is None
+    # every generator lies below sum_i w(n_i) + (largest gap grade), n_i the
+    # least element on ray i
+    weights = []
+    for d in map(tuple, doc["rays"]):
+        k = next(k for k in count(1) if tuple(k * c for c in d) not in gap_set)
+        weights.append(k * sum(d))
+    top = sum(weights) + max(map(sum, gap_set), default=0)
+    member = lambda p: in_cone(p) and p not in gap_set  # noqa: E731
+    assert S.minimal_generators() == brute_msg(member, points(top))
