@@ -122,8 +122,8 @@ class IdealSemigroup(GapSemigroup):
     It is a :class:`GapSemigroup` over the base's cone that also knows its
     ``base`` and ``gens``, the canonical generating set of the ideal part
     (P itself when proper, otherwise of base minus zero).  ``gens`` and
-    ``msg``, when given, pre-fill the caches; otherwise ``gens`` is derived
-    from the minimal generators of the inherited generated form.
+    ``generated``, when given, pre-fill the caches; otherwise ``gens`` is
+    derived from the minimal generators of the inherited generated form.
     Equality and hashing are those of the gap set.
 
     The points the base lost are checked through the base's split memo
@@ -137,9 +137,9 @@ class IdealSemigroup(GapSemigroup):
     #: (``GapSemigroup._divisor_mask``), set by the removal step that built it
     _gens_mask: int | None = None
 
-    def __init__(self, base: GapSemigroup, gap_set, gens=None, msg=None):
+    def __init__(self, base: GapSemigroup, gap_set, gens=None, generated=None):
         self.base = base
-        super().__init__(base.cone, (), msg)
+        super().__init__(base.cone, (), generated)
         self.gaps = frozenset(tuple(h) for h in gap_set)
         # the base validated its own gaps, so only the others are checked
         self._check_gaps(self.gaps - base.gaps, lambda h: base._split(h) is not None)

@@ -137,7 +137,7 @@ def med_construct(S, M) -> MedConstruction:
             gap_base,
             gap_base.gaps | (ctx.core - {zero(T.dim)}),
             frozenset(ctx.ray_elements),
-            msg=frozenset(T.generators),
+            generated=T,
         )
     return MedConstruction(ctx, T, frozenset(T.generators), iso)
 

@@ -27,19 +27,14 @@ the least λ_i among the class's λ-vectors that vanish off ray i, every gap
 dominate ``h_i e_i``), so no gap lies above the grade
 ``w(r) + Σ_i (h_i - 1) w(m_i)``, ``w`` the coordinate sum.
 
-``gaps()`` lists the gaps by a scan in grade order stopped by a
-certificate: at the largest of those grade bounds over the classes, or at
-the window certificate if that comes first.  (An ideal's semigroup needs no
-scan: its new gaps are a down-set of S∖{0}, listed by :func:`_down_set`,
-the one walk from 0 that also builds the Apery core, which less 0 is the
-set the ideal ``M + S`` loses.)  The window certificate needs no table: any
-gap ``x`` with ``w(x) >= sum_i w(n_i)`` has some simplicial coordinate at
-least 1, hence ``x - n_i`` stays in the cone and must itself be a gap
-(otherwise ``x`` would be an element).  Iterating descends through every
-grade window of width ``max_i w(n_i)``, so once every grade in
-``[W, W + max_i w(n_i))`` is free of gaps for some ``W >= sum_i w(n_i)``
-exceeding all gaps found, no gap can exist above the window and the scan
-is complete.
+``gaps()`` lists the gaps by a scan of the cone in grade order that stops
+at the largest of those grade bounds over the classes.  (An ideal's
+semigroup needs no scan: its new gaps are a down-set of S∖{0}, listed by
+:func:`_down_set`, the one walk from 0 that also builds the Apery core,
+which less 0 is the set the ideal ``M + S`` loses.)  A gap form reads the
+same multiplicities the other way round: every element is a sum of the
+multiplicities and of the elements that shed none of them inside S
+(:attr:`GapSemigroup._generated`).
 
 All values are immutable after construction; the only mutable state is the
 internal membership memo of :class:`GenSemigroup`, two memos of
@@ -69,7 +64,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import count
+from itertools import chain, count
 from math import gcd, lcm, prod
 from operator import ge
 
@@ -287,15 +282,16 @@ def _combination_index(x, gens, memo):
 
 class GapSemigroup:
     """C-semigroup as (cone, finite sorted gap set); O(1) membership.
-    ``msg``, when given, is its minimal generating set, else that of its
-    generated form (:attr:`_generated`)."""
+    ``generated``, when given, is its generated form (:attr:`_generated`),
+    a :class:`GenSemigroup` with the same elements; its minimal generators
+    are this semigroup's."""
 
-    def __init__(self, cone: Cone, gap_set, msg=None):
+    def __init__(self, cone: Cone, gap_set, generated=None):
         self.cone = cone
         self.gaps = frozenset(tuple(h) for h in gap_set)
         self._check_gaps(self.gaps, cone.contains)
-        if msg is not None:
-            self._msg = frozenset(msg)
+        if generated is not None:
+            self._generated = generated
 
     def _check_gaps(self, points, in_cone):
         for h in points:
@@ -394,10 +390,6 @@ class GapSemigroup:
     def genus(self) -> int:
         return len(self.gaps)
 
-    @cached_property
-    def max_gap_grade(self) -> int:
-        return max((sum(h) for h in self.gaps), default=-1)
-
     def __eq__(self, other):
         return (
             isinstance(other, GapSemigroup)
@@ -437,16 +429,26 @@ class GapSemigroup:
 
     @cached_property
     def _generated(self) -> GenSemigroup:
-        """The semigroup ⟨E⟩, reduced to its minimal generators.  E is the
-        set of elements up to the generator bound: a generator x either lies
-        in the box ``Σ_i [0, 1) n_i`` of the ray multiplicities, below grade
-        ``Σ_i w(n_i)``, or x − n_i is in the cone for some i and then 0 or a
-        gap, so ``w(x) <= w(n_i) + max_gap_grade``."""
-        weights = [sum(n) for n in self.multiplicities()]
-        bound = max(sum(weights) - 1, max(weights) + max(self.max_gap_grade, 0))
-        grades = map(self.cone.graded_points, range(1, bound + 1))
-        E = [x for points in grades for x in points if x not in self.gaps]
-        return GenSemigroup(E, warn_redundant=False)
+        """The semigroup generated by the multiplicities n_i and the core,
+        reduced to its minimal generators.  The core holds the nonzero
+        points x of the cone less the gaps that shed no n_i there: each
+        x − n_i is a gap or outside the cone.  In the simplicial cone x is
+        ``Σ α_i n_i``, and ``w(x) >= Σ w(n_i)`` forces some α_i >= 1, so a
+        core point lies below that grade or is h + n_i for a gap h.  By
+        induction on the grade, every point of the cone less the gaps is a
+        core point plus multiplicities, whether the gaps are closed or not."""
+        mults, gaps, cone = self.multiplicities(), self.gaps, self.cone
+        steps = [(n, cone._numerators(n)) for n in mults]
+        low = (p for g in range(1, sum(map(sum, mults))) for p in cone.graded_split(g))
+        shifts = {vadd(h, n) for h in gaps for n in mults}
+        high = ((x, cone._numerators(x)) for x in shifts)
+        core = {
+            x
+            for x, nx in chain(low, high)
+            if x not in gaps
+            and all(min(vsub(nx, nn)) < 0 or vsub(x, n) in gaps for n, nn in steps)
+        }
+        return GenSemigroup(core.union(mults), warn_redundant=False)
 
     def as_generated(self) -> GenSemigroup:
         return self._generated
@@ -454,13 +456,12 @@ class GapSemigroup:
     def validate_closure(self):
         """Check that cone minus gaps is closed under addition.
 
-        Every element lies in ⟨E⟩ (:attr:`_generated`), by induction on
-        the grade: one above the generator bound sheds some n_i inside the
-        cone and leaves a nonzero point above every gap, an element of
-        lower grade.  So S is closed exactly when no gap lies in ⟨E⟩.
-        Otherwise a ValueError names the gap h of least grade, then lex, in
-        ⟨E⟩, as x + y with x the first generator its witness uses: y is a
-        nonzero point of ⟨E⟩ below h, so no gap, and x lies in E.
+        The generated form G (:attr:`_generated`) holds every point of the
+        cone less the gaps and is generated by such points, so S is closed
+        exactly when no gap lies in G.  Otherwise a ValueError names the
+        gap h of least grade, then lex, in G, as x + y with x the first
+        generator its witness uses: y is a nonzero point of G below h, so
+        no gap, and neither is x.
         """
         G = self._generated
         h = min(filter(G.contains, self.gaps), key=lambda h: (sum(h), h), default=None)
@@ -473,40 +474,23 @@ def _as_generated(S) -> GenSemigroup:
     return S if isinstance(S, GenSemigroup) else S.as_generated()
 
 
-def certified_gap_scan(cone, member, ray_elements, budget=DEFAULT_BUDGET, top=None):
-    """Gap set of a cofinite submonoid/ideal-with-zero of the cone.
-
-    ``member`` must contain every ``ray_elements[i]`` and be closed under
-    adding each of them; those are exactly the hypotheses of the window
-    certificate described in the module docstring.  ``top``, when given,
-    is a proven bound on the gaps' grades, and the scan also stops once it
-    has visited grade ``top``, whichever certificate comes first.  Its one
-    caller is ``gaps``, once the Apery table has shown S to be a
-    C-semigroup and bounded its gap grades; it raises
-    :class:`BudgetExceeded` after visiting ``budget`` cone points without
-    reaching a certificate.
+def certified_gap_scan(S: GenSemigroup, top: int, budget=DEFAULT_BUDGET):
+    """The points of S's cone outside S up to grade ``top``, which must
+    bound the grades of S's gaps (its one caller, :func:`gaps`, proves the
+    bound from the Apery table).  The walk splits each point once
+    (:meth:`.lattice.Cone.graded_split`) and decides it by S's descent;
+    it raises :class:`BudgetExceeded` after visiting ``budget`` points.
     """
-    wsum = sum(sum(n) for n in ray_elements)
-    wmax = max(sum(n) for n in ray_elements)
     gap_list: list[Point] = []
-    max_gap_grade = -1
     visited = 0
-    g = 0
-    while True:
-        window_start = max(wsum, max_gap_grade + 1)
-        if g >= window_start + wmax or (top is not None and g > top):
-            return frozenset(gap_list)
-        for x in cone.graded_points(g):
+    for g in range(top + 1):
+        for x, nums in S.cone.graded_split(g):
             visited += 1
             if visited > budget:
-                raise BudgetExceeded(
-                    f"no termination certificate within {budget} points "
-                    f"(grade {g}, {len(gap_list)} gaps so far)"
-                )
-            if not member(x):
+                raise BudgetExceeded(f"the gap scan reached grade {g} of {top}")
+            if not S._member(nums):
                 gap_list.append(x)
-                max_gap_grade = g
-        g += 1
+    return frozenset(gap_list)
 
 
 def gaps(S: GenSemigroup, budget=DEFAULT_BUDGET) -> GapSemigroup:
@@ -518,16 +502,15 @@ def gaps(S: GenSemigroup, budget=DEFAULT_BUDGET) -> GapSemigroup:
     the multiplicities holds no core element (``ray`` is None); or no core
     element of the class of ``residue`` lies on ``residue + ℕ·n``, n the
     multiplicity on ``ray``.
-    Otherwise S is a C-semigroup and its gaps are listed by
-    :func:`certified_gap_scan` over the multiplicities, which then always
-    reaches a certificate.  The scan stops at the last gap grade the table
-    proves (module docstring), unless the window certificate comes first.
-    ``budget`` bounds the points this call
-    visits: those whose membership the core's closure decides (none when
-    the core is cached), then the scanned points.  Beyond it
-    :class:`BudgetExceeded` is raised (inconclusive).
-    The result's generated form is S itself, which has the same minimal
-    generators: the two share S's append-only memo and its cached core.
+    Otherwise S is a C-semigroup and :func:`certified_gap_scan` lists its
+    gaps up to the last gap grade the table proves (module docstring).
+    ``budget`` bounds the points this call visits: those whose membership
+    the core's closure decides (none when the core is cached), then the
+    scanned points.  Beyond it :class:`BudgetExceeded` is raised
+    (inconclusive), naming the budget, the closure's share and the grade
+    the scan reached.  The result's generated form is S itself, which has
+    the same minimal generators: the two share S's append-only memo and
+    its cached core.
     """
     S.cone._require_simplicial()
     mults = S.multiplicities()
@@ -542,7 +525,7 @@ def gaps(S: GenSemigroup, budget=DEFAULT_BUDGET) -> GapSemigroup:
             )
     before = len(S._memo)
     table = S._apery_table(budget)
-    scan_budget = budget - (len(S._memo) - before)
+    spent = len(S._memo) - before
     if len(table.classes) < table._class_count:
         raise NotCSemigroup(
             f"the Apery core of {list(mults)} meets {len(table.classes)} of "
@@ -566,10 +549,14 @@ def gaps(S: GenSemigroup, budget=DEFAULT_BUDGET) -> GapSemigroup:
                 )
             grade += (min(hits) - 1) * sum(n)
         top = max(top, grade)
-    gap_set = certified_gap_scan(S.cone, S.contains, mults, scan_budget, top=top)
-    G = GapSemigroup(S.cone, gap_set, msg=S.generators)
-    G._generated = S
-    return G
+    try:
+        gap_set = certified_gap_scan(S, top, budget - spent)
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(
+            f"the budget of {budget} points ran out: the Apery core's closure "
+            f"decided {spent} of them, and {exc}"
+        ) from None
+    return GapSemigroup(S.cone, gap_set, generated=S)
 
 
 def frobenius(S: GapSemigroup, order: MonomialOrder) -> Point:

@@ -15,17 +15,21 @@ a scan of every section point of a grade box, which checks the scan of
 the section's least points; the certified removal step with its
 divisibility tests in point space, which checks the step on cone
 coordinates; and the Frobenius fiber's top by one removal step per
-divisor of the target, which checks the walk that builds it at once.
-They read a ``GenSemigroup``'s descent membership and cone points, or a
-``GapSemigroup``'s ``contains``.  One more, the pairwise closure scan of a
-gap set, checks the closure proof that a ``GapSemigroup`` reads from its
-generated form; it reads only the gaps and an explicit cone test.
+divisor of the target, which checks the walk that builds it at once;
+the gap scan stopped by the window certificate, which checks the scan
+that the Apery table bounds and the walk over an ideal's lost points;
+and a gap set's generated form from every element up to the generator
+bound, which checks the form built from the multiplicities and their
+core.  They read a ``GenSemigroup``'s descent membership and cone points,
+or a ``GapSemigroup``'s ``contains``.  One more, the pairwise closure scan
+of a gap set, checks the closure proof that a ``GapSemigroup`` reads from
+its generated form; it reads only the gaps and an explicit cone test.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
-from csemigroups import IdealSemigroup, SemigroupError, enumeration
+from csemigroups import GenSemigroup, IdealSemigroup, SemigroupError, enumeration
 
 
 def sum_closure(gens, max_grade):
@@ -213,6 +217,59 @@ def grade_scan_head(member, in_cone, points, mults):
         if sum(x) < bound and member(x)
         and not any(in_cone(_sub(x, n)) for n in mults)
     )
+
+
+def window_gap_scan(cone, member, ray_elements):
+    """Points of the cone outside ``member``, by a scan in grade order
+    stopped by the window certificate.
+
+    ``member`` must hold one element n_i per extremal ray
+    (``ray_elements``) and be closed under adding each of them; w is the
+    coordinate sum.  A gap x with ``w(x) >= Σ w(n_i)`` has some
+    simplicial coordinate at least 1 over the n_i, hence x − n_i stays in
+    the cone and must itself be a gap (otherwise x would be a member).
+    Iterating descends through every grade window of width
+    ``max w(n_i)``, so once every grade in ``[W, W + max w(n_i))`` is free
+    of gaps for some ``W >= Σ w(n_i)`` above every gap found, no gap lies
+    above the window and the scan is complete.  The scan never stops when
+    the gaps are infinite.
+    """
+    wsum = sum(map(sum, ray_elements))
+    wmax = max(map(sum, ray_elements))
+    found, last, g = set(), -1, 0
+    while g < max(wsum, last + 1) + wmax:
+        for x in cone.graded_points(g):
+            if not member(x):
+                found.add(x)
+                last = g
+        g += 1
+    return frozenset(found)
+
+
+def generator_bound_form(cone, gap_set):
+    """The semigroup generated by the points of the cone less ``gap_set``
+    up to the generator bound ``max(Σ w(n_i) − 1, max w(n_i) + the largest
+    gap grade)``, n_i the least point off the gaps on ray i and w the
+    coordinate sum.  A generator x either lies in the box ``Σ [0, 1) n_i``,
+    below grade ``Σ w(n_i)``, or x − n_i is in the cone for some i and
+    then 0 or a gap; so the form holds every point of the cone less the
+    gaps, whether they are closed or not."""
+    gap_set = frozenset(gap_set)
+    weights = []
+    for d in cone.rays:
+        k = 1
+        while tuple(k * c for c in d) in gap_set:
+            k += 1
+        weights.append(k * sum(d))
+    top = max(map(sum, gap_set), default=0)
+    bound = max(sum(weights) - 1, max(weights) + top)
+    E = [
+        x
+        for g in range(1, bound + 1)
+        for x in cone.graded_points(g)
+        if x not in gap_set
+    ]
+    return GenSemigroup(E, warn_redundant=False)
 
 
 def ray_section_is_cone_by_scan(S, n_k):

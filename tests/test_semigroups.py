@@ -24,7 +24,6 @@ from csemigroups import (
 )
 from csemigroups import semigroups
 from csemigroups.lattice import primitive, vadd
-from csemigroups.semigroups import certified_gap_scan
 from conftest import D3_GENS, S1_GENS, S1_GAPS, S2_GENS
 from bruteforce import (
     box_filter_core,
@@ -32,13 +31,16 @@ from bruteforce import (
     brute_msg,
     closure_member,
     fixture_cone_points,
+    generator_bound_form,
     in_fixture_cone,
     least_lattice_multiple,
     sum_closure,
+    window_gap_scan,
 )
 from strategies import (
     NOT_C_GENS,
     apery_inputs,
+    gap_documents,
     orthant_csemigroups,
     simplicial_semigroups,
     small_csemigroups,
@@ -209,8 +211,13 @@ def test_gaps_budget_exceeded_is_inconclusive():
     # ⟨50,51⟩: the closure of its 50-point core decides 1,273 points, then
     # the scan visits grades 0..2449, up to the Frobenius number 2449, the
     # last gap grade the Apery table proves
-    with pytest.raises(BudgetExceeded):
-        gaps(GenSemigroup([(50,), (51,)]), budget=3722)
+    for budget, grade in ((1273, 0), (3722, 2449)):
+        with pytest.raises(BudgetExceeded) as info:
+            gaps(GenSemigroup([(50,), (51,)]), budget=budget)
+        assert str(info.value) == (
+            f"the budget of {budget} points ran out: the Apery core's closure "
+            f"decided 1273 of them, and the gap scan reached grade {grade} of 2449"
+        )
     assert gaps(GenSemigroup([(50,), (51,)]), budget=3723).genus == 1225
 
 
@@ -253,16 +260,45 @@ def test_gaps_budget_bounds_the_core_closure():
 def test_gaps_scan_stops_at_the_last_gap_grade(monkeypatch, gens, top):
     # a gap of a class has ν_i below the least ray hit h_i of its core
     # elements, so no gap lies above the largest w(r) + Σ (h_i − 1)·w(n_i);
-    # on these fixtures that bound is the last gap grade, where the window
-    # certificate alone would scan on to one ray-grade window past Σ w(n_i)
+    # on these fixtures that bound is the last gap grade
+    _, G, grades = _scanned_grades(monkeypatch, gens)
+    assert max(grades) == max(map(sum, G.gaps)) == top
+
+
+def _scanned_grades(monkeypatch, gens):
+    """S = ⟨gens⟩, gaps(S) and the grades its scan walked."""
     grades = []
-    listing = Cone.graded_points
+    listing = Cone.graded_split
     monkeypatch.setattr(
-        Cone, "graded_points", lambda self, g: grades.append(g) or listing(self, g)
+        Cone, "graded_split", lambda self, g: grades.append(g) or listing(self, g)
     )
-    G = gaps(GenSemigroup(gens))
+    S = GenSemigroup(gens)
+    G = gaps(S)
     monkeypatch.undo()
-    assert max(grades) == G.max_gap_grade == top
+    return S, G, grades
+
+
+@pytest.mark.parametrize(
+    "gens, top",
+    [
+        (((4, 9), (7, 9), (1, 8), (3, 4), (1, 9)), 298),
+        (((8, 7), (3, 4), (8, 9), (9, 8), (7, 9)), 194),
+    ],
+)
+def test_gaps_scans_up_to_the_table_bound_past_the_window(monkeypatch, gens, top):
+    """On these inputs the table's bound lies above the grade where the
+    window certificate stops; gaps() scans up to the bound and lists the
+    gaps of the window oracle and of the closure."""
+    S, G, grades = _scanned_grades(monkeypatch, gens)
+    assert max(grades) == top
+    mults = S.multiplicities()
+    weights = [sum(n) for n in mults]
+    window_stop = max(sum(weights), max(map(sum, G.gaps)) + 1) + max(weights)
+    assert window_stop <= top
+    assert G.gaps == window_gap_scan(S.cone, S.contains, mults)
+    closure = sum_closure(list(gens), top)
+    cone_points = (p for g in range(top + 1) for p in S.cone.graded_points(g))
+    assert G.gaps == {p for p in cone_points if p not in closure}
 
 
 @pytest.mark.parametrize(
@@ -336,10 +372,10 @@ def test_gaps_table_matches_scan_and_closure(data, pick, factor):
                 )
                 assert sum(x) > top or x not in closure, x
         return
-    top = max(G.max_gap_grade, wsum) + wmax
+    top = max(max(map(sum, G.gaps), default=0), wsum) + wmax
     closure = sum_closure(gens, top)
     assert G.gaps == {p for p in points(top) if p not in closure}
-    assert G.gaps == certified_gap_scan(S.cone, S.contains, mults)
+    assert G.gaps == window_gap_scan(S.cone, S.contains, mults)
     d = S.cone.rays[pick % len(S.cone.rays)]
     with pytest.raises(NotCSemigroup) as info:
         gaps(GenSemigroup(_scale_ray(gens, d, factor), warn_redundant=False))
@@ -366,14 +402,14 @@ def test_gaps_matches_closure(data):
 @given(data=simplicial_semigroups())
 @settings(max_examples=80, deadline=None)
 def test_gaps_keeps_the_generators_as_msg(data):
-    """gaps() hands S's minimal generators to its result, which the
-    generated form of the gap set alone reproduces."""
+    """gaps() hands S to its result as the generated form, whose minimal
+    generators the generated form of the gap set alone reproduces."""
     S = GenSemigroup(data[0], warn_redundant=False)
     try:
         G = gaps(S)
     except NotCSemigroup:
         return
-    assert "_msg" in vars(G)
+    assert vars(G)["_generated"] is S
     assert G.minimal_generators() == GapSemigroup(S.cone, G.gaps).minimal_generators()
 
 
@@ -393,6 +429,32 @@ def test_gap_form_reuses_the_generated_semigroup(monkeypatch):
     fresh = GapSemigroup(S.cone, G.gaps)
     assert fresh.as_generated() is not S
     assert results == with_multiplicities(fresh, S.multiplicities())
+
+
+def _closure_error(G):
+    try:
+        G.validate_closure()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(data=gap_documents())
+@settings(max_examples=300, deadline=None)
+def test_generated_form_matches_the_generator_bound_form(data):
+    """A gap document's generated form, built from the multiplicities and
+    the points that shed none of them, against the form generated by every
+    point up to the generator bound, on closed and unclosed gap sets in
+    dimensions 1-3: the same minimal generators, the same closure verdict
+    and the same error text."""
+    doc = data[0]
+    cone = Cone.from_generators([tuple(d) for d in doc["rays"]])
+    gap_set = [tuple(h) for h in doc["gaps"]]
+    new = GapSemigroup(cone, gap_set)
+    old = GapSemigroup(cone, gap_set, generated=generator_bound_form(cone, gap_set))
+    assert new.as_generated().generators == old.as_generated().generators
+    assert new.minimal_generators() == old.minimal_generators()
+    assert _closure_error(new) == _closure_error(old)
 
 
 def test_minimal_generators_roundtrip(s1, s1_gen):
