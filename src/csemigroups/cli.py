@@ -12,7 +12,11 @@ bounds the nodes of the ``tree`` walk, the number of semigroups the
 ``frobenius-fixed`` and ``mult-fixed`` fibers may list and the lattice
 points a ``plot`` window may hold.  ``tree`` without ``--full`` counts its
 levels as the depth-first walk streams, so it holds one path of the tree,
-not its levels.
+not its levels.  ``tree --full``, ``frobenius-fixed`` and ``mult-fixed``
+encode each semigroup on its own and write the document in pieces, one
+semigroup at a time: the tree keeps each node only as its encoded text
+until the walk ends, and no command builds the whole text.  Every search
+and budget check ends before the first byte is written.
 """
 
 from __future__ import annotations
@@ -88,6 +92,27 @@ def _gap_rep(S, budget) -> GapSemigroup:
 def _points(values):
     # json writes a tuple as it writes a list
     return sorted(values)
+
+
+# Every document is a tree of dicts, lists, tuples and scalars that a command
+# has just built, so no container can reach itself, and the encoder's cycle
+# check (an id entry per container) guards nothing.
+_encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+
+
+def _chunks(doc, items):
+    """The text ``json.dumps(doc | {"semigroups": [...]}, sort_keys=True)``
+    and a newline, in pieces: the list's items are given as their encoded
+    texts, and each is written as its own piece, so the whole text is never
+    held.  ``doc`` holds no string values, so the empty list's entry
+    appears once in its encoding."""
+    head, _, tail = _encode(doc | {"semigroups": []}).partition('"semigroups": []')
+    yield head + '"semigroups": ['
+    sep = ""
+    for item in items:
+        yield sep + item
+        sep = ", "
+    yield "]" + tail + "\n"
 
 
 def _isemigroup_doc(T, full=True, **extra):
@@ -196,7 +221,13 @@ def cmd_tree(args):
     budget = _budget()
     G = _gap_rep(S, budget)
     if args.full:
-        levels = enumeration.enumerate_tree(G, args.max_genus, order, budget)
+        # each node is kept only as its encoded document, so the walk's
+        # nodes are dropped as it moves on; the budget binds before any
+        # byte is written
+        n, walk = enumeration._tree(G, args.max_genus, order, budget)
+        levels = [[] for _ in range(n)]
+        for k, x, T in walk:
+            levels[k].append(_encode(_isemigroup_doc(T, removed=x)))
         counts = [len(level) for level in levels]
     else:
         counts = enumeration.tree_counts(G, args.max_genus, order, budget)
@@ -208,11 +239,7 @@ def cmd_tree(args):
         ],
     }
     if args.full:
-        doc["semigroups"] = [
-            _isemigroup_doc(node.semigroup, removed=node.removed)
-            for level in levels
-            for node in level
-        ]
+        return _chunks(doc, (node for level in levels for node in level))
     return doc
 
 
@@ -222,12 +249,12 @@ def cmd_frobenius_fixed(args):
     G = _gap_rep(S, budget)
     f = _parse_point(args.f, S.dim)
     fiber = enumeration.with_frobenius(G, f, order, budget)
-    return {
+    doc = {
         "f": list(fiber.f),
         "candidates": _points(fiber.candidates),
         "count": len(fiber.results),
-        "semigroups": [_isemigroup_doc(T) for T in fiber.results],
     }
+    return _chunks(doc, (_encode(_isemigroup_doc(T)) for T in fiber.results))
 
 
 def cmd_mult_fixed(args):
@@ -243,11 +270,8 @@ def cmd_mult_fixed(args):
         "count": len(results),
         "verified": args.verify_multiplicities,
     }
-    if args.full:
-        doc["semigroups"] = [_isemigroup_doc(T) for T in results]
-    else:
-        doc["semigroups"] = [_isemigroup_doc(T, full=False) for T in results]
-    return doc
+    docs = (_encode(_isemigroup_doc(T, full=args.full)) for T in results)
+    return _chunks(doc, docs)
 
 
 def cmd_med(args):
@@ -345,15 +369,12 @@ def main(argv=None) -> int:
         code = 2
     except (SemigroupError, ValueError) as exc:
         result, code = {"error": type(exc).__name__, "message": str(exc)}, 2
+    if isinstance(result, str):
+        result = (result,)
+    elif isinstance(result, dict):
+        result = (_encode(result), "\n")
     try:
-        if isinstance(result, str):
-            sys.stdout.write(result)
-        else:
-            # A result is a tree of fresh dicts, lists and scalars that the
-            # command has just built, so no container can reach itself, and
-            # the encoder's cycle check (an id entry per container) guards
-            # nothing.
-            print(json.dumps(result, sort_keys=True, check_circular=False))
+        sys.stdout.writelines(result)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout early (``| head``): point stdout at
