@@ -13,10 +13,12 @@ bounds the nodes of the ``tree`` walk, the number of semigroups the
 points a ``plot`` window may hold.  ``tree`` without ``--full`` counts its
 levels as the depth-first walk streams, so it holds one path of the tree,
 not its levels.  ``tree --full``, ``frobenius-fixed`` and ``mult-fixed``
-encode each semigroup on its own and write the document in pieces, one
-semigroup at a time: the tree keeps each node only as its encoded text
-until the walk ends, and no command builds the whole text.  Every search
-and budget check ends before the first byte is written.
+write the document in pieces, one semigroup at a time, each joined from
+per-point texts that every command call builds once per lattice point
+(:func:`_semigroup_encoder`); the bytes equal those of the sorted-key
+encoding of the whole document.  The tree keeps each node only as its
+text until the walk ends, and no command builds the whole text.  Every
+search and budget check ends before the first byte is written.
 """
 
 from __future__ import annotations
@@ -115,15 +117,35 @@ def _chunks(doc, items):
     yield "]" + tail + "\n"
 
 
-def _isemigroup_doc(T, full=True, **extra):
-    doc = {
-        "genus": T.genus,
-        "imsg": _points(T.gens),
-        **extra,
-    }
-    if full:
-        doc["gaps"] = _points(T.gaps)
-    return doc
+class _PointTexts(dict):
+    """Lattice point → its JSON text ``[a, b]``, made on first demand, so a
+    hit is a plain dict lookup."""
+
+    def __missing__(self, point):
+        text = self[point] = "[" + ", ".join(map(str, point)) + "]"
+        return text
+
+
+def _semigroup_encoder(full=True, removed=False):
+    """The text of ``{"gaps": ..., "genus": g, "imsg": ..., "removed": x}``
+    for a semigroup T (and x), as ``json.dumps`` with sorted keys writes
+    it: ``gaps`` only when ``full``, ``removed`` only when ``removed``, and
+    the point lists sorted.  Each point is encoded once per encoder, and
+    each command call makes its own, so no text outlives the call."""
+    texts = _PointTexts()
+
+    def listing(points):
+        return "[" + ", ".join(map(texts.__getitem__, sorted(points))) + "]"
+
+    def encode(T, x=None):
+        text = f'"genus": {T.genus}, "imsg": {listing(T.gens)}'
+        if full:
+            text = f'"gaps": {listing(T.gaps)}, {text}'
+        if removed:
+            text = f'{text}, "removed": {"null" if x is None else texts[x]}'
+        return "{" + text + "}"
+
+    return encode
 
 
 def cmd_gaps(args):
@@ -221,13 +243,14 @@ def cmd_tree(args):
     budget = _budget()
     G = _gap_rep(S, budget)
     if args.full:
-        # each node is kept only as its encoded document, so the walk's
+        # each node is kept only as its encoded text, so the walk's
         # nodes are dropped as it moves on; the budget binds before any
         # byte is written
         n, walk = enumeration._tree(G, args.max_genus, order, budget)
+        encode = _semigroup_encoder(removed=True)
         levels = [[] for _ in range(n)]
         for k, x, T in walk:
-            levels[k].append(_encode(_isemigroup_doc(T, removed=x)))
+            levels[k].append(encode(T, x))
         counts = [len(level) for level in levels]
     else:
         counts = enumeration.tree_counts(G, args.max_genus, order, budget)
@@ -254,7 +277,7 @@ def cmd_frobenius_fixed(args):
         "candidates": _points(fiber.candidates),
         "count": len(fiber.results),
     }
-    return _chunks(doc, (_encode(_isemigroup_doc(T)) for T in fiber.results))
+    return _chunks(doc, map(_semigroup_encoder(), fiber.results))
 
 
 def cmd_mult_fixed(args):
@@ -270,8 +293,7 @@ def cmd_mult_fixed(args):
         "count": len(results),
         "verified": args.verify_multiplicities,
     }
-    docs = (_encode(_isemigroup_doc(T, full=args.full)) for T in results)
-    return _chunks(doc, docs)
+    return _chunks(doc, map(_semigroup_encoder(full=args.full), results))
 
 
 def cmd_med(args):

@@ -136,7 +136,10 @@ def _walk(
         if emitted > budget:
             raise BudgetExceeded(
                 f"removal walk emitted more than {budget} semigroups"
-                + ("" if pool is None else f" over a pool of {len(pool)} points")
+                + ("" if pool is None else f" over a pool of {len(pool)} points"),
+                limit=budget,
+                count=emitted,
+                unit="semigroups",
             )
         yield k, x, U
         if k == depth:
@@ -269,7 +272,12 @@ def with_frobenius(
     for g in range(sum(f) + 1):
         below += (x for x in S.cone.graded_points(g) if key(x) < kf)
         if len(below) > budget:
-            raise BudgetExceeded(f"over {budget} cone points below {f} (grade {g})")
+            raise BudgetExceeded(
+                f"over {budget} cone points below {f} (grade {g})",
+                limit=budget,
+                count=len(below),
+                unit="cone points below f",
+            )
     in_s = [x for x in below if x not in S.gaps]
     f_in_s = f not in S.gaps
     # f − x is f itself for x = 0, else of lower grade than f, so listed in
@@ -279,7 +287,12 @@ def with_frobenius(
     pool = candidates - {zero(S.dim)}
     # each x in the pool gives its own result, the top less x's divisors
     if len(pool) >= budget:
-        raise BudgetExceeded(f"{len(pool)} candidates give over {budget} semigroups")
+        raise BudgetExceeded(
+            f"{len(pool)} candidates give over {budget} semigroups",
+            limit=budget,
+            count=len(pool) + 1,
+            unit="semigroups",
+        )
     # the top loses the nonzero divisors of f in S, a down-set: the points
     # of ``in_s`` that are no candidates, and f when in S
     lost = elements.difference(candidates)

@@ -47,8 +47,16 @@ class BudgetExceeded(SemigroupError):
     """A bounded search ran out of budget before reaching a certificate.
 
     This outcome is inconclusive, unlike :class:`NotCSemigroup` which is a
-    proof of failure.
+    proof of failure.  ``unit`` names what the search counted, ``limit``
+    is the bound it was given and ``count`` the tally that passed it when
+    the search stopped, a lower bound on what finishing would have taken.
     """
+
+    def __init__(self, message, limit=None, count=None, unit=None):
+        self.limit = limit
+        self.count = count
+        self.unit = unit
+        super().__init__(message)
 
 
 class EmptyGaps(SemigroupError):

@@ -187,8 +187,13 @@ class IdealSemigroup(GapSemigroup):
         def keep(y, ny):
             if not is_lost(y):
                 return False
-            if next(lost) > budget:
-                raise BudgetExceeded(f"the ideal loses more than {budget} points")
+            if (n := next(lost)) > budget:
+                raise BudgetExceeded(
+                    f"the ideal loses more than {budget} points",
+                    limit=budget,
+                    count=n,
+                    unit="lost points",
+                )
             return True
 
         down, steps = _down_set(origin, zero(len(S.cone.rays)), msg, keep)

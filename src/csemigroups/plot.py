@@ -50,7 +50,10 @@ def _window(S, window, budget):
     if points > budget:
         raise BudgetExceeded(
             f"the {wx}x{wy} window holds {points} lattice points, "
-            f"more than the budget {budget}"
+            f"more than the budget {budget}",
+            limit=budget,
+            count=points,
+            unit="window lattice points",
         )
     return wx, wy
 

@@ -487,7 +487,12 @@ def certified_gap_scan(S: GenSemigroup, top: int, budget=DEFAULT_BUDGET):
         for x, nums in S.cone.graded_split(g):
             visited += 1
             if visited > budget:
-                raise BudgetExceeded(f"the gap scan reached grade {g} of {top}")
+                raise BudgetExceeded(
+                    f"the gap scan reached grade {g} of {top}",
+                    limit=budget,
+                    count=visited,
+                    unit="scanned cone points",
+                )
             if not S._member(nums):
                 gap_list.append(x)
     return frozenset(gap_list)
@@ -554,7 +559,10 @@ def gaps(S: GenSemigroup, budget=DEFAULT_BUDGET) -> GapSemigroup:
     except BudgetExceeded as exc:
         raise BudgetExceeded(
             f"the budget of {budget} points ran out: the Apery core's closure "
-            f"decided {spent} of them, and {exc}"
+            f"decided {spent} of them, and {exc}",
+            limit=budget,
+            count=spent + exc.count,
+            unit="decided or scanned points",
         ) from None
     return GapSemigroup(S.cone, gap_set, generated=S)
 
@@ -665,7 +673,10 @@ class AperyContext:
             box = {vadd(s, scale(lam, n)) for s in box for lam in range(q)}
             if len(box) > 2_000_000:
                 raise BudgetExceeded(
-                    f"sum box exceeded {2_000_000} distinct points"
+                    f"sum box exceeded {2_000_000} distinct points",
+                    limit=2_000_000,
+                    count=len(box),
+                    unit="sum-box points",
                 )
         return frozenset(box)
 
@@ -738,7 +749,10 @@ def _apery_core(S: GenSemigroup, thresholds, budget=None) -> frozenset[Point]:
         )
         if budget is not None and len(memo) - start > budget:
             raise BudgetExceeded(
-                f"the Apery core's closure decided more than {budget} points"
+                f"the Apery core's closure decided more than {budget} points",
+                limit=budget,
+                count=len(memo) - start,
+                unit="decided points",
             )
         return kept
 

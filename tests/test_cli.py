@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csemigroups import (
+    GapSemigroup,
     MonomialOrder,
     apery_context,
     enumerate_tree,
@@ -198,11 +199,21 @@ def test_tree(capsys, s1_file, s1, deglex):
     assert len(full["semigroups"]) == 9
 
 
+def node_document(T, full=True, **extra):
+    """One listed semigroup's JSON object, built here so that the oracle
+    shares no code with the CLI's encoder."""
+    doc = {"genus": T.genus, "imsg": sorted(T.gens), **extra}
+    if full:
+        doc["gaps"] = sorted(T.gaps)
+    return doc
+
+
 def whole_document(args):
     """The JSON document of a ``tree --full``, ``frobenius-fixed`` or
     ``mult-fixed`` call, built whole from the library's lists."""
     S, order = load_semigroup(args.semigroup)
-    G, order = gaps(S), order or MonomialOrder("deglex")
+    G = S if isinstance(S, GapSemigroup) else gaps(S)
+    order = order or MonomialOrder("deglex")
     if args.command == "tree":
         levels = enumerate_tree(G, args.max_genus, order)
         return {
@@ -212,7 +223,7 @@ def whole_document(args):
                 {"genus": G.genus + i, "count": len(l)} for i, l in enumerate(levels)
             ],
             "semigroups": [
-                cli._isemigroup_doc(node.semigroup, removed=node.removed)
+                node_document(node.semigroup, removed=node.removed)
                 for level in levels
                 for node in level
             ],
@@ -223,7 +234,7 @@ def whole_document(args):
             "f": list(fiber.f),
             "candidates": sorted(fiber.candidates),
             "count": len(fiber.results),
-            "semigroups": [cli._isemigroup_doc(T) for T in fiber.results],
+            "semigroups": [node_document(T) for T in fiber.results],
         }
     M = [tuple(map(int, m.split(","))) for m in args.m]
     results = with_multiplicities(
@@ -233,12 +244,30 @@ def whole_document(args):
         "m": sorted(M),
         "count": len(results),
         "verified": args.verify_multiplicities,
-        "semigroups": [cli._isemigroup_doc(T, full=args.full) for T in results],
+        "semigroups": [node_document(T, full=args.full) for T in results],
     }
 
 
+# semigroup documents the encoding test writes to a file, beside the
+# fixtures: 1-D points, S1 under lex and under a priority, and points of
+# two and three digits (the gap form of N² less (1,0), ..., (11,0), whose
+# generators reach (23,0), and <100, ..., 199>)
+_ENCODING_DOCUMENTS = {
+    "n579": {"p": 1, "generators": [[5], [7], [9]]},
+    "s1_lex": {"p": 2, "generators": [list(g) for g in S1_GENS], "order": "lex"},
+    "s1_priority": {
+        "p": 2,
+        "generators": [list(g) for g in S1_GENS],
+        "order": "degrevlex",
+        "priority": [1, 0],
+    },
+    "axis_gaps": {"p": 2, "rays": [[1, 0], [0, 1]], "gaps": [[k, 0] for k in range(1, 12)]},
+    "n100": {"p": 1, "generators": [[k] for k in range(100, 200)]},
+}
+
+
 @pytest.mark.parametrize(
-    "fixture, argv",
+    "source, argv",
     [
         ("s1_file", ("tree", "--max-genus", "7", "--full")),
         ("d3_file", ("tree", "--max-genus", "3", "--full")),
@@ -253,15 +282,28 @@ def whole_document(args):
         ("s1_file", ("ideal", "5,1", "6,2")),
         ("s1_file", ("med",)),
         ("s1_file", ("decompose",)),
+        ("s1_file", ("mult-fixed", "--m", "10,2", "--m", "6,2")),
+        ("s1_file", ("mult-fixed", "--m", "10,2", "--m", "6,2", "--verify-multiplicities")),
+        ("n579", ("tree", "--max-genus", "11", "--full")),
+        ("s1_lex", ("tree", "--max-genus", "7", "--full")),
+        ("s1_priority", ("tree", "--max-genus", "7", "--full")),
+        ("axis_gaps", ("tree", "--max-genus", "13", "--full")),
+        ("n100", ("frobenius-fixed", "--f", "101")),
     ],
 )
-def test_main_writes_the_default_encoding(capsys, request, fixture, argv):
+def test_main_writes_the_default_encoding(capsys, request, tmp_path, source, argv):
     # main encodes without the cycle check, and the enumeration commands
-    # write one semigroup at a time; the bytes must be those of the default
-    # encoder on the whole document: the result the command itself returns,
-    # or for an enumeration the document built from the library's lists
+    # join each semigroup from per-point texts; the bytes must be those of
+    # the default encoder on the whole document: the result the command
+    # itself returns, or for an enumeration the document built here from
+    # the library's lists
+    if source in _ENCODING_DOCUMENTS:
+        path = tmp_path / f"{source}.json"
+        path.write_text(json.dumps(_ENCODING_DOCUMENTS[source]))
+    else:
+        path = request.getfixturevalue(source)
     command, *options = argv
-    argv = [command, request.getfixturevalue(fixture), *options]
+    argv = [command, str(path), *options]
     args = cli.build_parser().parse_args(argv)
     if command in ("tree", "frobenius-fixed", "mult-fixed"):
         result = whole_document(args)
@@ -568,3 +610,8 @@ def test_cli_fuzz_exits_cleanly(tmp_path_factory, data):
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
     assert code in (0, 2, 3), (argv, out.getvalue())
+    if code == 0 and argv[0] != "plot":
+        # every document is written with sorted keys and the default
+        # separators, whatever writer built it
+        text = out.getvalue()
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", argv

@@ -623,6 +623,26 @@ def test_fiber_budgets(s1, deglex):
         with_multiplicities(s1, M, budget=351, verify_multiplicities=True)
 
 
+def test_budget_exceeded_carries_its_facts(s1, deglex):
+    def facts(call, *args, **kwargs):
+        with pytest.raises(BudgetExceeded) as info:
+            call(*args, **kwargs)
+        return info.value.limit, info.value.count, info.value.unit
+
+    # the tree walk charges every node, the root included
+    assert facts(tree_counts, s1, 8, deglex, budget=10) == (10, 11, "semigroups")
+    # the ideal of (5,1) and (6,2) loses six points of S1
+    P = ideal_from_set(s1, [(5, 1), (6, 2)])
+    assert facts(isemigroup_from_ideal, P, budget=5) == (5, 6, "lost points")
+    # <50,51>: the core's closure decides 1,273 points, then the scan visits
+    # the 2,450 cone points of grades 0..2449
+    assert facts(gaps, GenSemigroup([(50,), (51,)]), budget=3722) == (
+        3722,
+        3723,
+        "decided or scanned points",
+    )
+
+
 def test_frobenius_budget_checked_before_any_removal(n2, deglex, monkeypatch):
     # on N^2 at (400, 1) the 80,200 nonzero candidates prove more than 10
     # results, so no certified removal step may run
