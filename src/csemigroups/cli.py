@@ -243,14 +243,11 @@ def cmd_tree(args):
     budget = _budget()
     G = _gap_rep(S, budget)
     if args.full:
-        # each node is kept only as its encoded text, so the walk's
-        # nodes are dropped as it moves on; the budget binds before any
-        # byte is written
-        n, walk = enumeration._tree(G, args.max_genus, order, budget)
+        # each node is kept only as its encoded text, so the walk's nodes
+        # are dropped as it moves on; the budget binds before any byte is written
+        _, walk = enumeration._tree(G, args.max_genus, order, budget)
         encode = _semigroup_encoder(removed=True)
-        levels = [[] for _ in range(n)]
-        for k, x, T in walk:
-            levels[k].append(encode(T, x))
+        levels = enumeration._levels(walk, lambda x, T: encode(T, x))
         counts = [len(level) for level in levels]
     else:
         counts = enumeration.tree_counts(G, args.max_genus, order, budget)

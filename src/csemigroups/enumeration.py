@@ -5,17 +5,17 @@ y − x ∈ S, and each is built from a parent by one certified step that
 removes a minimal generator of the current ideal.  One depth-first removal
 walk (reverse search, Avis and Fukuda 1996) lists the genus tree and both
 fibers: a node's children remove its generators that follow the point it
-removed, under the semigroup's monomial order for the tree and in
-grade-then-lex order over a finite pool for the fibers.  The walk holds
-only the open siblings on its path and charges every node to a budget.
-The tree's levels are its nodes grouped by depth, and ``tree_counts``
-counts them as they stream (Fromentin and Hivert 2016 walk the tree of
-numerical semigroups this way).  The fibers cost time in proportion to their results: the
-multiplicity fiber starts at S, and the Frobenius fiber at S less the
-divisors of its target, which one walk over those divisors builds
-(:meth:`.IdealSemigroup._from_lost`).  Fiber results are emitted in a
-canonical order (genus, then sorted gap set) so counts and golden files
-are stable.
+removed, under the semigroup's monomial order for the tree and in tuple
+order over a finite pool for the fibers.  The walk charges every node to a
+budget.  Grouped by depth (:func:`_levels`), its nodes are the tree's
+levels, which ``tree_counts`` counts as they stream (Fromentin and Hivert
+2016 walk the tree of numerical semigroups this way), and the fibers'
+results in the canonical order, genus then sorted gaps, with no sort:
+tuple order extends ≤_S (y − x ∈ ℕ^p), so depth is genus, and the least
+point of A △ B decides sorted(A ∪ C) against sorted(B ∪ C).  The fibers
+cost time in proportion to their results: the multiplicity fiber starts
+at S, and the Frobenius fiber at S less the divisors of its target, which
+one walk over those divisors builds (:meth:`.IdealSemigroup._from_lost`).
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ from .errors import BudgetExceeded, NotDegreeCompatible, SemigroupError
 from .lattice import LT, MonomialOrder, Point, vsub, zero
 from .semigroups import DEFAULT_BUDGET, GapSemigroup, apery_context
 from .ideals import IdealSemigroup
-
-
-def _result_key(T: IdealSemigroup):
-    return (T.genus, tuple(sorted(T.gaps)))
 
 
 def big_o(S: GapSemigroup, T, order: MonomialOrder) -> Point | None:
@@ -123,10 +119,10 @@ def _walk(
     With a key that extends ≤_S, every removable set of points is reached
     once, in increasing key order, and the nodes of one depth come out in
     the lexicographic order of their removal sequences: the breadth-first
-    order of that level.  Nodes at ``depth`` get no children.  Only the
-    open siblings along the path to the current node are held.  Raises
-    :class:`BudgetExceeded` once more than ``budget`` nodes have been
-    emitted.
+    order of that level, and in tuple order the fibers' canonical order
+    (module docstring).  Nodes at ``depth`` get no children.  Only the
+    open siblings on the path to the current node are held.  Raises
+    :class:`BudgetExceeded` once more than ``budget`` nodes are emitted.
     """
     above = None if removed is None else key(removed)
     stack, emitted = [(0, removed, above, T)], 0
@@ -152,14 +148,24 @@ def _walk(
         stack.extend(reversed(kids))  # popped in ascending order of y
 
 
+def _levels(walk, node) -> list[list]:
+    """Level k lists ``node(x, U)`` for the nodes U of depth k of a walk
+    (:func:`_walk`), which removed x, in the order the walk emits them."""
+    levels = []
+    for k, x, U in walk:
+        if k == len(levels):
+            levels.append([])
+        levels[k].append(node(x, U))
+    return levels
+
+
 def _removal_walk(
     S: GapSemigroup, T: IdealSemigroup, pool, budget: int
 ) -> list[IdealSemigroup]:
     """T and every semigroup reached from it by removing points of ``pool``
-    in grade-then-lex order, a linear extension of ≤_S (:func:`_walk`),
-    read as each point's rank in that order."""
-    rank = {x: i for i, x in enumerate(sorted(pool, key=lambda x: (sum(x), x)))}
-    return [U for _, _, U in _walk(S, T, rank.__getitem__, budget, pool)]
+    in tuple order (:func:`_walk`), by genus, then sorted gaps (module docstring)."""
+    levels = _levels(_walk(S, T, lambda x: x, budget, pool), lambda x, U: U)
+    return [U for level in levels for U in level]
 
 
 def children(S: GapSemigroup, T: IdealSemigroup, order: MonomialOrder):
@@ -208,11 +214,8 @@ def enumerate_tree(
     divisor-mask reads, and no work that grows with its depth.  Raises
     :class:`BudgetExceeded` when the tree has more than ``budget`` nodes.
     """
-    n, walk = _tree(S, max_genus, order, budget)
-    levels = [[] for _ in range(n)]
-    for k, x, T in walk:
-        levels[k].append(TreeNode(T, x, S.genus + k))
-    return levels
+    _, walk = _tree(S, max_genus, order, budget)
+    return _levels(walk, lambda x, T: TreeNode(T, x, T.genus))
 
 
 def tree_counts(
@@ -297,9 +300,8 @@ def with_frobenius(
     # of ``in_s`` that are no candidates, and f when in S
     lost = elements.difference(candidates)
     top = IdealSemigroup._from_lost(S, lost.__contains__, budget)
-    results = _removal_walk(S, top, pool, budget)
-    results.sort(key=_result_key)
-    return FrobeniusFiber(f, candidates, tuple(results))
+    # the walk lists the results in the canonical order
+    return FrobeniusFiber(f, candidates, tuple(_removal_walk(S, top, pool, budget)))
 
 
 def with_multiplicities(
@@ -312,8 +314,8 @@ def with_multiplicities(
     results are the nodes of the removal walk over B.  With
     ``verify_multiplicities`` the results are post-filtered to those whose
     per-ray least elements equal M exactly; the others lost a multiplicity
-    because the pool holds a ray point.  Raises :class:`BudgetExceeded` when the walk emits more than
-    ``budget`` semigroups, counted before that filter.
+    because the pool holds a ray point.  Raises :class:`BudgetExceeded`
+    when the walk emits more than ``budget`` semigroups, before the filter.
     """
     ctx = apery_context(S, M)
     root = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
@@ -321,5 +323,5 @@ def with_multiplicities(
     if verify_multiplicities:
         ray_elements = frozenset(ctx.ray_elements)
         results = [T for T in results if frozenset(T.multiplicities()) == ray_elements]
-    results.sort(key=_result_key)
+    # the walk lists the results in the canonical order, and the filter keeps it
     return tuple(results)

@@ -181,7 +181,7 @@ class IdealSemigroup(GapSemigroup):
         ``is_lost`` is asked once per step, and :class:`BudgetExceeded` is
         raised once D has more than ``budget`` points.
         """
-        msg, gaps = S._divisors[2], S.gaps
+        msg, gaps = [(n, S._split(n)) for n in S.minimal_generators()], S.gaps
         origin, lost = zero(S.dim), count(1)
 
         def keep(y, ny):

@@ -5,8 +5,9 @@ forward closure (breadth-first sums of generators), cone membership for the
 two fixture cones by explicit inequalities, minimality/decomposition
 questions by direct definition scans, the Apery core by filtering the
 bounded sum box of generators, the two fibers by scanning every subset of
-their candidates, and ray extremality by a phase-one simplex over
-Fractions (the library's simplex works on a fraction-free integer tableau).
+their candidates, their order by its sort key, and ray extremality by a
+phase-one simplex over Fractions (the library's simplex works on a
+fraction-free integer tableau).
 The exceptions are former library routines kept to check the ones
 that replaced them: the ray-section grade scan, which checks the
 Apery-table test; the decomposition check by per-point cone re-tests,
@@ -456,6 +457,11 @@ def frobenius_fiber_by_masks(member, points, f, precedes):
         if closed:
             results.add(frozenset(below) - chosen - {origin} | {f})
     return results
+
+
+def canonical_key(T):
+    """The fibers' canonical order: by genus, then by sorted gap tuple."""
+    return T.genus, tuple(sorted(T.gaps))
 
 
 def multiplicity_fiber_by_masks(member, pool, ray_elements):

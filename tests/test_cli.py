@@ -311,7 +311,17 @@ def test_main_writes_the_default_encoding(capsys, request, tmp_path, source, arg
         result = args.func(args)
     code, out = run(capsys, *argv)
     assert code == 0
-    assert out == json.dumps(result, sort_keys=True) + "\n"
+    expected = json.dumps(result, sort_keys=True) + "\n"
+    if out != expected:
+        # name the first difference: pytest's diff of two long documents
+        # can take minutes
+        i = next(
+            (i for i, (a, b) in enumerate(zip(out, expected)) if a != b),
+            min(len(out), len(expected)),
+        )
+        near = slice(max(i - 40, 0), i + 40)
+        pytest.fail(f"documents differ at {i}: {out[near]!r} != {expected[near]!r}")
+    assert out == expected
 
 
 def test_parser_reuse_keeps_output(capsys, s1_file):

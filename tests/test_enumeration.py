@@ -39,6 +39,7 @@ from csemigroups.serialize import load_document, semigroup_to_document
 from bruteforce import (
     brute_apery_core,
     brute_msg,
+    canonical_key,
     closure_member,
     fixture_cone_points,
     frobenius_fiber_by_masks,
@@ -318,7 +319,7 @@ def test_frobenius_top_matches_removal_steps(data, draws):
     assert (top.gaps, top.gens) == (expected.gaps, expected.gens)
 
     def from_expected():
-        return sorted(walk(S, expected, pool, 300), key=enumeration._result_key)
+        return sorted(walk(S, expected, pool, 300), key=canonical_key)
 
     assert got == _outcome(from_expected)
 
@@ -798,6 +799,7 @@ def test_with_frobenius_matches_masks(data, order, grade, pick):
     )
     assert {T.gaps for T in fiber.results} == expected
     assert len(fiber.results) == len(expected)
+    assert list(fiber.results) == sorted(fiber.results, key=canonical_key)
     for T in fiber.results:
         scratch = GapSemigroup(S.cone, T.gaps).minimal_generators()
         assert T.gens == minimal_elements(S, scratch)
@@ -820,10 +822,24 @@ def test_with_multiplicities_matches_masks(data, draws):
     assume(len(core) <= 11)
     assert apery_context(S, M).core == core
     pool = core - {origin}
-    results = with_multiplicities(S, M)
+    verify = draws.draw(st.booleans())
+    results = with_multiplicities(S, M, verify_multiplicities=verify)
     expected = multiplicity_fiber_by_masks(member, pool, M)
+    if verify:
+        # keep the results whose least element on each ray is M's
+        def least(d, lost):
+            k = 1
+            while not member(p := tuple(k * a for a in d)) or p in lost:
+                k += 1
+            return p
+
+        expected = {
+            lost: gens for lost, gens in expected.items()
+            if [least(d, lost) for d in S.cone.rays] == M
+        }
     assert {T.gaps - S.gaps: T.gens for T in results} == expected
     assert len(results) == len(expected)
+    assert list(results) == sorted(results, key=canonical_key)
 
 
 def _tree_against_oracles(S, member, points, c, verified_levels):
