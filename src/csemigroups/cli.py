@@ -6,7 +6,9 @@ corresponding library operation and prints a machine-readable JSON object
 the reader closed stdout before all output was written (as ``| head``
 does; no traceback is printed), 2 on validation errors (a JSON error
 object naming the violated invariant is printed), 3 when a bounded search
-gave up before reaching a certificate.  The environment variable
+gave up before reaching a certificate (the error object then also holds
+the budget's ``limit``, the ``count`` that passed it and the ``unit``
+counted).  The environment variable
 ``SEMIGROUP_BUDGET`` overrides the default exploration budget; it also
 bounds the nodes of the ``tree`` walk, the number of semigroups the
 ``frobenius-fixed`` and ``mult-fixed`` fibers may list and the lattice
@@ -15,9 +17,11 @@ levels as the depth-first walk streams, so it holds one path of the tree,
 not its levels.  ``tree --full``, ``frobenius-fixed`` and ``mult-fixed``
 write the document in pieces, one semigroup at a time, each joined from
 per-point texts that every command call builds once per lattice point
-(:func:`_semigroup_encoder`); the bytes equal those of the sorted-key
+(:func:`_semigroup_encoder`) straight from the removal walk's bare nodes,
+with no semigroup object built; the bytes equal those of the sorted-key
 encoding of the whole document.  The tree keeps each node only as its
-text until the walk ends, and no command builds the whole text.  Every
+text until the walk ends, and so do the fibers; no command builds the
+whole text.  Every
 search and budget check ends before the first byte is written.
 """
 
@@ -126,21 +130,24 @@ class _PointTexts(dict):
         return text
 
 
-def _semigroup_encoder(full=True, removed=False):
+def _semigroup_encoder(genus, full=True, removed=False):
     """The text of ``{"gaps": ..., "genus": g, "imsg": ..., "removed": x}``
-    for a semigroup T (and x), as ``json.dumps`` with sorted keys writes
-    it: ``gaps`` only when ``full``, ``removed`` only when ``removed``, and
-    the point lists sorted.  Each point is encoded once per encoder, and
-    each command call makes its own, so no text outlives the call."""
+    for a node of the removal walk (``enumeration._walk``) whose root has
+    genus ``genus``, as ``json.dumps`` with sorted keys writes it: ``gaps``
+    only when ``full``, ``removed`` only when ``removed``; the node's
+    point tuples are already sorted.  Each point is encoded once per
+    encoder, and each command call makes its own, so no text outlives the
+    call."""
     texts = _PointTexts()
 
     def listing(points):
-        return "[" + ", ".join(map(texts.__getitem__, sorted(points))) + "]"
+        return "[" + ", ".join(map(texts.__getitem__, points)) + "]"
 
-    def encode(T, x=None):
-        text = f'"genus": {T.genus}, "imsg": {listing(T.gens)}'
+    def encode(node):
+        k, x, gens, _, hs = node
+        text = f'"genus": {genus + k}, "imsg": {listing(gens)}'
         if full:
-            text = f'"gaps": {listing(T.gaps)}, {text}'
+            text = f'"gaps": {listing(hs)}, {text}'
         if removed:
             text = f'{text}, "removed": {"null" if x is None else texts[x]}'
         return "{" + text + "}"
@@ -246,8 +253,7 @@ def cmd_tree(args):
         # each node is kept only as its encoded text, so the walk's nodes
         # are dropped as it moves on; the budget binds before any byte is written
         _, walk = enumeration._tree(G, args.max_genus, order, budget)
-        encode = _semigroup_encoder(removed=True)
-        levels = enumeration._levels(walk, lambda x, T: encode(T, x))
+        levels = enumeration._levels(walk, _semigroup_encoder(G.genus, removed=True))
         counts = [len(level) for level in levels]
     else:
         counts = enumeration.tree_counts(G, args.max_genus, order, budget)
@@ -268,13 +274,13 @@ def cmd_frobenius_fixed(args):
     budget = _budget()
     G = _gap_rep(S, budget)
     f = _parse_point(args.f, S.dim)
-    fiber = enumeration.with_frobenius(G, f, order, budget)
-    doc = {
-        "f": list(fiber.f),
-        "candidates": _points(fiber.candidates),
-        "count": len(fiber.results),
-    }
-    return _chunks(doc, map(_semigroup_encoder(), fiber.results))
+    candidates, top, pool = enumeration._frobenius_start(G, f, order, budget)
+    results = []
+    if top is not None:
+        encode = _semigroup_encoder(top.genus)
+        results = enumeration._fiber(G, top, pool, budget, encode)
+    doc = {"f": list(f), "candidates": _points(candidates), "count": len(results)}
+    return _chunks(doc, results)
 
 
 def cmd_mult_fixed(args):
@@ -282,15 +288,16 @@ def cmd_mult_fixed(args):
     budget = _budget()
     G = _gap_rep(S, budget)
     M = [_parse_point(m, S.dim) for m in args.m]
-    results = enumeration.with_multiplicities(
-        G, M, budget, verify_multiplicities=args.verify_multiplicities
-    )
+    root, pool, keeps = enumeration._multiplicity_start(G, M)
+    encode = _semigroup_encoder(G.genus, full=args.full)
+    keep = keeps if args.verify_multiplicities else None
+    results = enumeration._fiber(G, root, pool, budget, encode, args.full, keep)
     doc = {
         "m": _points(M),
         "count": len(results),
         "verified": args.verify_multiplicities,
     }
-    return _chunks(doc, map(_semigroup_encoder(full=args.full), results))
+    return _chunks(doc, results)
 
 
 def cmd_med(args):
@@ -378,7 +385,14 @@ def main(argv=None) -> int:
     try:
         result = args.func(args)
     except BudgetExceeded as exc:
-        result, code = {"error": "BudgetExceeded", "message": str(exc)}, 3
+        result = {
+            "error": "BudgetExceeded",
+            "message": str(exc),
+            "limit": exc.limit,
+            "count": exc.count,
+            "unit": exc.unit,
+        }
+        code = 3
     except InvalidSemigroupFile as exc:
         result = {
             "error": "InvalidSemigroupFile",

@@ -16,14 +16,24 @@ point of A △ B decides sorted(A ∪ C) against sorted(B ∪ C).  The fibers
 cost time in proportion to their results: the multiplicity fiber starts
 at S, and the Frobenius fiber at S less the divisors of its target, which
 one walk over those divisors builds (:meth:`.IdealSemigroup._from_lost`).
+
+A node of the walk is bare data (:func:`_walk`): its depth, the point it
+removed, its ideal generators as a sorted tuple with their bits in S's
+divisor masks, and its gaps as a sorted tuple, made from the parent's by
+one insertion, or None when the caller writes no gaps.  The command line
+encodes the nodes as they come; ``enumerate_tree``, ``children`` and the
+fibers build an :class:`.IdealSemigroup` only for each node they return.
+The fibers' checks, top, pool and multiplicity filter are helpers
+(:func:`_frobenius_start`, :func:`_multiplicity_start`) that both share.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, NotDegreeCompatible, SemigroupError
-from .lattice import LT, MonomialOrder, Point, vsub, zero
+from .lattice import LT, MonomialOrder, Point, scale, vsub, zero
 from .semigroups import DEFAULT_BUDGET, GapSemigroup, apery_context
 from .ideals import IdealSemigroup
 
@@ -65,53 +75,64 @@ def _generator_mask(S: GapSemigroup, g: Point) -> int:
     return S._divisor_mask(g, ng)
 
 
-def _remove(S: GapSemigroup, T: IdealSemigroup, x: Point) -> IdealSemigroup:
-    """T less its ideal generator x, certified locally.
+def _step(S: GapSemigroup, lost, gens, bits, x: Point):
+    """The certified removal of the ideal generator x from a node of a walk
+    whose root lost ``lost``: the points it promotes, and the child's bits.
 
-    x must be no gap of T and no other generator may divide it, which makes
-    it minimal in the ideal P, so P ∖ {x} is an ideal; otherwise
-    :class:`SemigroupError` names x.  The promoted x + n, n ∈ msg(S), that
-    no other generator divides are incomparable with each other and with
-    the kept generators, so the result's ``gens`` stays canonical.  A
-    generator that is no nonzero element of S is refused by name.
+    x must be no gap of the root and no other generator may divide it,
+    which makes it minimal in the ideal P, so P ∖ {x} is an ideal;
+    otherwise :class:`SemigroupError` names x.  The promoted x + n,
+    n ∈ msg(S), that no other generator divides are incomparable with each
+    other and with the kept generators, so the child's generators stay
+    canonical.  A generator that is no nonzero element of S is refused by
+    name.
 
     Divisibility is read on S's divisor masks
     (``GapSemigroup._divisor_mask``): with K the bits of the generators
-    other than x, x is certified by D(x) & K == 0 and x + n is promoted
-    when D(x + n) & K == 0.  The entries x + n come from x's up-row
-    (``GapSemigroup._up_row``), built the first time any step removes x,
-    so a step costs one ``&`` per n ∈ msg(S), whatever the number of
-    generators or the depth.  The child carries its generators' bits and
-    is built without a re-check (:meth:`IdealSemigroup._less`).
+    ``gens`` other than x, x is certified by D(x) & K == 0 and x + n is
+    promoted when D(x + n) & K == 0.  The entries x + n come from x's
+    up-row (``GapSemigroup._up_row``), built the first time any step
+    removes x, so a step costs one ``&`` per n ∈ msg(S), whatever the
+    number of generators or the depth.  ``bits`` are the bits of ``gens``;
+    at the root they are None and each step reads them from ``gens``.
     """
-    if x in T.gaps:
+    if x in lost:
         raise SemigroupError(f"ideal generator {x} is a gap of the parent")
     masks, _, _, rows = S._divisors
-    gens_mask = T._gens_mask if T.base is S else None
-    if gens_mask is None:
-        gens_mask = 0
-        for g in T.gens:
-            gens_mask |= _bit(_generator_mask(S, g))
+    if bits is None:
+        bits = 0
+        for g in gens:
+            bits |= _bit(_generator_mask(S, g))
     dx = masks.get(x) or _generator_mask(S, x)
-    rest = gens_mask & ~_bit(dx)
+    rest = bits & ~_bit(dx)
     if dx & rest:
-        g = next(g for g in T.gens - {x} if dx & _bit(masks[g]))
+        g = next(g for g in frozenset(gens) - {x} if dx & _bit(masks[g]))
         raise SemigroupError(f"ideal generator {x} is divisible by {g}")
-    promoted, child_mask = [], rest
+    promoted, child = [], rest
     for y, dy, i in rows.get(x) or S._up_row(x):
         if not dy & rest:
             promoted.append(y)
-            child_mask |= 1 << i
-    gens = (T.gens - {x}).union(promoted)
-    return IdealSemigroup._less(S, T, x, gens, child_mask)
+            child |= 1 << i
+    return promoted, child
 
 
 def _walk(
-    S: GapSemigroup, T: IdealSemigroup, key, budget, pool=None, depth=None, removed=None
+    S: GapSemigroup,
+    T: IdealSemigroup,
+    key,
+    budget,
+    pool=None,
+    depth=None,
+    removed=None,
+    gaps=True,
 ):
-    """``(k, x, U)`` for T and every semigroup U reached from it by k
-    certified removal steps, depth first; x is the point U's last step
-    removed (``removed`` for T).
+    """The nodes ``(k, x, gens, bits, gaps)`` of T and of every semigroup U
+    reached from it by k certified removal steps (:func:`_step`), depth
+    first: x is the point U's last step removed (``removed`` for T),
+    ``gens`` U's ideal generators as a sorted tuple, ``bits`` their bits in
+    S's divisor masks (None for T) and ``gaps`` U's gaps as a sorted tuple,
+    or None throughout when ``gaps`` is false.  U is no object: its genus
+    is T's plus k, and :func:`_semigroup` builds it.
 
     A node that removed x has as children the removals of its generators
     that follow x under ``key`` (every generator when x is None),
@@ -120,14 +141,19 @@ def _walk(
     once, in increasing key order, and the nodes of one depth come out in
     the lexicographic order of their removal sequences: the breadth-first
     order of that level, and in tuple order the fibers' canonical order
-    (module docstring).  Nodes at ``depth`` get no children.  Only the
-    open siblings on the path to the current node are held.  Raises
-    :class:`BudgetExceeded` once more than ``budget`` nodes are emitted.
+    (module docstring).  A removed point never returns as a generator, so
+    a step reads the gaps of T alone.  Nodes at ``depth`` get no children.
+    Only the open siblings on the path to the current node are held.
+    Raises :class:`BudgetExceeded` once more than ``budget`` nodes are
+    emitted.
     """
-    above = None if removed is None else key(removed)
-    stack, emitted = [(0, removed, above, T)], 0
+    lost = T.gaps
+    hs = tuple(sorted(lost)) if gaps else None
+    # each point's key, computed once per walk
+    keys = {} if removed is None else {removed: key(removed)}
+    stack, emitted = [(0, removed, tuple(sorted(T.gens)), None, hs)], 0
     while stack:
-        k, x, above, U = stack.pop()
+        node = stack.pop()
         emitted += 1
         if emitted > budget:
             raise BudgetExceeded(
@@ -137,49 +163,89 @@ def _walk(
                 count=emitted,
                 unit="semigroups",
             )
-        yield k, x, U
+        yield node
+        k, x, gens, bits, hs = node
         if k == depth:
             continue
+        above = None if x is None else keys[x]
         kids = []
-        for y in sorted(U.gens if pool is None else U.gens & pool):
-            ky = key(y)
-            if above is None or ky > above:
-                kids.append((k + 1, y, ky, _remove(S, U, y)))
+        for j, y in enumerate(gens):
+            if pool is not None and y not in pool:
+                continue
+            ky = keys.get(y)
+            if ky is None:
+                ky = keys[y] = key(y)
+            if above is not None and ky <= above:
+                continue
+            promoted, child = _step(S, lost, T.gens if bits is None else gens, bits, y)
+            # the kept generators are one sorted run, so the sort merges
+            promoted += gens[:j]
+            promoted += gens[j + 1 :]
+            promoted.sort()
+            hy = hs
+            if hs is not None:
+                i = bisect(hs, y)
+                hy = hs[:i] + (y,) + hs[i:]
+            kids.append((k + 1, y, tuple(promoted), child, hy))
         stack.extend(reversed(kids))  # popped in ascending order of y
 
 
+def _semigroup(base: GapSemigroup, node) -> IdealSemigroup:
+    """The semigroup of a walk's node (:func:`_walk`) over ``base``."""
+    return IdealSemigroup(base, node[4], gens=node[2])
+
+
 def _levels(walk, node) -> list[list]:
-    """Level k lists ``node(x, U)`` for the nodes U of depth k of a walk
-    (:func:`_walk`), which removed x, in the order the walk emits them."""
+    """Level k lists ``node(n)`` for the nodes n of depth k of a walk
+    (:func:`_walk`), in the order the walk emits them; a depth with no
+    node, as a filtered walk may leave, gives an empty level."""
     levels = []
-    for k, x, U in walk:
-        if k == len(levels):
+    for n in walk:
+        k = n[0]
+        while k >= len(levels):
             levels.append([])
-        levels[k].append(node(x, U))
+        levels[k].append(node(n))
     return levels
+
+
+def _fiber(
+    S: GapSemigroup, T: IdealSemigroup, pool, budget, node, gaps=True, keep=None
+):
+    """``node(n)`` for T and every node n reached from it by removing
+    points of ``pool`` in tuple order (:func:`_walk`), by genus, then
+    sorted gaps (module docstring).  With ``keep``, only the nodes whose
+    generators it keeps are listed, but the budget counts every node."""
+    walk = _walk(S, T, _tuple_order, budget, pool, gaps=gaps)
+    if keep is not None:
+        walk = (n for n in walk if keep(n[2]))
+    return [v for level in _levels(walk, node) for v in level]
+
+
+def _tuple_order(x: Point) -> Point:
+    """The fibers' walk key: tuple order, which extends ≤_S."""
+    return x
 
 
 def _removal_walk(
     S: GapSemigroup, T: IdealSemigroup, pool, budget: int
 ) -> list[IdealSemigroup]:
     """T and every semigroup reached from it by removing points of ``pool``
-    in tuple order (:func:`_walk`), by genus, then sorted gaps (module docstring)."""
-    levels = _levels(_walk(S, T, lambda x: x, budget, pool), lambda x, U: U)
-    return [U for level in levels for U in level]
+    in tuple order, by genus, then sorted gaps (:func:`_fiber`)."""
+    return _fiber(S, T, pool, budget, lambda n: _semigroup(T.base, n))
 
 
 def children(S: GapSemigroup, T: IdealSemigroup, order: MonomialOrder):
     """Child nodes of T in the genus tree of S.
 
-    Exactly the certified removals (:func:`_remove`) of the canonical ideal
+    Exactly the certified removals (:func:`_step`) of the canonical ideal
     generators exceeding ``big_o(S, T)``, in sorted order: the first step
-    of the tree's walk from T.  Each child costs O(|msg(S)|) divisor-mask
-    reads; this function recomputes ``big_o``, which the walk carries down
-    instead.
+    of the tree's walk from T, built over T's base.  Each child costs
+    O(|msg(S)|) divisor-mask reads; this function recomputes ``big_o``,
+    which the walk carries down instead.
     """
     # at most one node per generator besides T, so the budget never binds
     walk = _walk(S, T, order.key, len(T.gens) + 1, depth=1, removed=big_o(S, T, order))
-    return [U for k, _, U in walk if k]
+    return [_semigroup(T.base, n) for n in walk if n[0]]
 
 
 @dataclass(frozen=True)
@@ -191,14 +257,17 @@ class TreeNode:
     genus: int
 
 
-def _tree(S: GapSemigroup, max_genus: int, order: MonomialOrder, budget: int):
+def _tree(
+    S: GapSemigroup, max_genus: int, order: MonomialOrder, budget: int, gaps=True
+):
     """The number of levels of S's genus tree up to ``max_genus``, and the
-    walk (:func:`_walk`) that lists its nodes."""
+    walk (:func:`_walk`) that lists its nodes, with their gaps when
+    ``gaps``."""
     levels = max_genus - S.genus + 1
     if levels < 1:
         raise ValueError(f"max_genus {max_genus} is below the root genus {S.genus}")
     root = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
-    return levels, _walk(S, root, order.key, budget, depth=levels - 1)
+    return levels, _walk(S, root, order.key, budget, depth=levels - 1, gaps=gaps)
 
 
 def enumerate_tree(
@@ -215,18 +284,19 @@ def enumerate_tree(
     :class:`BudgetExceeded` when the tree has more than ``budget`` nodes.
     """
     _, walk = _tree(S, max_genus, order, budget)
-    return _levels(walk, lambda x, T: TreeNode(T, x, T.genus))
+    return _levels(walk, lambda n: TreeNode(_semigroup(S, n), n[1], S.genus + n[0]))
 
 
 def tree_counts(
     S: GapSemigroup, max_genus: int, order: MonomialOrder, budget=DEFAULT_BUDGET
 ) -> list[int]:
     """The sizes of :func:`enumerate_tree`'s levels, counted as the walk
-    streams, so only the open siblings on the path are held."""
-    n, walk = _tree(S, max_genus, order, budget)
+    streams, so only the open siblings on the path are held, and no node
+    carries its gaps."""
+    n, walk = _tree(S, max_genus, order, budget, gaps=False)
     counts = [0] * n
-    for k, _, _ in walk:
-        counts[k] += 1
+    for node in walk:
+        counts[node[0]] += 1
     return counts
 
 
@@ -244,22 +314,10 @@ class FrobeniusFiber:
     results: tuple[IdealSemigroup, ...]
 
 
-def with_frobenius(
-    S: GapSemigroup, f, order: MonomialOrder, budget=DEFAULT_BUDGET
-) -> FrobeniusFiber:
-    """All ideal-derived semigroups of S with Frobenius element ``f``.
-
-    Requires a degree-compatible order so that the region below ``f`` is
-    finite; plain lex is rejected.  The fiber's top, S less the nonzero
-    divisors of ``f`` (``f`` among them when in S), is built in one walk
-    over those divisors (:meth:`IdealSemigroup._from_lost`), and the removal
-    walk over the nonzero candidates lists the fiber from there, one
-    certified removal step per further result.
-    Raises :class:`BudgetExceeded` when the scan lists more than ``budget``
-    cone points below ``f``, before any removal, or when the fiber has
-    more than ``budget`` semigroups.
-    """
-    f = tuple(f)
+def _frobenius_start(S: GapSemigroup, f: Point, order: MonomialOrder, budget):
+    """The checks, candidates, top and pool of :func:`with_frobenius`:
+    ``(candidates, top, pool)``, with no top (and no candidates) when a
+    gap of S follows f, so that the fiber is empty."""
     if not order.degree_compatible:
         raise NotDegreeCompatible(
             "the region below f is only finite for degree-compatible orders"
@@ -269,7 +327,7 @@ def with_frobenius(
     if S.gaps:
         fb = order.max(S.gaps)
         if order.compare(f, fb) == LT:
-            return FrobeniusFiber(f, frozenset(), ())
+            return frozenset(), None, None
 
     below, key, kf = [], order.key, order.key(f)
     for g in range(sum(f) + 1):
@@ -300,8 +358,49 @@ def with_frobenius(
     # of ``in_s`` that are no candidates, and f when in S
     lost = elements.difference(candidates)
     top = IdealSemigroup._from_lost(S, lost.__contains__, budget)
+    return candidates, top, pool
+
+
+def with_frobenius(
+    S: GapSemigroup, f, order: MonomialOrder, budget=DEFAULT_BUDGET
+) -> FrobeniusFiber:
+    """All ideal-derived semigroups of S with Frobenius element ``f``.
+
+    Requires a degree-compatible order so that the region below ``f`` is
+    finite; plain lex is rejected.  The fiber's top, S less the nonzero
+    divisors of ``f`` (``f`` among them when in S), is built in one walk
+    over those divisors (:meth:`IdealSemigroup._from_lost`), and the removal
+    walk over the nonzero candidates lists the fiber from there, one
+    certified removal step per further result.
+    Raises :class:`BudgetExceeded` when the scan lists more than ``budget``
+    cone points below ``f``, before any removal, or when the fiber has
+    more than ``budget`` semigroups.
+    """
+    f = tuple(f)
+    candidates, top, pool = _frobenius_start(S, f, order, budget)
+    if top is None:
+        return FrobeniusFiber(f, candidates, ())
     # the walk lists the results in the canonical order
     return FrobeniusFiber(f, candidates, tuple(_removal_walk(S, top, pool, budget)))
+
+
+def _multiplicity_start(S: GapSemigroup, M):
+    """The root and pool of :func:`with_multiplicities`, and the test of its
+    ``verify_multiplicities`` filter on a result's ideal generators.
+
+    A result keeps M, which lies outside the pool.  Its least element on
+    a ray is one of its ideal generators, since a sum on an extremal ray
+    has both terms on it, so its per-ray least elements are M exactly when
+    no generator lies on a ray below M's element there.
+    """
+    ctx = apery_context(S, M)
+    root = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
+    below = {
+        scale(j, d)
+        for d, m in zip(S.cone.rays, ctx.ray_elements)
+        for j in range(1, sum(m) // sum(d))
+    }
+    return root, ctx.core - {zero(S.dim)}, below.isdisjoint
 
 
 def with_multiplicities(
@@ -317,11 +416,7 @@ def with_multiplicities(
     because the pool holds a ray point.  Raises :class:`BudgetExceeded`
     when the walk emits more than ``budget`` semigroups, before the filter.
     """
-    ctx = apery_context(S, M)
-    root = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
-    results = _removal_walk(S, root, ctx.core - {zero(S.dim)}, budget)
-    if verify_multiplicities:
-        ray_elements = frozenset(ctx.ray_elements)
-        results = [T for T in results if frozenset(T.multiplicities()) == ray_elements]
+    root, pool, keeps = _multiplicity_start(S, M)
+    keep = keeps if verify_multiplicities else None
     # the walk lists the results in the canonical order, and the filter keeps it
-    return tuple(results)
+    return tuple(_fiber(S, root, pool, budget, lambda n: _semigroup(S, n), keep=keep))

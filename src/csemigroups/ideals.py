@@ -127,15 +127,10 @@ class IdealSemigroup(GapSemigroup):
     Equality and hashing are those of the gap set.
 
     The points the base lost are checked through the base's split memo
-    (``GapSemigroup._split``).  A child built by a removal step of
-    :mod:`.enumeration` (:meth:`_less`) skips ``__init__``: its fields are
-    set directly, and its one new point is checked only over a base other
-    than the one the step read.
+    (``GapSemigroup._split``).  The removal walk of :mod:`.enumeration`
+    carries its nodes as bare tuples and builds this class only for the
+    semigroups the library returns.
     """
-
-    #: the bits of ``gens`` in the base's divisor masks
-    #: (``GapSemigroup._divisor_mask``), set by the removal step that built it
-    _gens_mask: int | None = None
 
     def __init__(self, base: GapSemigroup, gap_set, gens=None, generated=None):
         self.base = base
@@ -145,29 +140,6 @@ class IdealSemigroup(GapSemigroup):
         self._check_gaps(self.gaps - base.gaps, lambda h: base._split(h) is not None)
         if gens is not None:
             self.gens = frozenset(gens)
-
-    @classmethod
-    def _less(
-        cls, S: GapSemigroup, T: "IdealSemigroup", x: Point, gens, gens_mask: int
-    ):
-        """T less its ideal generator x, with the ideal generators ``gens``
-        (a frozenset) whose bits in S's divisor masks are ``gens_mask``.
-
-        The child's fields are set directly.  T's gaps were checked when T
-        was built, and when T's base is S, x needs no check either: the
-        removal step gave it a divisor mask, which only a nonzero point of
-        S of S's dimension gets.  Over another base, x is checked as
-        ``__init__`` checks a lost point.
-        """
-        child = cls.__new__(cls)
-        child.base = base = T.base
-        child.cone = base.cone
-        child.gaps = T.gaps | {x}
-        if base is not S:
-            child._check_gaps((x,), lambda h: base._split(h) is not None)
-        child.gens = gens
-        child._gens_mask = gens_mask
-        return child
 
     @classmethod
     def _from_lost(cls, S: GapSemigroup, is_lost, budget=DEFAULT_BUDGET):

@@ -15,8 +15,11 @@ which checks the walk over split cone points; the type-2 MED check by
 a scan of every section point of a grade box, which checks the scan of
 the section's least points; the certified removal step with its
 divisibility tests in point space, which checks the step on cone
-coordinates; and the Frobenius fiber's top by one removal step per
-divisor of the target, which checks the walk that builds it at once;
+coordinates; the removal walk over ``IdealSemigroup`` nodes, with the
+step on divisor masks that built each child from its parent's gap set,
+which checks the walk over bare nodes; and the Frobenius fiber's top by
+one removal step per divisor of the target, which checks the walk that
+builds it at once;
 the gap scan stopped by the window certificate, which checks the scan
 that the Apery table bounds and the walk over an ideal's lost points;
 and a gap set's generated form from every element up to the generator
@@ -30,7 +33,13 @@ its generated form; it reads only the gaps and an explicit cone test.
 from fractions import Fraction
 from itertools import combinations, product
 
-from csemigroups import GenSemigroup, IdealSemigroup, SemigroupError, enumeration
+from csemigroups import (
+    BudgetExceeded,
+    GenSemigroup,
+    IdealSemigroup,
+    SemigroupError,
+    enumeration,
+)
 
 
 def sum_closure(gens, max_grade):
@@ -389,7 +398,7 @@ def removable_pairs(member, cone_points, base_gaps):
 
 
 def remove_in_point_space(S, T, x):
-    """The certified removal step (``enumeration._remove``) with each "g
+    """The certified removal step (``enumeration._step``) with each "g
     divides y" read as ``S.contains(y − g)``, one cone test per pair."""
     if x in T.gaps:
         raise SemigroupError(f"ideal generator {x} is a gap of the parent")
@@ -402,9 +411,77 @@ def remove_in_point_space(S, T, x):
     return IdealSemigroup(S, T.gaps | {x}, rest | promoted)
 
 
+def remove_by_masks(S, T, x):
+    """T less its ideal generator x, by the step on S's divisor masks that
+    built each child of the former walk over ``IdealSemigroup`` nodes: the
+    generators' bits are read anew from T, the child is built and checked
+    from its gap set, over T's base."""
+    if x in T.gaps:
+        raise SemigroupError(f"ideal generator {x} is a gap of the parent")
+    masks, _, _, rows = S._divisors
+    gens_mask = 0
+    for g in T.gens:
+        gens_mask |= enumeration._bit(enumeration._generator_mask(S, g))
+    dx = masks.get(x) or enumeration._generator_mask(S, x)
+    rest = gens_mask & ~enumeration._bit(dx)
+    if dx & rest:
+        g = next(g for g in T.gens - {x} if dx & enumeration._bit(masks[g]))
+        raise SemigroupError(f"ideal generator {x} is divisible by {g}")
+    promoted = [y for y, dy, _ in rows.get(x) or S._up_row(x) if not dy & rest]
+    return IdealSemigroup(T.base, T.gaps | {x}, (T.gens - {x}).union(promoted))
+
+
+def removal_walk(
+    S, T, key, budget, pool=None, depth=None, removed=None, remove=remove_in_point_space
+):
+    """``(k, x, U)`` for T and every semigroup U reached from it by k
+    removal steps ``remove(S, parent, y)``, depth first; x is the point
+    U's last step removed (``removed`` for T).  The former library walk:
+    a node that removed x has as children the removals of its generators
+    that follow x under ``key`` (all of them when x is None), restricted
+    to ``pool``, in ascending tuple order; nodes at ``depth`` get none;
+    :class:`BudgetExceeded` once more than ``budget`` nodes are emitted."""
+    above = None if removed is None else key(removed)
+    stack, emitted = [(0, removed, above, T)], 0
+    while stack:
+        k, x, above, U = stack.pop()
+        emitted += 1
+        if emitted > budget:
+            raise BudgetExceeded(
+                f"removal walk emitted more than {budget} semigroups"
+                + ("" if pool is None else f" over a pool of {len(pool)} points")
+            )
+        yield k, x, U
+        if k == depth:
+            continue
+        kids = []
+        for y in sorted(U.gens if pool is None else U.gens & pool):
+            ky = key(y)
+            if above is None or ky > above:
+                kids.append((k + 1, y, ky, remove(S, U, y)))
+        stack.extend(reversed(kids))
+
+
+def walk_levels(walk):
+    """The nodes ``(x, U)`` of a :func:`removal_walk`, grouped by depth."""
+    levels = []
+    for k, x, U in walk:
+        if k == len(levels):
+            levels.append([])
+        levels[k].append((x, U))
+    return levels
+
+
+def fiber_by_walk(S, T, pool, budget, remove=remove_in_point_space):
+    """T and every semigroup reached from it by removing points of
+    ``pool`` in tuple order, by depth, then in walk order."""
+    walk = removal_walk(S, T, lambda x: x, budget, pool, remove=remove)
+    return [U for level in walk_levels(walk) for _, U in level]
+
+
 def frobenius_top_by_removals(S, f):
     """S less the nonzero divisors of f in S, with its ideal generators,
-    by one certified removal step (``enumeration._remove``) per divisor.
+    by one certified removal step (:func:`remove_by_masks`) per divisor.
 
     The divisors are the points x of S∖{0} up to the grade of f with
     f − x in S, f itself when in S; they are removed in increasing grade,
@@ -414,7 +491,7 @@ def frobenius_top_by_removals(S, f):
     for g in range(1, sum(f) + 1):
         for x in S.cone.graded_points(g):
             if S.contains(x) and S.contains(_sub(f, x)):
-                T = enumeration._remove(S, T, x)
+                T = remove_by_masks(S, T, x)
     return T
 
 

@@ -389,6 +389,78 @@ def test_tree_budget_env_exit_3(capsys, s1_file, monkeypatch, full):
     assert doc["total"] == 39
 
 
+# documents for the exit-3 cases: S1 in gap form, so that no gap scan
+# spends the budget first; <50,51>, whose core closure decides 1,273
+# points before the scan visits the cone points of grades 0..2449; and
+# <(4,9),(7,9),(1,8),(3,4),(1,9)>, whose multiplicity fiber at (1,9) and
+# (7,9) walks a pool of 122 points
+_BUDGET_DOCUMENTS = {
+    "s1_gaps": {
+        "p": 2,
+        "rays": [[3, 1], [5, 1]],
+        "gaps": [[3, 1], [4, 1], [7, 2], [8, 2]],
+    },
+    "n50_51": {"p": 1, "generators": [[50], [51]]},
+    "wide": {"p": 2, "generators": [[4, 9], [7, 9], [1, 8], [3, 4], [1, 9]]},
+}
+
+
+@pytest.mark.parametrize(
+    "source, argv, budget, count, unit",
+    [
+        ("s1_gaps", ("tree", "--max-genus", "9"), 40, 41, "semigroups"),
+        ("s1_gaps", ("mult-fixed", "--m", "10,2", "--m", "6,2"), 351, 352, "semigroups"),
+        ("s1_gaps", ("frobenius-fixed", "--f", "14,3"), 9, 10, "cone points below f"),
+        ("s1_gaps", ("ideal", "5,1", "6,2"), 5, 6, "lost points"),
+        ("n50_51", ("gaps",), 500, 527, "decided points"),
+        ("n50_51", ("gaps",), 3000, 3001, "decided or scanned points"),
+        ("s1_gaps", ("plot", "--window", "10"), 50, 121, "window lattice points"),
+    ],
+    ids=["tree", "mult-fixed", "frobenius-fixed", "ideal", "gaps-closure", "gaps-scan", "plot"],
+)
+def test_exit_3_carries_the_budget_facts(
+    capsys, tmp_path, monkeypatch, source, argv, budget, count, unit
+):
+    # the exit-3 object names the budget, the tally that passed it and what
+    # was counted, beside the message; one case per unit a command reaches
+    # (the sum box's fixed limit of 2,000,000 points is not run here)
+    path = tmp_path / f"{source}.json"
+    path.write_text(json.dumps(_BUDGET_DOCUMENTS[source]))
+    command, *options = argv
+    monkeypatch.setenv("SEMIGROUP_BUDGET", str(budget))
+    code, out = run(capsys, command, str(path), *options)
+    assert code == 3
+    doc = json.loads(out)
+    assert sorted(doc) == ["count", "error", "limit", "message", "unit"]
+    assert (doc["error"], doc["limit"], doc["count"], doc["unit"]) == (
+        "BudgetExceeded", budget, count, unit
+    )
+    assert out == json.dumps(doc, sort_keys=True) + "\n"
+
+
+def test_mult_fixed_budget_binds_before_memory_runs_out(tmp_path, monkeypatch):
+    """The multiplicity fiber of <(4,9),(7,9),(1,8),(3,4),(1,9)> at (1,9)
+    and (7,9) walks a pool of 122 points and has more results than the
+    default budget.  Without ``--full`` the walk's nodes carry no gaps and
+    each result is kept only as its encoded text, so at a budget of 20,000
+    the run exits 3 with its traced allocations under 32 MiB (about 6 MiB
+    here; holding a semigroup with its gap set per result took 660 MiB)."""
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(_BUDGET_DOCUMENTS["wide"]))
+    monkeypatch.setenv("SEMIGROUP_BUDGET", "20000")
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(["mult-fixed", "--m", "1,9", "--m", "7,9", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert json.loads(out.getvalue())["count"] == 20001
+    assert peak < 32 * 2**20
+
+
 def test_tree_counts_hold_one_path(s1_file):
     """``tree`` without ``--full`` streams its counts: to genus 12 on S1
     (4,616 nodes) its traced allocations peak under 3 MB, where holding

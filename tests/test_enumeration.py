@@ -43,11 +43,14 @@ from bruteforce import (
     closure_member,
     fixture_cone_points,
     frobenius_fiber_by_masks,
+    fiber_by_walk,
     frobenius_top_by_removals,
     in_fixture_cone,
     multiplicity_fiber_by_masks,
     removable_pairs,
+    removal_walk,
     remove_in_point_space,
+    walk_levels,
 )
 from conftest import S1_GENS
 from strategies import orthant_csemigroups, simplicial_semigroups, small_csemigroups
@@ -238,10 +241,45 @@ def _outcome(run):
     return [(T.gaps, T.gens) for T in out]
 
 
-def _agrees_with_point_space(run):
-    got = _outcome(run)
-    with mock.patch.object(enumeration, "_remove", remove_in_point_space):
-        assert got == _outcome(run)
+def _agrees_with_point_space(run, oracle):
+    """``run`` gives what ``oracle`` gives, the same call on the former
+    walk over ``IdealSemigroup`` nodes whose step reads each divisibility
+    in point space."""
+    assert _outcome(run) == _outcome(oracle)
+
+
+def _oracle_children(S, T, order):
+    removed = big_o(S, T, order)
+    walk = removal_walk(S, T, order.key, len(T.gens) + 1, depth=1, removed=removed)
+    return [U for k, _, U in walk if k]
+
+
+def _removed(S, T, x):
+    """The walk's one step from T that removes its generator x."""
+    walk = enumeration._walk(S, T, enumeration._tuple_order, 2, {x}, depth=1)
+    return [enumeration._semigroup(T.base, n) for n in walk if n[0]]
+
+
+def _oracle_frobenius(S, f, order, budget):
+    _, top, pool = enumeration._frobenius_start(S, f, order, budget)
+    return [] if top is None else fiber_by_walk(S, top, pool, budget)
+
+
+def _oracle_multiplicities(S, M, budget, verify=False):
+    """The multiplicity fiber on the oracle walk, filtered by the
+    results' own per-ray least elements."""
+    root, pool, _ = enumeration._multiplicity_start(S, M)
+    results = fiber_by_walk(S, root, pool, budget)
+    if verify:
+        M = set(apery_context(S, M).ray_elements)
+        results = [T for T in results if set(T.multiplicities()) == M]
+    return results
+
+
+def _children_agree(S, T, order):
+    _agrees_with_point_space(
+        lambda: children(S, T, order), lambda: _oracle_children(S, T, order)
+    )
 
 
 @given(data=simplicial_semigroups(), draws=st.data())
@@ -259,26 +297,34 @@ def test_removal_step_matches_point_space(data, draws):
         assume(False)
     order = MonomialOrder("deglex")
     root = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
-    _agrees_with_point_space(lambda: children(S, root, order))
+    _children_agree(S, root, order)
     for T in children(S, root, order):
-        _agrees_with_point_space(lambda: children(S, T, order))
+        _children_agree(S, T, order)
     T = draws.draw(st.sampled_from(children(S, root, order)))
     (lost,) = T.gaps - S.gaps
     g = draws.draw(st.sampled_from(sorted(T.gens)))
     n = draws.draw(st.sampled_from(sorted(S.minimal_generators())))
     for bad in (lost, tuple(a + b for a, b in zip(g, n))):
         corrupt = IdealSemigroup(S, T.gaps, T.gens | {bad})
-        _agrees_with_point_space(lambda: children(S, corrupt, order))
-        _agrees_with_point_space(lambda: [enumeration._remove(S, corrupt, bad)])
+        _children_agree(S, corrupt, order)
+        _agrees_with_point_space(
+            lambda: _removed(S, corrupt, bad),
+            lambda: [remove_in_point_space(S, corrupt, bad)],
+        )
     grade = draws.draw(st.integers(1, {1: 14, 2: 10, 3: 5}[S.dim]))
     at_grade = [p for p in points(grade) if sum(p) == grade]
     if at_grade:
         f = draws.draw(st.sampled_from(at_grade))
-        fiber = lambda: with_frobenius(S, f, order, budget=300).results
-        _agrees_with_point_space(fiber)
+        _agrees_with_point_space(
+            lambda: with_frobenius(S, f, order, budget=300).results,
+            lambda: _oracle_frobenius(S, f, order, 300),
+        )
     k = draws.draw(st.integers(1, 2))
     M = [tuple(k * a for a in m) for m in S.multiplicities()]
-    _agrees_with_point_space(lambda: with_multiplicities(S, M, budget=300))
+    _agrees_with_point_space(
+        lambda: with_multiplicities(S, M, budget=300),
+        lambda: _oracle_multiplicities(S, M, 300),
+    )
 
 
 @given(data=simplicial_semigroups(), draws=st.data())
@@ -334,9 +380,9 @@ def test_frobenius_fiber_takes_one_removal_step_per_result(gens, f, count, monke
     # 18, 322 and 3,998 steps here
     S = gaps(GenSemigroup(gens))
     steps = []
-    remove = enumeration._remove
+    step = enumeration._step
     monkeypatch.setattr(
-        enumeration, "_remove", lambda *args: steps.append(args[2]) or remove(*args)
+        enumeration, "_step", lambda *args: steps.append(args[4]) or step(*args)
     )
     fiber = with_frobenius(S, f, MonomialOrder("deglex"))
     assert len(fiber.results) == count
@@ -360,13 +406,16 @@ def test_removal_path_matches_point_space(data, draws):
     msg = sorted(S.minimal_generators())
     T = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
     for _ in range(6):
-        _agrees_with_point_space(lambda: children(S, T, order))
+        _children_agree(S, T, order)
         g = draws.draw(st.sampled_from(sorted(T.gens)))
         n = draws.draw(st.sampled_from(msg))
         bad = tuple(a + b for a, b in zip(g, n))
         corrupt = IdealSemigroup(S, T.gaps, T.gens | {bad})
-        _agrees_with_point_space(lambda: children(S, corrupt, order))
-        _agrees_with_point_space(lambda: [enumeration._remove(S, corrupt, bad)])
+        _children_agree(S, corrupt, order)
+        _agrees_with_point_space(
+            lambda: _removed(S, corrupt, bad),
+            lambda: [remove_in_point_space(S, corrupt, bad)],
+        )
         kids = children(S, T, order)
         if not kids:
             break
@@ -377,10 +426,11 @@ def test_removal_path_matches_point_space(data, draws):
 @settings(max_examples=60, deadline=None)
 def test_lean_child_matches_full_child(data, draws):
     """Down a drawn path of children, up to six levels below the root, each
-    child the removal step builds without ``__init__`` equals the one
-    ``IdealSemigroup`` builds and checks from its gaps, and carries its
-    generators' bits.  Over an equal base that is not S, the step checks
-    the lost point and keeps that base."""
+    bare node of the walk matches the ``IdealSemigroup`` built and checked
+    from its gaps alone: its sorted gaps and generators are that
+    semigroup's, and its bits are those of that semigroup's generators in
+    S's divisor masks.  Over an equal base that is not S, the children
+    keep that base."""
     gens, _, _ = data
     try:
         S = gaps(GenSemigroup(gens, warn_redundant=False))
@@ -389,28 +439,34 @@ def test_lean_child_matches_full_child(data, draws):
     order = MonomialOrder("deglex")
     T = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
     for _ in range(6):
+        walk = enumeration._walk(
+            S, T, order.key, len(T.gens) + 1, depth=1, removed=big_o(S, T, order)
+        )
+        nodes = [n for n in walk if n[0]]
         kids = children(S, T, order)
+        assert len(nodes) == len(kids)
         if not kids:
             break
-        for child in kids:
-            full = IdealSemigroup(S, child.gaps, gens=child.gens)
+        masks = S._divisors[0]
+        for (_, x, node_gens, bits, node_gaps), child in zip(nodes, kids):
+            full = IdealSemigroup(S, node_gaps)
+            assert x in full.gaps and x not in T.gaps
+            assert node_gaps == tuple(sorted(full.gaps))
+            assert node_gens == tuple(sorted(full.gens))
+            full_bits = 0
+            for g in full.gens:
+                full_bits |= 1 << masks[g].bit_length() - 1
+            assert bits == full_bits
             assert (child.gaps, child.gens, child.base, child.cone) == (
                 full.gaps, full.gens, full.base, full.cone
             )
             assert child == full and hash(child) == hash(full)
             assert child.minimal_generators() == full.minimal_generators()
             assert child.multiplicities() == full.multiplicities()
-            assert child.gens == IdealSemigroup(S, child.gaps).gens
-            masks = S._divisors[0]
-            bits = 0
-            for g in child.gens:
-                bits |= 1 << masks[g].bit_length() - 1
-            assert child._gens_mask == bits
         T = draws.draw(st.sampled_from(kids))
     other = GapSemigroup(S.cone, S.gaps)
     root = IdealSemigroup(other, other.gaps, gens=S.minimal_generators())
-    for x in sorted(root.gens):
-        child = enumeration._remove(S, root, x)
+    for child in children(S, root, order):
         assert child.base is other
         assert child == IdealSemigroup(other, child.gaps, gens=child.gens)
 
@@ -423,6 +479,114 @@ def _tree_orders(draw, dim):
         MonomialOrder("lex"),
         MonomialOrder("degrevlex", priority),
     ]))
+
+
+@st.composite
+def _walk_bases(draw):
+    """A C-semigroup in dimension 1-3 with a lister of its cone's points up
+    to a grade: from ``simplicial_semigroups`` (cones of lower dimension
+    than their lattice among them), ``small_csemigroups`` or
+    ``orthant_csemigroups``."""
+    source = draw(st.sampled_from(["simplicial", "small", "orthant"]))
+    if source == "simplicial":
+        gens, _, points = draw(simplicial_semigroups())
+        try:
+            return gaps(GenSemigroup(gens, warn_redundant=False)), points
+        except NotCSemigroup:
+            assume(False)
+    strategy = small_csemigroups() if source == "small" else orthant_csemigroups()
+    S, _, points, _ = draw(strategy)
+    return S, points
+
+
+def _walk_outcome(nodes, masks):
+    """What the library's walk gives, as the oracle's ``(k, x, gaps, gens)``
+    per node, or the error's type and message; every node's tuples are
+    sorted, and every node below the root carries its generators' bits."""
+    out = []
+    try:
+        for k, x, gens, bits, hs in nodes:
+            assert list(gens) == sorted(gens) and list(hs) == sorted(hs)
+            if k:
+                assert bits == sum({1 << masks()[g].bit_length() - 1 for g in gens})
+            out.append((k, x, frozenset(hs), frozenset(gens)))
+    except (SemigroupError, BudgetExceeded) as exc:
+        return type(exc).__name__, str(exc)
+    return out
+
+
+def _oracle_outcome(walk):
+    try:
+        return [(k, x, U.gaps, U.gens) for k, x, U in walk]
+    except (SemigroupError, BudgetExceeded) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@given(base=_walk_bases(), draws=st.data())
+@settings(max_examples=120, deadline=None)
+def test_walk_matches_the_oracle_walk(base, draws):
+    """The walk over bare nodes against the former walk over
+    ``IdealSemigroup`` nodes whose step reads each divisibility in point
+    space: the same nodes (depth, removed point, gaps, ideal generators) in
+    the same order, or the same error, for the genus tree under deglex,
+    lex and degrevlex with a priority, from its root and from a corrupt
+    parent that holds a lost point or a generator's multiple, and for both
+    fibers, whose results and levels the library's functions list, and
+    over the multiplicity pool from a corrupt root, at budgets that do and
+    do not bind."""
+    S, points = base
+    masks = lambda: S._divisors[0]
+    order = draws.draw(_tree_orders(S.dim))
+    budget = draws.draw(st.sampled_from([5, 40, 400]))
+    depth = draws.draw(st.integers(0, {1: 5, 2: 4, 3: 2}[S.dim]))
+    root = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
+
+    def agree(T, key, pool=None, depth=None, removed=None):
+        nodes = enumeration._walk(S, T, key, budget, pool, depth, removed)
+        oracle = removal_walk(S, T, key, budget, pool, depth, removed)
+        assert _walk_outcome(nodes, masks) == _oracle_outcome(oracle)
+
+    agree(root, order.key, depth=depth)
+
+    def tree():
+        levels = enumerate_tree(S, S.genus + depth, order, budget)
+        return [n.semigroup for level in levels for n in level]
+
+    def oracle_tree():
+        levels = walk_levels(removal_walk(S, root, order.key, budget, depth=depth))
+        return [U for level in levels for _, U in level]
+
+    _agrees_with_point_space(tree, oracle_tree)
+
+    kids = children(S, root, order)
+    T = draws.draw(st.sampled_from(kids)) if kids else root
+    lost = sorted(T.gaps - S.gaps)
+    g = draws.draw(st.sampled_from(sorted(T.gens)))
+    n = draws.draw(st.sampled_from(sorted(S.minimal_generators())))
+    bad = draws.draw(st.sampled_from(lost + [tuple(a + b for a, b in zip(g, n))]))
+    corrupt = IdealSemigroup(S, T.gaps, T.gens | {bad})
+    agree(corrupt, order.key, depth=2, removed=big_o(S, T, order))
+
+    f = None
+    if order.degree_compatible:
+        grade = draws.draw(st.integers(1, {1: 14, 2: 8, 3: 4}[S.dim]))
+        at_grade = [p for p in points(grade) if sum(p) == grade]
+        f = draws.draw(st.sampled_from(at_grade)) if at_grade else None
+    if f is not None:
+        _agrees_with_point_space(
+            lambda: with_frobenius(S, f, order, budget).results,
+            lambda: _oracle_frobenius(S, f, order, budget),
+        )
+    k = draws.draw(st.integers(1, 2))
+    M = [tuple(k * a for a in m) for m in S.multiplicities()]
+    verify = draws.draw(st.booleans())
+    _agrees_with_point_space(
+        lambda: with_multiplicities(S, M, budget, verify_multiplicities=verify),
+        lambda: _oracle_multiplicities(S, M, budget, verify),
+    )
+    _, pool, _ = enumeration._multiplicity_start(S, M)
+    corrupt = IdealSemigroup(S, S.gaps, S.minimal_generators() | {bad})
+    agree(corrupt, enumeration._tuple_order, pool=pool)
 
 
 @given(data=st.one_of(small_csemigroups(), orthant_csemigroups()), draws=st.data())
@@ -650,7 +814,7 @@ def test_frobenius_budget_checked_before_any_removal(n2, deglex, monkeypatch):
     def no_removal(*args):
         raise AssertionError("removal step taken before the budget check")
 
-    monkeypatch.setattr(enumeration, "_remove", no_removal)
+    monkeypatch.setattr(enumeration, "_step", no_removal)
     with pytest.raises(BudgetExceeded):
         with_frobenius(n2, (400, 1), deglex, budget=10)
 
