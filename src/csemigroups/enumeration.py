@@ -18,11 +18,13 @@ at S, and the Frobenius fiber at S less the divisors of its target, which
 one walk over those divisors builds (:meth:`.IdealSemigroup._from_lost`).
 
 A node of the walk is bare data (:func:`_walk`): its depth, the point it
-removed, its ideal generators as a sorted tuple with their bits in S's
-divisor masks, and its gaps as a sorted tuple, made from the parent's by
-one insertion, or None when the caller writes no gaps.  The command line
-encodes the nodes as they come; ``enumerate_tree``, ``children`` and the
-fibers build an :class:`.IdealSemigroup` only for each node they return.
+removed, its ideal generators as a sorted tuple with their bits in the
+walk's divisor masks, and its gaps as a sorted tuple, made from the
+parent's by one insertion, or None when the caller writes no gaps.  Each
+walk makes its own masks (:class:`_Masks`) and drops them when it ends,
+so the base S holds nothing a walk wrote.  The command line encodes the
+nodes as they come; ``enumerate_tree``, ``children`` and the fibers build
+an :class:`.IdealSemigroup`, unchecked, only for each node they return.
 The fibers' checks, top, pool and multiplicity filter are helpers
 (:func:`_frobenius_start`, :func:`_multiplicity_start`) that both share.
 """
@@ -33,7 +35,7 @@ from bisect import bisect
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, NotDegreeCompatible, SemigroupError
-from .lattice import LT, MonomialOrder, Point, scale, vsub, zero
+from .lattice import LT, MonomialOrder, Point, scale, vadd, vsub, zero
 from .semigroups import DEFAULT_BUDGET, GapSemigroup, apery_context
 from .ideals import IdealSemigroup
 
@@ -50,32 +52,101 @@ def big_o(S: GapSemigroup, T, order: MonomialOrder) -> Point | None:
     return order.max(diff)
 
 
-def _bit(mask: int) -> int:
-    """The bit of the point whose divisor mask is ``mask``, its highest."""
-    return 1 << (mask.bit_length() - 1)
+class _Masks:
+    """The divisor masks of one removal walk over the base S, made for that
+    walk and dropped with it: S itself keeps nothing.
 
-
-def _generator_mask(S: GapSemigroup, g: Point) -> int:
-    """D(g) for an ideal generator g of a parent.
-
-    A point gets a mask only once it is known to be a nonzero element of S
-    of S's dimension, so on the tree's own path this check is a lookup; a
-    point that fails it raises :class:`SemigroupError` naming it.
+    ``masks`` maps each point y of S∖{0} the walk met to D(y), the bitmask
+    of the z in S∖{0} with y − z ∈ S; ``coords`` holds those points' cone
+    coordinates, and ``rows`` the up-rows (:meth:`row`) of the points a
+    step removed.  Every point is read in the cone coordinates that S's
+    generated form split msg(S) into, and msg(S) is not split again.
     """
-    mask = S._divisors[0].get(g)
-    if mask is not None:
-        return mask
-    if len(g) != S.dim:
-        raise SemigroupError(f"ideal generator {g} does not match dimension {S.dim}")
-    ng = S._split(g)
-    if ng is None:
-        raise SemigroupError(f"ideal generator {g} lies outside the cone")
-    if not any(g) or g in S.gaps:
-        raise SemigroupError(f"ideal generator {g} is 0 or a gap of the base")
-    return S._divisor_mask(g, ng)
+
+    def __init__(self, S: GapSemigroup):
+        G = S.as_generated()
+        self.msg = tuple(zip(G.generators, G._gen_nums))
+        self.dim, self.gaps, self.split = S.dim, S.gaps, G._numerators
+        self.masks, self.coords, self.rows = {}, dict(self.msg), {}
+
+    @staticmethod
+    def bit(mask: int) -> int:
+        """The bit of the point whose divisor mask is ``mask``, its highest."""
+        return 1 << (mask.bit_length() - 1)
+
+    def mask(self, y: Point, ny: Point) -> int:
+        """D(y) for a nonzero point y of S with cone coordinates ``ny``.
+
+        D(y) is y's own bit together with D(y − n) for each n ∈ msg(S)
+        with y − n ∈ S∖{0}, read on cone coordinates: N(y − n) =
+        N(y) − N(n) ≥ 0 and y − n is no gap, so no point is split.  A mask
+        is built on first demand after those of its terms, and only then is
+        y's bit drawn, the next unused one, so it is the highest bit of D(y).
+        """
+        masks, coords, gaps = self.masks, self.coords, self.gaps
+        stack = [(y, ny)]
+        while stack:
+            z, nz = stack[-1]
+            if z in masks:
+                stack.pop()
+                continue
+            mask, ready = 0, True
+            for n, nn in self.msg:
+                nw = vsub(nz, nn)
+                if min(nw) < 0 or not any(nw) or (w := vsub(z, n)) in gaps:
+                    continue
+                if (dw := masks.get(w)) is None:
+                    stack.append((w, nw))
+                    ready = False
+                else:
+                    mask |= dw
+            if ready:
+                coords[z] = nz
+                masks[z] = mask | 1 << len(masks)
+                stack.pop()
+        return masks[y]
+
+    def generator(self, g: Point) -> int:
+        """D(g) for an ideal generator g of a parent.
+
+        A point gets a mask only once it is known to be a nonzero element of
+        S of S's dimension, so on the walk's own path this check is a
+        lookup; a point that fails it raises :class:`SemigroupError` naming
+        it.
+        """
+        mask = self.masks.get(g)
+        if mask is not None:
+            return mask
+        if len(g) != self.dim:
+            raise SemigroupError(
+                f"ideal generator {g} does not match dimension {self.dim}"
+            )
+        ng = self.coords.get(g) or self.split(g)
+        if ng is None:
+            raise SemigroupError(f"ideal generator {g} lies outside the cone")
+        if not any(g) or g in self.gaps:
+            raise SemigroupError(f"ideal generator {g} is 0 or a gap of the base")
+        return self.mask(g, ng)
+
+    def row(self, x: Point) -> tuple[tuple[Point, int, int], ...]:
+        """R(x), for a masked point x: one entry (x + n, D(x + n), the
+        index of x + n's bit) per n ∈ msg(S), in msg order, built once.
+        x + n gets its cone coordinates as the sum N(x) + N(n), so no point
+        is split.  The row holds the bit's index, not the bit: a point's
+        bit is as wide as its mask, and a point lies in up to |msg(S)|
+        rows."""
+        row = self.rows.get(x)
+        if row is None:
+            nx, masks, entries = self.coords[x], self.masks, []
+            for n, nn in self.msg:
+                y = vadd(x, n)
+                dy = masks.get(y) or self.mask(y, vadd(nx, nn))
+                entries.append((y, dy, dy.bit_length() - 1))
+            row = self.rows[x] = tuple(entries)
+        return row
 
 
-def _step(S: GapSemigroup, lost, gens, bits, x: Point):
+def _step(M: _Masks, lost, gens, bits, x: Point):
     """The certified removal of the ideal generator x from a node of a walk
     whose root lost ``lost``: the points it promotes, and the child's bits.
 
@@ -87,29 +158,29 @@ def _step(S: GapSemigroup, lost, gens, bits, x: Point):
     canonical.  A generator that is no nonzero element of S is refused by
     name.
 
-    Divisibility is read on S's divisor masks
-    (``GapSemigroup._divisor_mask``): with K the bits of the generators
-    ``gens`` other than x, x is certified by D(x) & K == 0 and x + n is
-    promoted when D(x + n) & K == 0.  The entries x + n come from x's
-    up-row (``GapSemigroup._up_row``), built the first time any step
-    removes x, so a step costs one ``&`` per n ∈ msg(S), whatever the
-    number of generators or the depth.  ``bits`` are the bits of ``gens``;
-    at the root they are None and each step reads them from ``gens``.
+    Divisibility is read on the walk's divisor masks ``M``
+    (:meth:`_Masks.mask`): with K the bits of the generators ``gens``
+    other than x, x is certified by D(x) & K == 0 and x + n is promoted
+    when D(x + n) & K == 0.  The entries x + n come from x's up-row
+    (:meth:`_Masks.row`), built the first time the walk removes x, so a
+    step costs one ``&`` per n ∈ msg(S), whatever the number of generators
+    or the depth.  ``bits`` are the bits of ``gens``; at the root they are
+    None and each step reads them from ``gens``.
     """
     if x in lost:
         raise SemigroupError(f"ideal generator {x} is a gap of the parent")
-    masks, _, _, rows = S._divisors
+    masks, bit = M.masks, M.bit
     if bits is None:
         bits = 0
         for g in gens:
-            bits |= _bit(_generator_mask(S, g))
-    dx = masks.get(x) or _generator_mask(S, x)
-    rest = bits & ~_bit(dx)
+            bits |= bit(M.generator(g))
+    dx = masks.get(x) or M.generator(x)
+    rest = bits & ~bit(dx)
     if dx & rest:
-        g = next(g for g in frozenset(gens) - {x} if dx & _bit(masks[g]))
+        g = next(g for g in frozenset(gens) - {x} if dx & bit(masks[g]))
         raise SemigroupError(f"ideal generator {x} is divisible by {g}")
     promoted, child = [], rest
-    for y, dy, i in rows.get(x) or S._up_row(x):
+    for y, dy, i in M.rows.get(x) or M.row(x):
         if not dy & rest:
             promoted.append(y)
             child |= 1 << i
@@ -117,7 +188,7 @@ def _step(S: GapSemigroup, lost, gens, bits, x: Point):
 
 
 def _walk(
-    S: GapSemigroup,
+    M: _Masks,
     T: IdealSemigroup,
     key,
     budget,
@@ -127,12 +198,13 @@ def _walk(
     gaps=True,
 ):
     """The nodes ``(k, x, gens, bits, gaps)`` of T and of every semigroup U
-    reached from it by k certified removal steps (:func:`_step`), depth
+    reached from it by k certified removal steps (:func:`_step`) on the
+    divisor masks ``M`` of the base S, made for this walk alone, depth
     first: x is the point U's last step removed (``removed`` for T),
     ``gens`` U's ideal generators as a sorted tuple, ``bits`` their bits in
-    S's divisor masks (None for T) and ``gaps`` U's gaps as a sorted tuple,
-    or None throughout when ``gaps`` is false.  U is no object: its genus
-    is T's plus k, and :func:`_semigroup` builds it.
+    ``M`` (None for T) and ``gaps`` U's gaps as a sorted tuple, or None
+    throughout when ``gaps`` is false.  U is no object: its genus is T's
+    plus k, and :func:`_semigroup` builds it.
 
     A node that removed x has as children the removals of its generators
     that follow x under ``key`` (every generator when x is None),
@@ -177,7 +249,7 @@ def _walk(
                 ky = keys[y] = key(y)
             if above is not None and ky <= above:
                 continue
-            promoted, child = _step(S, lost, T.gens if bits is None else gens, bits, y)
+            promoted, child = _step(M, lost, T.gens if bits is None else gens, bits, y)
             # the kept generators are one sorted run, so the sort merges
             promoted += gens[:j]
             promoted += gens[j + 1 :]
@@ -191,8 +263,9 @@ def _walk(
 
 
 def _semigroup(base: GapSemigroup, node) -> IdealSemigroup:
-    """The semigroup of a walk's node (:func:`_walk`) over ``base``."""
-    return IdealSemigroup(base, node[4], gens=node[2])
+    """The semigroup of a walk's node (:func:`_walk`) over ``base``, whose
+    steps certified every point it lost, so nothing is checked again."""
+    return IdealSemigroup._certified(base, node[4], node[2])
 
 
 def _levels(walk, node) -> list[list]:
@@ -215,7 +288,7 @@ def _fiber(
     points of ``pool`` in tuple order (:func:`_walk`), by genus, then
     sorted gaps (module docstring).  With ``keep``, only the nodes whose
     generators it keeps are listed, but the budget counts every node."""
-    walk = _walk(S, T, _tuple_order, budget, pool, gaps=gaps)
+    walk = _walk(_Masks(S), T, _tuple_order, budget, pool, gaps=gaps)
     if keep is not None:
         walk = (n for n in walk if keep(n[2]))
     return [v for level in _levels(walk, node) for v in level]
@@ -239,12 +312,16 @@ def children(S: GapSemigroup, T: IdealSemigroup, order: MonomialOrder):
 
     Exactly the certified removals (:func:`_step`) of the canonical ideal
     generators exceeding ``big_o(S, T)``, in sorted order: the first step
-    of the tree's walk from T, built over T's base.  Each child costs
-    O(|msg(S)|) divisor-mask reads; this function recomputes ``big_o``,
-    which the walk carries down instead.
+    of the tree's walk from T, built over T's base.  Each call builds its
+    own divisor masks, of every point of S∖{0} that divides one of T's
+    generators or their sums with msg(S), and recomputes ``big_o``; a
+    traversal that calls it once per node pays both per node.
+    :func:`enumerate_tree` and :func:`tree_counts` walk the whole tree on
+    one set of masks and carry the threshold down instead.
     """
     # at most one node per generator besides T, so the budget never binds
-    walk = _walk(S, T, order.key, len(T.gens) + 1, depth=1, removed=big_o(S, T, order))
+    removed = big_o(S, T, order)
+    walk = _walk(_Masks(S), T, order.key, len(T.gens) + 1, depth=1, removed=removed)
     return [_semigroup(T.base, n) for n in walk if n[0]]
 
 
@@ -267,7 +344,8 @@ def _tree(
     if levels < 1:
         raise ValueError(f"max_genus {max_genus} is below the root genus {S.genus}")
     root = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
-    return levels, _walk(S, root, order.key, budget, depth=levels - 1, gaps=gaps)
+    walk = _walk(_Masks(S), root, order.key, budget, depth=levels - 1, gaps=gaps)
+    return levels, walk
 
 
 def enumerate_tree(
@@ -322,7 +400,7 @@ def _frobenius_start(S: GapSemigroup, f: Point, order: MonomialOrder, budget):
         raise NotDegreeCompatible(
             "the region below f is only finite for degree-compatible orders"
         )
-    if len(f) != S.dim or not any(f) or min(f) < 0 or S._split(f) is None:
+    if len(f) != S.dim or not any(f) or min(f) < 0 or S.cone._numerators(f) is None:
         raise ValueError(f"{f} is not a nonzero cone point")
     if S.gaps:
         fb = order.max(S.gaps)

@@ -126,10 +126,10 @@ class IdealSemigroup(GapSemigroup):
     derived from the minimal generators of the inherited generated form.
     Equality and hashing are those of the gap set.
 
-    The points the base lost are checked through the base's split memo
-    (``GapSemigroup._split``).  The removal walk of :mod:`.enumeration`
-    carries its nodes as bare tuples and builds this class only for the
-    semigroups the library returns.
+    Gap sets that a caller passes in are checked against the base's cone.
+    The removal walk of :mod:`.enumeration` carries its nodes as bare
+    tuples and builds this class, unchecked (:meth:`_certified`), only for
+    the semigroups the library returns.
     """
 
     def __init__(self, base: GapSemigroup, gap_set, gens=None, generated=None):
@@ -137,9 +137,20 @@ class IdealSemigroup(GapSemigroup):
         super().__init__(base.cone, (), generated)
         self.gaps = frozenset(tuple(h) for h in gap_set)
         # the base validated its own gaps, so only the others are checked
-        self._check_gaps(self.gaps - base.gaps, lambda h: base._split(h) is not None)
+        self._check_gaps(self.gaps - base.gaps, base.cone.contains)
         if gens is not None:
             self.gens = frozenset(gens)
+
+    @classmethod
+    def _certified(cls, base: GapSemigroup, gap_set, gens):
+        """The semigroup with the gaps ``gap_set`` and the ideal generators
+        ``gens`` over ``base``, built without checks: each gap that is no
+        gap of the base is a nonzero element of it that a removal step or
+        :meth:`_from_lost` certified."""
+        T = cls.__new__(cls)
+        T.base, T.cone = base, base.cone
+        T.gaps, T.gens = frozenset(gap_set), frozenset(gens)
+        return T
 
     @classmethod
     def _from_lost(cls, S: GapSemigroup, is_lost, budget=DEFAULT_BUDGET):
@@ -148,13 +159,15 @@ class IdealSemigroup(GapSemigroup):
 
         The :func:`_down_set` walk along msg(S) lists D.  Its steps out of D
         hold every ideal generator, and such a step y is one exactly when
-        each y − n′ (n′ ∈ msg(S)) in S lies in D ∪ {0}.  The lost points'
-        coordinates join S's split memo, where ``__init__`` looks them up.
-        ``is_lost`` is asked once per step, and :class:`BudgetExceeded` is
-        raised once D has more than ``budget`` points.
+        each y − n′ (n′ ∈ msg(S)) in S lies in D ∪ {0}.  The walk reads
+        msg(S) in the cone coordinates that S's generated form gave it and
+        carries every other point's as a sum, so no point is split, and the
+        result is built unchecked (:meth:`_certified`).  ``is_lost`` is
+        asked once per step, and :class:`BudgetExceeded` is raised once D
+        has more than ``budget`` points.
         """
-        msg, gaps = [(n, S._split(n)) for n in S.minimal_generators()], S.gaps
-        origin, lost = zero(S.dim), count(1)
+        G, gaps = S.as_generated(), S.gaps
+        msg, origin, lost = list(zip(G.generators, G._gen_nums)), zero(S.dim), count(1)
 
         def keep(y, ny):
             if not is_lost(y):
@@ -168,7 +181,7 @@ class IdealSemigroup(GapSemigroup):
                 )
             return True
 
-        down, steps = _down_set(origin, zero(len(S.cone.rays)), msg, keep)
+        down, steps = _down_set(origin, G._origin, msg, keep)
         gens = frozenset(
             y
             for y, ny in steps.items()
@@ -178,10 +191,7 @@ class IdealSemigroup(GapSemigroup):
             )
         )
         del down[origin]
-        splits = S._splits
-        for y, ny in down.items():
-            splits.setdefault(y, ny)
-        return cls(S, gaps.union(down), gens)
+        return cls._certified(S, gaps.union(down), gens)
 
     @cached_property
     def gens(self) -> frozenset[Point]:

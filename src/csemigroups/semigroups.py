@@ -37,26 +37,14 @@ multiplicities and of the elements that shed none of them inside S
 (:attr:`GapSemigroup._generated`).
 
 All values are immutable after construction; the only mutable state is the
-internal membership memo of :class:`GenSemigroup`, two memos of
-:class:`GapSemigroup` and the Apery core of the multiplicities, built
-once.  The membership memo is one per semigroup: generator reduction
-starts it at construction, before the object can be shared, with the
-entries any later descent would write, and queries, witnesses and the core
-closure extend it.  The split memo holds points' cone coordinates, which
-the removal steps and the ideal semigroups built on that base read.  The
-divisor-mask memo holds, for points y of S∖{0}, the bitmask D(y) of their
-divisors in S∖{0}, and for each point x a removal step took out, its
-up-row: the sums x + n, n ∈ msg(S), with their masks and bit indices.  The
-removal steps of :mod:`.enumeration` read both.  The memos are append-only
-and safe to share between threads: the divisor-mask memo is created with
-``dict.setdefault``, its bits are drawn from an ``itertools.count`` and
-stored with ``dict.setdefault``, and its up-rows are stored with
-``dict.setdefault``, so two walks on one base cannot give two points the
-same bit and share one row per point.  This memo leans on
-``dict.setdefault`` alone, not on ``functools.cached_property``, which
-takes no lock from Python 3.12 on.  The split memo is a cached property:
-two threads may then build two dicts, and a point whose coordinates went
-to the lost one is split again.
+internal membership memo of :class:`GenSemigroup` and the Apery core of
+the multiplicities, built once.  The membership memo is one per semigroup:
+generator reduction starts it at construction, before the object can be
+shared, with the entries any later descent would write, and queries,
+witnesses and the core closure extend it.  A :class:`GapSemigroup` holds
+its cone, its gaps and values derived from them once (its generated form
+and msg(S)); the removal walks of :mod:`.enumeration` keep their divisor
+masks and cone coordinates to themselves.
 """
 
 from __future__ import annotations
@@ -64,7 +52,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, count
+from itertools import chain
 from math import gcd, lcm, prod
 from operator import ge
 
@@ -301,86 +289,6 @@ class GapSemigroup:
                 raise ValueError("0 cannot be a gap")
             if not in_cone(h):
                 raise ValueError(f"gap {h} lies outside the cone")
-
-    @cached_property
-    def _splits(self) -> dict[Point, Point | None]:
-        return {}
-
-    def _split(self, x: Point) -> Point | None:
-        """Cone coordinates of the point x (``Cone._numerators``), or None
-        outside the cone.  Memoized, so each point is split once; x must
-        have the cone's dimension."""
-        splits = self._splits
-        if x not in splits:
-            splits[x] = self.cone._numerators(x)
-        return splits[x]
-
-    @property
-    def _divisors(self) -> tuple[dict[Point, int], count, tuple, dict[Point, tuple]]:
-        """The divisor-mask memo: the masks, the counter that draws their
-        bits, the minimal generators with their cone coordinates, and the
-        up-rows (:meth:`_up_row`).  It is stored with ``dict.setdefault``,
-        so threads that read it first at the same time share one memo."""
-        memo = vars(self).get("_divisor_memo")
-        if memo is None:
-            msg = tuple((n, self._split(n)) for n in self.minimal_generators())
-            memo = vars(self).setdefault("_divisor_memo", ({}, count(), msg, {}))
-        return memo
-
-    def _divisor_mask(self, y: Point, ny: Point) -> int:
-        """D(y), the bitmask of the z in S∖{0} with y − z ∈ S, for a
-        nonzero point y of S with cone coordinates ``ny``.
-
-        D(y) is y's own bit together with D(y − n) for each n ∈ msg(S)
-        with y − n ∈ S∖{0}, read on cone coordinates: N(y − n) =
-        N(y) − N(n) ≥ 0 and y − n is no gap, so no point is split.  A mask
-        is built on first demand after those of its terms, and only then is
-        y's bit drawn, so it is the highest bit of D(y).  A masked point's
-        coordinates join the split memo.
-        """
-        masks, bits, msg, _ = self._divisors
-        if y in masks:
-            return masks[y]
-        gaps, splits = self.gaps, self._splits
-        stack = [(y, ny)]
-        while stack:
-            z, nz = stack[-1]
-            if z in masks:
-                stack.pop()
-                continue
-            mask, ready = 0, True
-            for n, nn in msg:
-                nw = vsub(nz, nn)
-                if min(nw) < 0 or not any(nw) or (w := vsub(z, n)) in gaps:
-                    continue
-                if (dw := masks.get(w)) is None:
-                    stack.append((w, nw))
-                    ready = False
-                else:
-                    mask |= dw
-            if ready:
-                splits.setdefault(z, nz)
-                masks.setdefault(z, mask | 1 << next(bits))
-                stack.pop()
-        return masks[y]
-
-    def _up_row(self, x: Point) -> tuple[tuple[Point, int, int], ...]:
-        """R(x), for a masked point x: one entry (x + n, D(x + n), the
-        index of x + n's bit) per n ∈ msg(S), in msg order.  x + n gets its
-        cone coordinates as the sum N(x) + N(n), so no point is split.
-        Built once per point and stored with ``dict.setdefault``.  The row
-        holds the bit's index, not the bit: a point's bit is as wide as its
-        mask, and a point lies in up to |msg(S)| rows."""
-        masks, _, msg, rows = self._divisors
-        row = rows.get(x)
-        if row is None:
-            nx, entries = self._split(x), []
-            for n, nn in msg:
-                y = vadd(x, n)
-                dy = masks.get(y) or self._divisor_mask(y, vadd(nx, nn))
-                entries.append((y, dy, dy.bit_length() - 1))
-            row = rows.setdefault(x, tuple(entries))
-        return row
 
     @property
     def dim(self):

@@ -411,23 +411,24 @@ def remove_in_point_space(S, T, x):
     return IdealSemigroup(S, T.gaps | {x}, rest | promoted)
 
 
-def remove_by_masks(S, T, x):
-    """T less its ideal generator x, by the step on S's divisor masks that
-    built each child of the former walk over ``IdealSemigroup`` nodes: the
-    generators' bits are read anew from T, the child is built and checked
-    from its gap set, over T's base."""
+def remove_by_masks(M, T, x):
+    """T less its ideal generator x, by the step on the divisor masks ``M``
+    (``enumeration._Masks``) of the base S that built each child of the
+    former walk over ``IdealSemigroup`` nodes: the generators' bits are
+    read anew from T, the child is built and checked from its gap set,
+    over T's base."""
     if x in T.gaps:
         raise SemigroupError(f"ideal generator {x} is a gap of the parent")
-    masks, _, _, rows = S._divisors
+    masks, bit = M.masks, M.bit
     gens_mask = 0
     for g in T.gens:
-        gens_mask |= enumeration._bit(enumeration._generator_mask(S, g))
-    dx = masks.get(x) or enumeration._generator_mask(S, x)
-    rest = gens_mask & ~enumeration._bit(dx)
+        gens_mask |= bit(M.generator(g))
+    dx = masks.get(x) or M.generator(x)
+    rest = gens_mask & ~bit(dx)
     if dx & rest:
-        g = next(g for g in T.gens - {x} if dx & enumeration._bit(masks[g]))
+        g = next(g for g in T.gens - {x} if dx & bit(masks[g]))
         raise SemigroupError(f"ideal generator {x} is divisible by {g}")
-    promoted = [y for y, dy, _ in rows.get(x) or S._up_row(x) if not dy & rest]
+    promoted = [y for y, dy, _ in M.rows.get(x) or M.row(x) if not dy & rest]
     return IdealSemigroup(T.base, T.gaps | {x}, (T.gens - {x}).union(promoted))
 
 
@@ -488,10 +489,11 @@ def frobenius_top_by_removals(S, f):
     a linear extension of ≤_S, so each is an ideal generator when removed.
     """
     T = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
+    M = enumeration._Masks(S)
     for g in range(1, sum(f) + 1):
         for x in S.cone.graded_points(g):
             if S.contains(x) and S.contains(_sub(f, x)):
-                T = remove_by_masks(S, T, x)
+                T = remove_by_masks(M, T, x)
     return T
 
 

@@ -1,7 +1,10 @@
+import gc
+import os
 import random
 import re
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -98,36 +101,54 @@ def test_children_certificate_rejects_corrupt_parent(s1, deglex):
 
 
 def test_removal_steps_split_each_point_once(monkeypatch):
-    # on a fresh base, the tree and both fibers read one split memo: the
-    # removal steps split the minimal generators, a promoted step gets its
-    # coordinates as a sum, a lost point is looked up, and the Frobenius
-    # target joins the memo; no step tests membership in point space.  The
-    # generated form behind the Apery pool is built before the count, so
-    # its own descent splits (through a method bound then) are not counted.
-    # The Frobenius fiber lists the cone points up to the grade 17 of its
-    # target; gaps() scans only up to the last gap grade 10, so the cone's
-    # graded-point cache is filled to grade 17 before the count too, and
-    # the lattice points that listing splits are not counted.
-    S = gaps(GenSemigroup(S1_GENS))
-    S.as_generated()
-    for g in range(18):
-        S.cone.graded_points(g)
-    splits = []
-    split = Cone._numerators
-    monkeypatch.setattr(
-        Cone, "_numerators", lambda self, x: splits.append(x) or split(self, x)
-    )
-    monkeypatch.setattr(GapSemigroup, "contains", None)
-    monkeypatch.setattr(Cone, "contains", None)
+    # each walk runs on its own fresh base, on masks of its own, and leaves
+    # the base as it was.  Its masks read msg(S) in the coordinates of the
+    # generated form and carry every other point's as a sum, so the only
+    # points split are the Frobenius target (once, to check that it is a
+    # cone point), the top's generators outside msg(S) (once each, at the
+    # walk's root, while the top holds them) and the ray elements M of the
+    # multiplicity fiber's Apery table.  No point the top lost or a step
+    # promoted is split, and the returned semigroups are built from the
+    # walk's certificate, unchecked; no step tests membership in point
+    # space.  Each base's generated form is built before the count, so its
+    # own descent splits are not counted, and its splitter, which the walk
+    # reads, is wrapped to count after.  The Frobenius fiber lists the cone
+    # points up to the grade 17 of its target; gaps() scans only up to the
+    # last gap grade 10, so the cone's graded-point cache is filled to
+    # grade 17 before the count too, and the lattice points that listing
+    # splits are not counted.
     order = MonomialOrder("deglex")
-    levels = enumerate_tree(S, 9, order)
-    fiber = with_frobenius(S, (14, 3), order)
-    results = with_multiplicities(S, [(10, 2), (6, 2)])
-    monkeypatch.undo()
-    assert [len(level) for level in levels] == [1, 8, 30, 77, 166, 334]
-    assert (len(fiber.results), len(results)) == (320, 352)
-    assert len(splits) == len(set(splits))
-    assert set(splits) <= S.minimal_generators() | {(14, 3)}
+    runs = [
+        lambda S: [n.semigroup for level in enumerate_tree(S, 9, order) for n in level],
+        lambda S: with_frobenius(S, (14, 3), order).results,
+        lambda S: with_multiplicities(S, [(10, 2), (6, 2)]),
+    ]
+    sizes, target_splits = [], []
+    for run in runs:
+        S = gaps(GenSemigroup(S1_GENS))
+        G = S.as_generated()
+        for g in range(18):
+            S.cone.graded_points(g)
+        splits = []
+
+        def counted(split):
+            return lambda *args: splits.append(args[-1]) or split(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Cone, "_numerators", counted(Cone._numerators))
+            patch.setattr(G, "_numerators", counted(G._numerators))
+            patch.setattr(GapSemigroup, "contains", None)
+            patch.setattr(Cone, "contains", None)
+            results = run(S)
+        root = results[0]
+        sizes.append(len(results))
+        target_splits.append(splits.count((14, 3)))
+        assert len(splits) == len(set(splits))
+        assert set(splits) <= {(14, 3), (10, 2), (6, 2)} | root.gens
+        assert not (set(splits) - {(14, 3)}) & (root.gaps - S.gaps)
+        assert vars(S).keys() <= {"cone", "gaps", "_generated", "_msg"}
+    assert sizes == [1 + 8 + 30 + 77 + 166 + 334, 320, 352]
+    assert target_splits == [0, 1, 0]
 
 
 @pytest.mark.parametrize(
@@ -152,48 +173,33 @@ def test_removal_step_refuses_generators_outside_the_base(
         children(s1, corrupt, deglex)
 
 
-def test_threads_sharing_a_base_draw_distinct_bits():
-    # four threads fill the divisor-mask memo of one fresh base at once, each
-    # in its own order, switching every microsecond; a bit drawn twice shows
-    # up in about half the rounds of a racy draw, so ten rounds are run
-    for seed in range(10):
+def test_walk_masks_hold_exactly_the_divisors():
+    # a walk's masks are its own, so no two walks draw bits from one store
+    # and no race is left to provoke: one walk's state, filled in a shuffled
+    # order, gives each point its own bit and holds exactly its divisors
+    for seed in range(3):
         S = gaps(GenSemigroup(S1_GENS))
         points = [x for x in fixture_cone_points(60) if any(x) and S.contains(x)]
-        barrier = threading.Barrier(4)
-
-        def fill(points):
-            barrier.wait(timeout=60)
-            for y in points:
-                S._divisor_mask(y, S._split(y))
-
-        orders = [random.Random(4 * seed + k).sample(points, len(points)) for k in range(4)]
-        threads = [threading.Thread(target=fill, args=(order,)) for order in orders]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        masks = S._divisors[0]
-        point_of = {mask.bit_length() - 1: y for y, mask in masks.items()}
-        assert len(point_of) == len(masks) == len(points)
-    # the last round's masks hold exactly the divisors in S∖{0}
-    for y in points:
-        mask = masks[y]
-        divisors = {point_of[i] for i in range(mask.bit_length()) if mask >> i & 1}
-        assert divisors == {
-            z for z in points if z == y or S.contains(tuple(a - b for a, b in zip(y, z)))
-        }
+        M = enumeration._Masks(S)
+        for y in random.Random(seed).sample(points, len(points)):
+            M.generator(y)
+        point_of = {mask.bit_length() - 1: y for y, mask in M.masks.items()}
+        assert len(point_of) == len(M.masks) == len(points)
+        for y in points:
+            mask = M.masks[y]
+            divisors = {point_of[i] for i in range(mask.bit_length()) if mask >> i & 1}
+            assert divisors == {
+                z
+                for z in points
+                if z == y or S.contains(tuple(a - b for a, b in zip(y, z)))
+            }
 
 
 def test_threads_sharing_the_up_rows():
     # four threads walk the tree of one fresh base at once, switching every
-    # microsecond, and fill its masks and up-rows between them; each walk
-    # must match a serial walk on another fresh base
+    # microsecond, each on masks and up-rows of its own; each walk must
+    # match a serial walk on another fresh base, and the base must hold
+    # nothing a walk wrote
     def walk(S):
         levels = enumerate_tree(S, 9, MonomialOrder("deglex"))
         return [
@@ -223,12 +229,42 @@ def test_threads_sharing_the_up_rows():
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == [serial] * 4
-        masks, _, msg, rows = S._divisors
-        assert rows
-        assert len({mask.bit_length() for mask in masks.values()}) == len(masks)
-        for x, row in rows.items():
-            ys = [tuple(a + b for a, b in zip(x, n)) for n, _ in msg]
-            assert row == tuple((y, masks[y], masks[y].bit_length() - 1) for y in ys)
+        assert vars(S).keys() <= {"cone", "gaps", "_generated", "_msg"}
+
+
+def _library_bytes():
+    """The bytes still held of what the library's own lines allocated since
+    tracing started.  A full collection first empties the interpreter's
+    free lists, whose spare tuples would otherwise count as held."""
+    package = os.path.join(os.path.dirname(enumeration.__file__), "*")
+    gc.collect()
+    snapshot = tracemalloc.take_snapshot()
+    traces = snapshot.filter_traces([tracemalloc.Filter(True, package)])
+    return sum(stat.size for stat in traces.statistics("filename"))
+
+
+def test_repeated_fibers_leave_the_base_unchanged():
+    # each Frobenius fiber masks every divisor of its target, but on masks
+    # its walk makes and drops, so ten fibers at growing targets leave the
+    # base holding no more than one does (a memo on the base would keep
+    # every mask: 9.4 MB more after the tenth).  The cone's graded-point
+    # cache is filled to the largest grade first: it belongs to the cone,
+    # is shared by every semigroup built on it, and is bounded by the
+    # largest grade asked, not by the number of calls.
+    S = gaps(GenSemigroup([(3,), (5,)]))
+    order = MonomialOrder("deglex")
+    for g in range(10_001):
+        S.cone.graded_points(g)
+    tracemalloc.start()
+    try:
+        with_frobenius(S, (1000,), order)
+        one = _library_bytes()
+        for f in range(2000, 10_001, 1000):
+            with_frobenius(S, (f,), order)
+        ten = _library_bytes()
+    finally:
+        tracemalloc.stop()
+    assert ten <= one
 
 
 def _outcome(run):
@@ -256,7 +292,8 @@ def _oracle_children(S, T, order):
 
 def _removed(S, T, x):
     """The walk's one step from T that removes its generator x."""
-    walk = enumeration._walk(S, T, enumeration._tuple_order, 2, {x}, depth=1)
+    M = enumeration._Masks(S)
+    walk = enumeration._walk(M, T, enumeration._tuple_order, 2, {x}, depth=1)
     return [enumeration._semigroup(T.base, n) for n in walk if n[0]]
 
 
@@ -393,10 +430,10 @@ def test_frobenius_fiber_takes_one_removal_step_per_result(gens, f, count, monke
 @settings(max_examples=60, deadline=None)
 def test_removal_path_matches_point_space(data, draws):
     """Down a drawn path of children, up to six levels below the root,
-    where the divisor-mask memo has grown and every parent carries its
-    generators' bits: each level's children, a corrupt parent holding a
-    generator's multiple, and its removal give the same gap sets, ideal
-    generators and error messages as the step in point space."""
+    each call masking the divisors of a deeper parent's generators anew:
+    each level's children, a corrupt parent holding a generator's
+    multiple, and its removal give the same gap sets, ideal generators and
+    error messages as the step in point space."""
     gens, _, _ = data
     try:
         S = gaps(GenSemigroup(gens, warn_redundant=False))
@@ -429,8 +466,8 @@ def test_lean_child_matches_full_child(data, draws):
     bare node of the walk matches the ``IdealSemigroup`` built and checked
     from its gaps alone: its sorted gaps and generators are that
     semigroup's, and its bits are those of that semigroup's generators in
-    S's divisor masks.  Over an equal base that is not S, the children
-    keep that base."""
+    the walk's own divisor masks.  Over an equal base that is not S, the
+    children keep that base."""
     gens, _, _ = data
     try:
         S = gaps(GenSemigroup(gens, warn_redundant=False))
@@ -439,15 +476,15 @@ def test_lean_child_matches_full_child(data, draws):
     order = MonomialOrder("deglex")
     T = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
     for _ in range(6):
+        M = enumeration._Masks(S)
         walk = enumeration._walk(
-            S, T, order.key, len(T.gens) + 1, depth=1, removed=big_o(S, T, order)
+            M, T, order.key, len(T.gens) + 1, depth=1, removed=big_o(S, T, order)
         )
         nodes = [n for n in walk if n[0]]
         kids = children(S, T, order)
         assert len(nodes) == len(kids)
         if not kids:
             break
-        masks = S._divisors[0]
         for (_, x, node_gens, bits, node_gaps), child in zip(nodes, kids):
             full = IdealSemigroup(S, node_gaps)
             assert x in full.gaps and x not in T.gaps
@@ -455,7 +492,7 @@ def test_lean_child_matches_full_child(data, draws):
             assert node_gens == tuple(sorted(full.gens))
             full_bits = 0
             for g in full.gens:
-                full_bits |= 1 << masks[g].bit_length() - 1
+                full_bits |= M.bit(M.masks[g])
             assert bits == full_bits
             assert (child.gaps, child.gens, child.base, child.cone) == (
                 full.gaps, full.gens, full.base, full.cone
@@ -499,16 +536,17 @@ def _walk_bases(draw):
     return S, points
 
 
-def _walk_outcome(nodes, masks):
+def _walk_outcome(nodes, M):
     """What the library's walk gives, as the oracle's ``(k, x, gaps, gens)``
     per node, or the error's type and message; every node's tuples are
-    sorted, and every node below the root carries its generators' bits."""
+    sorted, and every node below the root carries its generators' bits in
+    the walk's own masks ``M``."""
     out = []
     try:
         for k, x, gens, bits, hs in nodes:
             assert list(gens) == sorted(gens) and list(hs) == sorted(hs)
             if k:
-                assert bits == sum({1 << masks()[g].bit_length() - 1 for g in gens})
+                assert bits == sum({M.bit(M.masks[g]) for g in gens})
             out.append((k, x, frozenset(hs), frozenset(gens)))
     except (SemigroupError, BudgetExceeded) as exc:
         return type(exc).__name__, str(exc)
@@ -535,16 +573,16 @@ def test_walk_matches_the_oracle_walk(base, draws):
     over the multiplicity pool from a corrupt root, at budgets that do and
     do not bind."""
     S, points = base
-    masks = lambda: S._divisors[0]
     order = draws.draw(_tree_orders(S.dim))
     budget = draws.draw(st.sampled_from([5, 40, 400]))
     depth = draws.draw(st.integers(0, {1: 5, 2: 4, 3: 2}[S.dim]))
     root = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
 
     def agree(T, key, pool=None, depth=None, removed=None):
-        nodes = enumeration._walk(S, T, key, budget, pool, depth, removed)
+        M = enumeration._Masks(S)
+        nodes = enumeration._walk(M, T, key, budget, pool, depth, removed)
         oracle = removal_walk(S, T, key, budget, pool, depth, removed)
-        assert _walk_outcome(nodes, masks) == _oracle_outcome(oracle)
+        assert _walk_outcome(nodes, M) == _oracle_outcome(oracle)
 
     agree(root, order.key, depth=depth)
 
