@@ -8,21 +8,21 @@ does; no traceback is printed), 2 on validation errors (a JSON error
 object naming the violated invariant is printed), 3 when a bounded search
 gave up before reaching a certificate (the error object then also holds
 the budget's ``limit``, the ``count`` that passed it and the ``unit``
-counted).  The environment variable
-``SEMIGROUP_BUDGET`` overrides the default exploration budget; it also
-bounds the nodes of the ``tree`` walk, the number of semigroups the
-``frobenius-fixed`` and ``mult-fixed`` fibers may list and the lattice
-points a ``plot`` window may hold.  ``tree`` without ``--full`` counts its
-levels as the depth-first walk streams, so it holds one path of the tree,
-not its levels.  ``tree --full``, ``frobenius-fixed`` and ``mult-fixed``
-write the document in pieces, one semigroup at a time, each joined from
-per-point texts that every command call builds once per lattice point
-(:func:`_semigroup_encoder`) straight from the removal walk's bare nodes,
-with no semigroup object built; the bytes equal those of the sorted-key
-encoding of the whole document.  The tree keeps each node only as its
-text until the walk ends, and so do the fibers; no command builds the
-whole text.  Every
-search and budget check ends before the first byte is written.
+counted).  The environment variable ``SEMIGROUP_BUDGET`` overrides the
+default exploration budget; it also bounds the nodes of the ``tree`` walk,
+the semigroups the ``frobenius-fixed`` and ``mult-fixed`` fibers list
+(each walks from its own start, so it counts nothing it does not list) and
+the lattice points a ``plot`` window may hold.  ``tree`` without
+``--full`` counts its levels as the depth-first walk streams, so it holds
+one path of the tree, not its levels.  ``tree --full``,
+``frobenius-fixed`` and ``mult-fixed`` write the document in pieces, one
+semigroup at a time, each joined from per-point texts that every command
+call builds once per lattice point (:func:`_semigroup_encoder`) straight
+from the removal walk's bare nodes, with no semigroup object built; the
+bytes equal those of the sorted-key encoding of the whole document.  The
+tree keeps each node only as its text until the walk ends, and so do the
+fibers; no command builds the whole text.  Every search and budget check
+ends before the first byte is written.
 """
 
 from __future__ import annotations
@@ -288,15 +288,11 @@ def cmd_mult_fixed(args):
     budget = _budget()
     G = _gap_rep(S, budget)
     M = [_parse_point(m, S.dim) for m in args.m]
-    root, pool, keeps = enumeration._multiplicity_start(G, M)
-    encode = _semigroup_encoder(G.genus, full=args.full)
-    keep = keeps if args.verify_multiplicities else None
-    results = enumeration._fiber(G, root, pool, budget, encode, args.full, keep)
-    doc = {
-        "m": _points(M),
-        "count": len(results),
-        "verified": args.verify_multiplicities,
-    }
+    verify = args.verify_multiplicities
+    root, pool = enumeration._multiplicity_start(G, M, verify)
+    encode = _semigroup_encoder(root.genus, full=args.full)
+    results = enumeration._fiber(G, root, pool, budget, encode, args.full)
+    doc = {"m": _points(M), "count": len(results), "verified": verify}
     return _chunks(doc, results)
 
 

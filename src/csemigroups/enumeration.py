@@ -12,21 +12,21 @@ levels, which ``tree_counts`` counts as they stream (Fromentin and Hivert
 2016 walk the tree of numerical semigroups this way), and the fibers'
 results in the canonical order, genus then sorted gaps, with no sort:
 tuple order extends ≤_S (y − x ∈ ℕ^p), so depth is genus, and the least
-point of A △ B decides sorted(A ∪ C) against sorted(B ∪ C).  The fibers
-cost time in proportion to their results: the multiplicity fiber starts
-at S, and the Frobenius fiber at S less the divisors of its target, which
-one walk over those divisors builds (:meth:`.IdealSemigroup._from_lost`).
+point of A △ B decides sorted(A ∪ C) against sorted(B ∪ C).  Each fiber
+is one walk from one start, S less a down-set (its target's divisors, or
+the ray points below M when verified) that one walk over it builds
+(:meth:`.IdealSemigroup._from_lost`), so it costs time per result.
 
 A node of the walk is bare data (:func:`_walk`): its depth, the point it
 removed, its ideal generators as a sorted tuple with their bits in the
 walk's divisor masks, and its gaps as a sorted tuple, made from the
 parent's by one insertion, or None when the caller writes no gaps.  Each
-walk makes its own masks (:class:`_Masks`) and drops them when it ends,
-so the base S holds nothing a walk wrote.  The command line encodes the
-nodes as they come; ``enumerate_tree``, ``children`` and the fibers build
-an :class:`.IdealSemigroup`, unchecked, only for each node they return.
-The fibers' checks, top, pool and multiplicity filter are helpers
-(:func:`_frobenius_start`, :func:`_multiplicity_start`) that both share.
+walk makes its own masks (:class:`_Masks`), of no point its start lost,
+and drops them when it ends, so the base S holds nothing a walk wrote.
+The command line encodes the nodes as they come; ``enumerate_tree``,
+``children`` and the fibers build an :class:`.IdealSemigroup`, unchecked,
+only for each node they return.  The fibers' checks, starts and pools
+are helpers (:func:`_frobenius_start`, :func:`_multiplicity_start`).
 """
 
 from __future__ import annotations
@@ -53,20 +53,28 @@ def big_o(S: GapSemigroup, T, order: MonomialOrder) -> Point | None:
 
 
 class _Masks:
-    """The divisor masks of one removal walk over the base S, made for that
-    walk and dropped with it: S itself keeps nothing.
+    """The divisor masks of one removal walk over the base S from a start
+    that lost ``lost`` (S's gaps when None), made for that walk and dropped
+    with it: S itself keeps nothing.
 
     ``masks`` maps each point y of S∖{0} the walk met to D(y), the bitmask
-    of the z in S∖{0} with y − z ∈ S; ``coords`` holds those points' cone
-    coordinates, and ``rows`` the up-rows (:meth:`row`) of the points a
-    step removed.  Every point is read in the cone coordinates that S's
-    generated form split msg(S) into, and msg(S) is not split again.
+    of the z in S∖{0} with y − z ∈ S that the start kept; ``coords`` holds
+    those points' cone coordinates, and ``rows`` the up-rows (:meth:`row`)
+    of the points a step removed.  Every point is read in the cone
+    coordinates that S's generated form split msg(S) into, and msg(S) is
+    not split again.
+
+    What the start lost beyond S's gaps is a down-set L of S∖{0}, so the
+    masks stay exact off L: a chain of msg(S) steps from y ∉ L down to a
+    divisor z ∉ L lies above z, so outside L, and no lost point is again
+    a generator whose bit a step tests.
     """
 
-    def __init__(self, S: GapSemigroup):
+    def __init__(self, S: GapSemigroup, lost=None):
         G = S.as_generated()
         self.msg = tuple(zip(G.generators, G._gen_nums))
         self.dim, self.gaps, self.split = S.dim, S.gaps, G._numerators
+        self.lost = S.gaps if lost is None else lost
         self.masks, self.coords, self.rows = {}, dict(self.msg), {}
 
     @staticmethod
@@ -78,12 +86,12 @@ class _Masks:
         """D(y) for a nonzero point y of S with cone coordinates ``ny``.
 
         D(y) is y's own bit together with D(y − n) for each n ∈ msg(S)
-        with y − n ∈ S∖{0}, read on cone coordinates: N(y − n) =
-        N(y) − N(n) ≥ 0 and y − n is no gap, so no point is split.  A mask
-        is built on first demand after those of its terms, and only then is
-        y's bit drawn, the next unused one, so it is the highest bit of D(y).
+        with y − n ∈ S∖{0} not lost, read on cone coordinates: N(y − n) =
+        N(y) − N(n) ≥ 0, so no point is split.  A mask is built on first
+        demand after those of its terms, and only then is y's bit drawn,
+        the next unused one, so it is the highest bit of D(y).
         """
-        masks, coords, gaps = self.masks, self.coords, self.gaps
+        masks, coords, lost = self.masks, self.coords, self.lost
         stack = [(y, ny)]
         while stack:
             z, nz = stack[-1]
@@ -93,7 +101,7 @@ class _Masks:
             mask, ready = 0, True
             for n, nn in self.msg:
                 nw = vsub(nz, nn)
-                if min(nw) < 0 or not any(nw) or (w := vsub(z, n)) in gaps:
+                if min(nw) < 0 or not any(nw) or (w := vsub(z, n)) in lost:
                     continue
                 if (dw := masks.get(w)) is None:
                     stack.append((w, nw))
@@ -270,27 +278,22 @@ def _semigroup(base: GapSemigroup, node) -> IdealSemigroup:
 
 def _levels(walk, node) -> list[list]:
     """Level k lists ``node(n)`` for the nodes n of depth k of a walk
-    (:func:`_walk`), in the order the walk emits them; a depth with no
-    node, as a filtered walk may leave, gives an empty level."""
+    (:func:`_walk`), in the order the walk emits them."""
     levels = []
     for n in walk:
-        k = n[0]
-        while k >= len(levels):
+        if n[0] == len(levels):
             levels.append([])
-        levels[k].append(node(n))
+        levels[n[0]].append(node(n))
     return levels
 
 
-def _fiber(
-    S: GapSemigroup, T: IdealSemigroup, pool, budget, node, gaps=True, keep=None
-):
+def _fiber(S: GapSemigroup, T: IdealSemigroup, pool, budget, node, gaps=True):
     """``node(n)`` for T and every node n reached from it by removing
     points of ``pool`` in tuple order (:func:`_walk`), by genus, then
-    sorted gaps (module docstring).  With ``keep``, only the nodes whose
-    generators it keeps are listed, but the budget counts every node."""
-    walk = _walk(_Masks(S), T, _tuple_order, budget, pool, gaps=gaps)
-    if keep is not None:
-        walk = (n for n in walk if keep(n[2]))
+    sorted gaps (module docstring).  T is a fiber's start, which
+    :meth:`.IdealSemigroup._from_lost` certified, so the walk masks no
+    point T lost (:class:`_Masks`)."""
+    walk = _walk(_Masks(S, T.gaps), T, _tuple_order, budget, pool, gaps=gaps)
     return [v for level in _levels(walk, node) for v in level]
 
 
@@ -462,23 +465,23 @@ def with_frobenius(
     return FrobeniusFiber(f, candidates, tuple(_removal_walk(S, top, pool, budget)))
 
 
-def _multiplicity_start(S: GapSemigroup, M):
-    """The root and pool of :func:`with_multiplicities`, and the test of its
-    ``verify_multiplicities`` filter on a result's ideal generators.
+def _multiplicity_start(S: GapSemigroup, M, verify=False):
+    """The root and pool of :func:`with_multiplicities`: ``(root, pool)``.
 
-    A result keeps M, which lies outside the pool.  Its least element on
-    a ray is one of its ideal generators, since a sum on an extremal ray
-    has both terms on it, so its per-ray least elements are M exactly when
-    no generator lies on a ray below M's element there.
+    A result keeps M, which lies outside the pool.  Its per-ray least
+    elements are M exactly when it lost every point of S on a ray below
+    M's element there.  Those points form a down-set, since a sum on an
+    extremal ray has both terms on it, so with ``verify`` the root is S
+    less them (:meth:`.IdealSemigroup._from_lost`), and the results are
+    the nodes of the walk from it; without, the root is S.
     """
     ctx = apery_context(S, M)
-    root = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
-    below = {
-        scale(j, d)
-        for d, m in zip(S.cone.rays, ctx.ray_elements)
-        for j in range(1, sum(m) // sum(d))
-    }
-    return root, ctx.core - {zero(S.dim)}, below.isdisjoint
+    rays = zip(S.cone.rays, ctx.ray_elements) if verify else ()
+    below = {scale(j, d) for d, m in rays for j in range(1, sum(m) // sum(d))}
+    # the root loses at most these points, so only the fiber's results
+    # count against its budget
+    root = IdealSemigroup._from_lost(S, below.__contains__, len(below))
+    return root, ctx.core - {zero(S.dim)}
 
 
 def with_multiplicities(
@@ -489,12 +492,12 @@ def with_multiplicities(
     The pool B is the finite down-set that the ideal M + S loses, the
     nonzero Apery core of M.  A result keeps M, so keeps M + S, and the
     results are the nodes of the removal walk over B.  With
-    ``verify_multiplicities`` the results are post-filtered to those whose
-    per-ray least elements equal M exactly; the others lost a multiplicity
-    because the pool holds a ray point.  Raises :class:`BudgetExceeded`
-    when the walk emits more than ``budget`` semigroups, before the filter.
+    ``verify_multiplicities`` the walk starts from S less the points of S
+    on each ray below M's element there (:func:`_multiplicity_start`), so
+    it lists exactly the results whose per-ray least elements are M.
+    Raises :class:`BudgetExceeded` when the fiber has more than ``budget``
+    semigroups.
     """
-    root, pool, keeps = _multiplicity_start(S, M)
-    keep = keeps if verify_multiplicities else None
-    # the walk lists the results in the canonical order, and the filter keeps it
-    return tuple(_fiber(S, root, pool, budget, lambda n: _semigroup(S, n), keep=keep))
+    root, pool = _multiplicity_start(S, M, verify_multiplicities)
+    # the walk lists the results in the canonical order
+    return tuple(_fiber(S, root, pool, budget, lambda n: _semigroup(S, n)))

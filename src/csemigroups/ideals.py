@@ -12,8 +12,8 @@ therefore represented as a :class:`GapSemigroup`, the subclass
 generating set of its ideal part.  The lost elements form a finite down-set
 D of (S∖{0}, ≤_S), and one constructor (:meth:`IdealSemigroup._from_lost`)
 builds S ∖ D with its ideal generators from a test for D, by a walk over D
-alone: it serves :func:`isemigroup_from_ideal` and the top of the Frobenius
-fiber in :mod:`.enumeration`.  The walk is the one that lists the Apery core
+alone: it serves :func:`isemigroup_from_ideal` and the start of each fiber
+in :mod:`.enumeration`.  The walk is the one that lists the Apery core
 in :mod:`.semigroups`: for M one element per extremal ray, the ideal M + S
 has the canonical generators M and loses exactly Ap(S, M) ∖ {0}.
 """

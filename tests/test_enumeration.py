@@ -103,33 +103,46 @@ def test_children_certificate_rejects_corrupt_parent(s1, deglex):
 def test_removal_steps_split_each_point_once(monkeypatch):
     # each walk runs on its own fresh base, on masks of its own, and leaves
     # the base as it was.  Its masks read msg(S) in the coordinates of the
-    # generated form and carry every other point's as a sum, so the only
-    # points split are the Frobenius target (once, to check that it is a
-    # cone point), the top's generators outside msg(S) (once each, at the
-    # walk's root, while the top holds them) and the ray elements M of the
-    # multiplicity fiber's Apery table.  No point the top lost or a step
-    # promoted is split, and the returned semigroups are built from the
-    # walk's certificate, unchecked; no step tests membership in point
-    # space.  Each base's generated form is built before the count, so its
-    # own descent splits are not counted, and its splitter, which the walk
-    # reads, is wrapped to count after.  The Frobenius fiber lists the cone
-    # points up to the grade 17 of its target; gaps() scans only up to the
-    # last gap grade 10, so the cone's graded-point cache is filled to
-    # grade 17 before the count too, and the lattice points that listing
-    # splits are not counted.
+    # generated form and carry every other point's as a sum, so the points
+    # split are exactly the Frobenius target (to check that it is a cone
+    # point), the ray elements M of the multiplicity fiber's Apery table,
+    # and the start's generators outside msg(S) (at the walk's root, while
+    # the start holds them), each once for each of these roles: (10, 2) is
+    # in M and a generator of the verified fiber's root, S less (5, 1).  No
+    # point the start lost or a step promoted is split, and the returned
+    # semigroups are built from the walk's certificate, unchecked; no step
+    # tests membership in point space.  Each base's generated form is built
+    # before the count, so its own descent splits are not counted, and its
+    # splitter, which the walk reads, is wrapped to count after.  The
+    # Frobenius fiber lists the cone points up to the grade 17 of its
+    # target; gaps() scans only up to the last gap grade 10, so the cone's
+    # graded-point cache is filled to grade 17 before the count too, and
+    # the lattice points that listing splits are not counted.  No walk
+    # masks a point its start lost: each fiber's start is certified, and
+    # every divisor a step reads lies outside that down-set.
     order = MonomialOrder("deglex")
+    M = [(10, 2), (6, 2)]
+    def tree(S):
+        return [n.semigroup for level in enumerate_tree(S, 9, order) for n in level]
+
     runs = [
-        lambda S: [n.semigroup for level in enumerate_tree(S, 9, order) for n in level],
-        lambda S: with_frobenius(S, (14, 3), order).results,
-        lambda S: with_multiplicities(S, [(10, 2), (6, 2)]),
+        ((), tree),
+        ([(14, 3)], lambda S: with_frobenius(S, (14, 3), order).results),
+        (M, lambda S: with_multiplicities(S, M)),
+        (M, lambda S: with_multiplicities(S, M, verify_multiplicities=True)),
     ]
-    sizes, target_splits = [], []
-    for run in runs:
+    masks = enumeration._Masks
+
+    def recorded(walks):
+        return lambda *args: walks.append(masks(*args)) or walks[-1]
+
+    sizes = []
+    for own, run in runs:
         S = gaps(GenSemigroup(S1_GENS))
         G = S.as_generated()
         for g in range(18):
             S.cone.graded_points(g)
-        splits = []
+        splits, walks = [], []
 
         def counted(split):
             return lambda *args: splits.append(args[-1]) or split(*args)
@@ -139,16 +152,21 @@ def test_removal_steps_split_each_point_once(monkeypatch):
             patch.setattr(G, "_numerators", counted(G._numerators))
             patch.setattr(GapSemigroup, "contains", None)
             patch.setattr(Cone, "contains", None)
+            patch.setattr(enumeration, "_Masks", recorded(walks))
             results = run(S)
         root = results[0]
         sizes.append(len(results))
-        target_splits.append(splits.count((14, 3)))
-        assert len(splits) == len(set(splits))
-        assert set(splits) <= {(14, 3), (10, 2), (6, 2)} | root.gens
-        assert not (set(splits) - {(14, 3)}) & (root.gaps - S.gaps)
+        assert sorted(splits) == sorted([*own, *root.gens - S.minimal_generators()])
         assert vars(S).keys() <= {"cone", "gaps", "_generated", "_msg"}
-    assert sizes == [1 + 8 + 30 + 77 + 166 + 334, 320, 352]
-    assert target_splits == [0, 1, 0]
+        assert len(walks) == 1 and not walks[0].masks.keys() & root.gaps
+    assert sizes == [1 + 8 + 30 + 77 + 166 + 334, 320, 352, 288]
+    # the top of <3,5> at f = 4,000 loses 3,992 points, every point of S up
+    # to f but the four candidates, and none of them gets a mask
+    S, walks = gaps(GenSemigroup([(3,), (5,)])), []
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "_Masks", recorded(walks))
+        top = with_frobenius(S, (4000,), order).results[0]
+    assert len(walks) == 1 and not walks[0].masks.keys() & top.gaps
 
 
 @pytest.mark.parametrize(
@@ -303,14 +321,23 @@ def _oracle_frobenius(S, f, order, budget):
 
 
 def _oracle_multiplicities(S, M, budget, verify=False):
-    """The multiplicity fiber on the oracle walk, filtered by the
-    results' own per-ray least elements."""
-    root, pool, _ = enumeration._multiplicity_start(S, M)
-    results = fiber_by_walk(S, root, pool, budget)
+    """The multiplicity fiber on the oracle walk over M's nonzero Apery
+    core.  Verified, it starts from S less each point of S strictly below
+    an element of M on its ray, removed in grade order by point-space
+    steps, so that each is an ideal generator when removed."""
+    ctx = apery_context(S, M)
+    root = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
     if verify:
-        M = set(apery_context(S, M).ray_elements)
-        results = [T for T in results if set(T.multiplicities()) == M]
-    return results
+        top = max(sum(m) for m in ctx.ray_elements)
+        for x in (x for g in range(1, top) for x in S.cone.graded_points(g)):
+            on_ray = any(
+                sum(x) < sum(m)
+                and all(a * sum(m) == b * sum(x) for a, b in zip(x, m))
+                for m in ctx.ray_elements
+            )
+            if on_ray and x not in S.gaps:
+                root = remove_in_point_space(S, root, x)
+    return fiber_by_walk(S, root, ctx.core - {(0,) * S.dim}, budget)
 
 
 def _children_agree(S, T, order):
@@ -622,7 +649,7 @@ def test_walk_matches_the_oracle_walk(base, draws):
         lambda: with_multiplicities(S, M, budget, verify_multiplicities=verify),
         lambda: _oracle_multiplicities(S, M, budget, verify),
     )
-    _, pool, _ = enumeration._multiplicity_start(S, M)
+    _, pool = enumeration._multiplicity_start(S, M)
     corrupt = IdealSemigroup(S, S.gaps, S.minimal_generators() | {bad})
     agree(corrupt, enumeration._tuple_order, pool=pool)
 
@@ -821,9 +848,12 @@ def test_fiber_budgets(s1, deglex):
     with pytest.raises(BudgetExceeded):
         with_multiplicities(s1, M, budget=351)
     assert len(with_multiplicities(s1, M, budget=352)) == 352
-    # the budget counts the walk's results before the multiplicity filter
+    # the verified fiber walks from its own root, so the budget counts the
+    # 288 results it lists, not the 352 of the unverified fiber
     with pytest.raises(BudgetExceeded):
-        with_multiplicities(s1, M, budget=351, verify_multiplicities=True)
+        with_multiplicities(s1, M, budget=287, verify_multiplicities=True)
+    strict = with_multiplicities(s1, M, budget=288, verify_multiplicities=True)
+    assert len(strict) == 288
 
 
 def test_budget_exceeded_carries_its_facts(s1, deglex):
