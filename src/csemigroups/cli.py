@@ -10,9 +10,10 @@ gave up before reaching a certificate (the error object then also holds
 the budget's ``limit``, the ``count`` that passed it and the ``unit``
 counted).  The environment variable ``SEMIGROUP_BUDGET`` overrides the
 default exploration budget; it also bounds the nodes of the ``tree`` walk,
-the semigroups the ``frobenius-fixed`` and ``mult-fixed`` fibers list
-(each walks from its own start, so it counts nothing it does not list) and
-the lattice points a ``plot`` window may hold.  ``tree`` without
+the elements of S up to the ``frobenius-fixed`` target, the semigroups
+the ``frobenius-fixed`` and ``mult-fixed`` fibers list (each walks from
+its own start, so it counts nothing it does not list) and the lattice
+points a ``plot`` window may hold.  ``tree`` without
 ``--full`` counts its levels as the depth-first walk streams, so it holds
 one path of the tree, not its levels.  ``tree --full``,
 ``frobenius-fixed`` and ``mult-fixed`` write the document in pieces, one

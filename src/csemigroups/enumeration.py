@@ -33,10 +33,11 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
+from itertools import count
 
 from .errors import BudgetExceeded, NotDegreeCompatible, SemigroupError
 from .lattice import LT, MonomialOrder, Point, scale, vadd, vsub, zero
-from .semigroups import DEFAULT_BUDGET, GapSemigroup, apery_context
+from .semigroups import DEFAULT_BUDGET, GapSemigroup, _down_set, apery_context
 from .ideals import IdealSemigroup
 
 
@@ -302,14 +303,6 @@ def _tuple_order(x: Point) -> Point:
     return x
 
 
-def _removal_walk(
-    S: GapSemigroup, T: IdealSemigroup, pool, budget: int
-) -> list[IdealSemigroup]:
-    """T and every semigroup reached from it by removing points of ``pool``
-    in tuple order, by genus, then sorted gaps (:func:`_fiber`)."""
-    return _fiber(S, T, pool, budget, lambda n: _semigroup(T.base, n))
-
-
 def children(S: GapSemigroup, T: IdealSemigroup, order: MonomialOrder):
     """Child nodes of T in the genus tree of S.
 
@@ -398,35 +391,38 @@ class FrobeniusFiber:
 def _frobenius_start(S: GapSemigroup, f: Point, order: MonomialOrder, budget):
     """The checks, candidates, top and pool of :func:`with_frobenius`:
     ``(candidates, top, pool)``, with no top (and no candidates) when a
-    gap of S follows f, so that the fiber is empty."""
+    gap of S follows f, so that the fiber is empty.  One :func:`_down_set`
+    walk lists S's elements up to f, a down-set of (S, ≤_S), each charged
+    to ``budget``; x is a candidate when f − x ∉ S, read on the one split
+    N(f) of f."""
     if not order.degree_compatible:
         raise NotDegreeCompatible(
             "the region below f is only finite for degree-compatible orders"
         )
-    if len(f) != S.dim or not any(f) or min(f) < 0 or S.cone._numerators(f) is None:
+    nf = S.cone._numerators(f) if len(f) == S.dim and min(f) >= 0 else None
+    if not any(f) or nf is None:
         raise ValueError(f"{f} is not a nonzero cone point")
-    if S.gaps:
-        fb = order.max(S.gaps)
-        if order.compare(f, fb) == LT:
-            return frozenset(), None, None
+    if S.gaps and order.compare(f, order.max(S.gaps)) == LT:
+        return frozenset(), None, None
+    G, key, kf, listed = S.as_generated(), order.key, order.key(f), count(1)
+    msg, origin = list(zip(G.generators, G._gen_nums)), zero(S.dim)
 
-    below, key, kf = [], order.key, order.key(f)
-    for g in range(sum(f) + 1):
-        below += (x for x in S.cone.graded_points(g) if key(x) < kf)
-        if len(below) > budget:
+    def keep(y, ny):
+        kept = key(y) <= kf
+        if kept and (n := next(listed)) > budget:
             raise BudgetExceeded(
-                f"over {budget} cone points below {f} (grade {g})",
+                f"over {budget} elements of S up to {f}",
                 limit=budget,
-                count=len(below),
-                unit="cone points below f",
+                count=n,
+                unit="elements up to f",
             )
-    in_s = [x for x in below if x not in S.gaps]
-    f_in_s = f not in S.gaps
-    # f − x is f itself for x = 0, else of lower grade than f, so listed in
-    # ``below`` when it is a cone point: it is in S exactly when in ``elements``
-    elements = set(in_s) | ({f} if f_in_s else set())
-    candidates = frozenset(x for x in in_s if vsub(f, x) not in elements)
-    pool = candidates - {zero(S.dim)}
+        return kept
+
+    down, _ = _down_set(origin, G._origin, msg, keep)
+    candidates = frozenset(
+        x for x, nx in down.items() if min(vsub(nf, nx)) < 0 or vsub(f, x) in S.gaps
+    )
+    pool = candidates - {origin}
     # each x in the pool gives its own result, the top less x's divisors
     if len(pool) >= budget:
         raise BudgetExceeded(
@@ -435,9 +431,8 @@ def _frobenius_start(S: GapSemigroup, f: Point, order: MonomialOrder, budget):
             count=len(pool) + 1,
             unit="semigroups",
         )
-    # the top loses the nonzero divisors of f in S, a down-set: the points
-    # of ``in_s`` that are no candidates, and f when in S
-    lost = elements.difference(candidates)
+    # the top loses the nonzero divisors of f in S, a down-set: the rest
+    lost = down.keys() - candidates - {origin}
     top = IdealSemigroup._from_lost(S, lost.__contains__, budget)
     return candidates, top, pool
 
@@ -453,8 +448,8 @@ def with_frobenius(
     over those divisors (:meth:`IdealSemigroup._from_lost`), and the removal
     walk over the nonzero candidates lists the fiber from there, one
     certified removal step per further result.
-    Raises :class:`BudgetExceeded` when the scan lists more than ``budget``
-    cone points below ``f``, before any removal, or when the fiber has
+    Raises :class:`BudgetExceeded` when the walk lists more than ``budget``
+    elements of S up to ``f``, before any removal, or when the fiber has
     more than ``budget`` semigroups.
     """
     f = tuple(f)
@@ -462,7 +457,8 @@ def with_frobenius(
     if top is None:
         return FrobeniusFiber(f, candidates, ())
     # the walk lists the results in the canonical order
-    return FrobeniusFiber(f, candidates, tuple(_removal_walk(S, top, pool, budget)))
+    results = _fiber(S, top, pool, budget, lambda n: _semigroup(S, n))
+    return FrobeniusFiber(f, candidates, tuple(results))
 
 
 def _multiplicity_start(S: GapSemigroup, M, verify=False):

@@ -137,7 +137,7 @@ class IdealSemigroup(GapSemigroup):
         super().__init__(base.cone, (), generated)
         self.gaps = frozenset(tuple(h) for h in gap_set)
         # the base validated its own gaps, so only the others are checked
-        self._check_gaps(self.gaps - base.gaps, base.cone.contains)
+        self._check_gaps(self.gaps - base.gaps)
         if gens is not None:
             self.gens = frozenset(gens)
 

@@ -13,8 +13,11 @@ runs only for the directions the certificate leaves undecided, on a
 fraction-free integer tableau, so ``fractions.Fraction`` appears only in
 the coordinates :meth:`Cone.coordinates` returns.
 
-Every object defined here is immutable after construction and all functions
-are pure, so values can be shared freely across threads.
+Functions are pure, and objects are immutable after construction except
+for a :class:`Cone`'s caches: its solver and lattice index, and the points
+of each grade :meth:`Cone.graded_points` was asked for (only by the Apery
+table's unmet-residue search and the tests).  Each is a function of the
+rays alone, so sharing a cone stays safe: a race only computes one twice.
 """
 
 from __future__ import annotations

@@ -277,17 +277,17 @@ class GapSemigroup:
     def __init__(self, cone: Cone, gap_set, generated=None):
         self.cone = cone
         self.gaps = frozenset(tuple(h) for h in gap_set)
-        self._check_gaps(self.gaps, cone.contains)
+        self._check_gaps(self.gaps)
         if generated is not None:
             self._generated = generated
 
-    def _check_gaps(self, points, in_cone):
+    def _check_gaps(self, points):
         for h in points:
             if len(h) != self.dim:
                 raise ValueError(f"gap {h} does not match dimension {self.dim}")
             if not any(h):
                 raise ValueError("0 cannot be a gap")
-            if not in_cone(h):
+            if not self.cone.contains(h):
                 raise ValueError(f"gap {h} lies outside the cone")
 
     @property

@@ -17,9 +17,11 @@ the section's least points; the certified removal step with its
 divisibility tests in point space, which checks the step on cone
 coordinates; the removal walk over ``IdealSemigroup`` nodes, with the
 step on divisor masks that built each child from its parent's gap set,
-which checks the walk over bare nodes; and the Frobenius fiber's top by
+which checks the walk over bare nodes; the Frobenius fiber's top by
 one removal step per divisor of the target, which checks the walk that
-builds it at once;
+builds it at once; the Frobenius fiber's region by a scan of every cone
+point up to the target's grade, which checks the walk over the
+semigroup's elements up to the target;
 the gap scan stopped by the window certificate, which checks the scan
 that the Apery table bounds and the walk over an ideal's lost points;
 and a gap set's generated form from every element up to the generator
@@ -495,6 +497,30 @@ def frobenius_top_by_removals(S, f):
             if S.contains(x) and S.contains(_sub(f, x)):
                 T = remove_by_masks(M, T, x)
     return T
+
+
+def frobenius_region_by_scan(S, f, order):
+    """The candidates, the top's gaps and the pool of the Frobenius fiber
+    of S at f, by a scan of every cone point of each grade up to f's:
+    ``(candidates, top gaps, pool)``, or no top gaps and empty candidates
+    when a gap of S follows f.
+
+    The candidates are the elements x of S before f with f − x no element
+    of S; the top loses the other nonzero elements of S up to f, which
+    divide f.
+    """
+    if S.gaps and order.key(f) < order.key(order.max(S.gaps)):
+        return frozenset(), None, None
+    kf, origin = order.key(f), (0,) * S.dim
+    elements = {
+        x
+        for g in range(sum(f) + 1)
+        for x in S.cone.graded_points(g)
+        if order.key(x) <= kf and x not in S.gaps
+    }
+    candidates = frozenset(x for x in elements if not S.contains(_sub(f, x)))
+    lost = elements - candidates - {origin}
+    return candidates, S.gaps | lost, candidates - {origin}
 
 
 def _sub(a, b):

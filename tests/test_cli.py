@@ -410,7 +410,7 @@ _BUDGET_DOCUMENTS = {
     [
         ("s1_gaps", ("tree", "--max-genus", "9"), 40, 41, "semigroups"),
         ("s1_gaps", ("mult-fixed", "--m", "10,2", "--m", "6,2"), 351, 352, "semigroups"),
-        ("s1_gaps", ("frobenius-fixed", "--f", "14,3"), 9, 10, "cone points below f"),
+        ("s1_gaps", ("frobenius-fixed", "--f", "14,3"), 9, 10, "elements up to f"),
         ("s1_gaps", ("ideal", "5,1", "6,2"), 5, 6, "lost points"),
         ("n50_51", ("gaps",), 500, 527, "decided points"),
         ("n50_51", ("gaps",), 3000, 3001, "decided or scanned points"),

@@ -47,6 +47,7 @@ from bruteforce import (
     fixture_cone_points,
     frobenius_fiber_by_masks,
     fiber_by_walk,
+    frobenius_region_by_scan,
     frobenius_top_by_removals,
     in_fixture_cone,
     multiplicity_fiber_by_masks,
@@ -412,13 +413,13 @@ def test_frobenius_top_matches_removal_steps(data, draws):
     assume(at_grade)
     f = draws.draw(st.sampled_from(at_grade))
     walks = []
-    walk = enumeration._removal_walk
+    fiber = enumeration._fiber
 
-    def recorded(S, T, pool, budget):
+    def recorded(S, T, pool, budget, node, gaps=True):
         walks.append((T, pool))
-        return walk(S, T, pool, budget)
+        return fiber(S, T, pool, budget, node, gaps)
 
-    with mock.patch.object(enumeration, "_removal_walk", recorded):
+    with mock.patch.object(enumeration, "_fiber", recorded):
         got = _outcome(lambda: with_frobenius(S, f, order, budget=300).results)
     if not walks:
         # no top: f lies below a gap, or the candidates alone exceed the budget
@@ -429,9 +430,42 @@ def test_frobenius_top_matches_removal_steps(data, draws):
     assert (top.gaps, top.gens) == (expected.gaps, expected.gens)
 
     def from_expected():
-        return sorted(walk(S, expected, pool, 300), key=canonical_key)
+        walked = fiber(S, expected, pool, 300, lambda n: enumeration._semigroup(S, n))
+        return sorted(walked, key=canonical_key)
 
     assert got == _outcome(from_expected)
+
+
+@given(data=simplicial_semigroups(), draws=st.data())
+@settings(max_examples=100, deadline=None)
+def test_frobenius_region_matches_cone_scan(data, draws):
+    """The Frobenius fiber's candidates, top and pool, listed by the walk
+    over S's elements up to the target, against the scan of every cone
+    point of each grade up to it: in dimensions 1-3, under deglex and
+    degrevlex with a drawn priority, on the gap form that ``gaps`` returns
+    and on one read from the gaps alone, at a budget that does not bind."""
+    gens, _, points = data
+    try:
+        S = gaps(GenSemigroup(gens, warn_redundant=False))
+    except NotCSemigroup:
+        assume(False)
+    if draws.draw(st.booleans()):
+        S = GapSemigroup(S.cone, S.gaps)
+    priority = tuple(draws.draw(st.permutations(range(S.dim))))
+    name = draws.draw(st.sampled_from(["deglex", "degrevlex"]))
+    order = MonomialOrder(name, priority)
+    grade = draws.draw(st.integers(1, {1: 14, 2: 10, 3: 5}[S.dim]))
+    at_grade = [p for p in points(grade) if sum(p) == grade]
+    assume(at_grade)
+    f = draws.draw(st.sampled_from(at_grade))
+    candidates, top, pool = enumeration._frobenius_start(S, f, order, 10**6)
+    expected, top_gaps, expected_pool = frobenius_region_by_scan(S, f, order)
+    assert (candidates, pool) == (expected, expected_pool)
+    if top_gaps is None:
+        assert top is None
+        return
+    assert top.gaps == top_gaps
+    assert top.gens == IdealSemigroup(S, top_gaps).gens
 
 
 @pytest.mark.parametrize(
@@ -888,19 +922,21 @@ def test_frobenius_budget_checked_before_any_removal(n2, deglex, monkeypatch):
 
 
 def test_frobenius_scan_stops_at_the_budget(n2, deglex, monkeypatch):
-    # N^2 has g + 1 points of grade g, so the scan below (400, 1) passes 10
-    # points at grade 4 (15 points) and asks for no later grade
-    grades = []
-    listed = Cone.graded_points
+    # the region below (400, 1) on N^2 is walked along msg(S), not read from
+    # the cone's grades, and the walk stops at the 11th element it lists.
+    # The generated form reads the cone's grades when first built, so it is
+    # built before the patch
+    n2.as_generated()
 
-    def counted(cone, g):
-        grades.append(g)
-        return listed(cone, g)
+    def no_grades(cone, g):
+        raise AssertionError("the Frobenius region read the cone's grades")
 
-    monkeypatch.setattr(Cone, "graded_points", counted)
-    with pytest.raises(BudgetExceeded):
+    monkeypatch.setattr(Cone, "graded_points", no_grades)
+    monkeypatch.setattr(Cone, "graded_split", no_grades)
+    with pytest.raises(BudgetExceeded) as info:
         with_frobenius(n2, (400, 1), deglex, budget=10)
-    assert grades == [0, 1, 2, 3, 4]
+    facts = (info.value.limit, info.value.count, info.value.unit)
+    assert facts == (10, 11, "elements up to f")
 
 
 def test_with_frobenius_at_base_frobenius(s1, deglex):
