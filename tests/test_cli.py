@@ -675,7 +675,10 @@ def _cli_calls(draw, tmp_dir):
         for m in draw(st.lists(points, min_size=command == "mult-fixed", max_size=3)):
             argv += ["--m", m]
         if command == "mult-fixed":
-            argv += draw(st.sampled_from([[], ["--full"], ["--verify-multiplicities"]]))
+            argv += draw(st.sampled_from([
+                [], ["--full"], ["--verify-multiplicities"],
+                ["--full", "--verify-multiplicities"],
+            ]))
     return argv
 
 

@@ -1,10 +1,13 @@
 import gc
+import itertools
+import math
 import os
 import random
 import re
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -38,6 +41,7 @@ from csemigroups import (
     with_multiplicities,
 )
 from csemigroups import enumeration
+from csemigroups.lattice import scale
 from csemigroups.serialize import load_document, semigroup_to_document
 from bruteforce import (
     brute_apery_core,
@@ -1143,3 +1147,95 @@ def test_tree_matches_verifier_and_pairs(data):
 @settings(max_examples=8, deadline=None)
 def test_orthant_tree_matches_verifier_and_pairs(data):
     _tree_against_oracles(*data, verified_levels=3)
+
+
+def _partition_numbers(n):
+    """p(0), ..., p(n) by Euler's pentagonal-number recurrence."""
+    p = [1]
+    for m in range(1, n + 1):
+        total, k = 0, 1
+        while (g := k * (3 * k - 1) // 2) <= m:
+            sign = 1 if k % 2 else -1
+            total += sign * (p[m - g] + (p[m - g - k] if g + k <= m else 0))
+            k += 1
+        p.append(total)
+    return p
+
+
+def _plane_partitions_in_box(a, b, c):
+    """MacMahon's count of the plane partitions in an a × b × c box."""
+    count = Fraction(1)
+    for i, j, k in itertools.product(range(1, a + 1), range(1, b + 1), range(1, c + 1)):
+        count *= Fraction(i + j + k - 1, i + j + k - 2)
+    return count
+
+
+def test_free_semigroups_match_their_closed_forms(n2, deglex):
+    # on N^p a node is N^p less a down-set D of N^p \ {0}, and D with 0 is
+    # a (p-1)-dimensional partition: the tree's level k on N^2 counts the
+    # partitions of k + 1, and a multiplicity fiber lists the nonempty
+    # down-sets of the box below M, those that hold every ray point below
+    # M when verified
+    assert tree_counts(n2, 14, deglex) == _partition_numbers(15)[1:]
+    for a, b in [(3, 4), (6, 6)]:
+        M = [(a, 0), (0, b)]
+        assert len(with_multiplicities(n2, M)) == math.comb(a + b, a) - 1
+        verified = with_multiplicities(n2, M, verify_multiplicities=True)
+        assert len(verified) == math.comb(a + b - 2, a - 1)
+    n3 = GapSemigroup(Cone.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), [])
+    for a, count in [(2, 19), (3, 979)]:
+        M = [(a, 0, 0), (0, a, 0), (0, 0, a)]
+        assert len(with_multiplicities(n3, M)) == _plane_partitions_in_box(a, a, a) - 1
+        assert _plane_partitions_in_box(a, a, a) - 1 == count
+
+
+def _cut_fiber(S, start, pool, genus):
+    """The gap sets of the fiber walk from ``start`` over ``pool``, cut at
+    ``genus``."""
+    if start is None or start.genus > genus:
+        return set()
+    M = enumeration._Masks(S, start.gaps)
+    walk = enumeration._walk(
+        M, start, enumeration._tuple_order, 10**6, pool, depth=genus - start.genus
+    )
+    return {frozenset(n[4]) for n in walk}
+
+
+@pytest.mark.parametrize(
+    "gens, nodes",
+    [(S1_GENS, 616), (((1, 0), (0, 1)), 29), (((5,), (7,), (9,)), 44)],
+)
+def test_fibers_partition_the_tree(gens, nodes, deglex):
+    # each node has one Frobenius element and one tuple of per-ray least
+    # elements, so grouped by either the tree's nodes are the fibers cut at
+    # the tree's genus: the starts of both fibers and the tree's root are
+    # checked against each other, with no brute force
+    S = gaps(GenSemigroup(gens))
+    top = S.genus + 5
+    tree = [n.semigroup for level in enumerate_tree(S, top, deglex) for n in level]
+    assert len(tree) == nodes
+    by_f, by_m = {}, {}
+    for T in tree:
+        if T.gaps:
+            by_f.setdefault(frobenius(T, deglex), set()).add(T.gaps)
+        by_m.setdefault(T.multiplicities(), set()).add(T.gaps)
+    fibers = {}
+    for f in {h for T in tree for h in T.gaps}:
+        _, start, pool = enumeration._frobenius_start(S, f, deglex, 10**6)
+        fibers[f] = _cut_fiber(S, start, pool, top)
+    assert fibers == {f: by_f.get(f, set()) for f in fibers}
+    # the root lies in the fiber of F(S); N^2 has no gaps, so its root in none
+    assert [f for f, fiber in fibers.items() if S.gaps in fiber] == (
+        [frobenius(S, deglex)] if S.gaps else []
+    )
+    # a node loses at most 5 points, so at most 5 ray points below M
+    on_ray = [
+        [scale(k, d) for k in range(1, 60) if scale(k, d) not in S.gaps][:6]
+        for d in S.cone.rays
+    ]
+    ms = [M for M in itertools.product(*on_ray)
+          if sum(ray.index(m) for ray, m in zip(on_ray, M)) <= 5]
+    assert by_m.keys() <= set(ms)
+    for M in ms:
+        start, pool = enumeration._multiplicity_start(S, M, True)
+        assert _cut_fiber(S, start, pool, top) == by_m.get(M, set())
