@@ -275,11 +275,11 @@ def cmd_frobenius_fixed(args):
     budget = _budget()
     G = _gap_rep(S, budget)
     f = _parse_point(args.f, S.dim)
-    candidates, top, pool = enumeration._frobenius_start(G, f, order, budget)
+    candidates, top, pool, coords = enumeration._frobenius_start(G, f, order, budget)
     results = []
     if top is not None:
         encode = _semigroup_encoder(top.genus)
-        results = enumeration._fiber(G, top, pool, budget, encode)
+        results = enumeration._fiber(G, top, coords, pool, budget, encode)
     doc = {"f": list(f), "candidates": _points(candidates), "count": len(results)}
     return _chunks(doc, results)
 
@@ -290,9 +290,9 @@ def cmd_mult_fixed(args):
     G = _gap_rep(S, budget)
     M = [_parse_point(m, S.dim) for m in args.m]
     verify = args.verify_multiplicities
-    root, pool = enumeration._multiplicity_start(G, M, verify)
+    root, pool, coords = enumeration._multiplicity_start(G, M, verify)
     encode = _semigroup_encoder(root.genus, full=args.full)
-    results = enumeration._fiber(G, root, pool, budget, encode, args.full)
+    results = enumeration._fiber(G, root, coords, pool, budget, encode, args.full)
     doc = {"m": _points(M), "count": len(results), "verified": verify}
     return _chunks(doc, results)
 

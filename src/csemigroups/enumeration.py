@@ -14,8 +14,8 @@ results in the canonical order, genus then sorted gaps, with no sort:
 tuple order extends ≤_S (y − x ∈ ℕ^p), so depth is genus, and the least
 point of A △ B decides sorted(A ∪ C) against sorted(B ∪ C).  Each fiber
 is one walk from one start, S less a down-set (its target's divisors, or
-the ray points below M when verified) that one walk over it builds
-(:meth:`.IdealSemigroup._from_lost`), so it costs time per result.
+the ray points below M when verified) read with its generators from one
+walk's listing (:meth:`.IdealSemigroup._from_lost`), so it costs time per result.
 
 A node of the walk is bare data (:func:`_walk`): its depth, the point it
 removed, its ideal generators as a sorted tuple with their bits in the
@@ -63,7 +63,7 @@ class _Masks:
     those points' cone coordinates, and ``rows`` the up-rows (:meth:`row`)
     of the points a step removed.  Every point is read in the cone
     coordinates that S's generated form split msg(S) into, and msg(S) is
-    not split again.
+    not split again, nor are the start's generators that ``coords`` gives.
 
     What the start lost beyond S's gaps is a down-set L of S∖{0}, so the
     masks stay exact off L: a chain of msg(S) steps from y ∉ L down to a
@@ -71,12 +71,12 @@ class _Masks:
     a generator whose bit a step tests.
     """
 
-    def __init__(self, S: GapSemigroup, lost=None):
+    def __init__(self, S: GapSemigroup, lost=None, coords=()):
         G = S.as_generated()
         self.msg = tuple(zip(G.generators, G._gen_nums))
         self.dim, self.gaps, self.split = S.dim, S.gaps, G._numerators
         self.lost = S.gaps if lost is None else lost
-        self.masks, self.coords, self.rows = {}, dict(self.msg), {}
+        self.masks, self.coords, self.rows = {}, dict(coords) | dict(self.msg), {}
 
     @staticmethod
     def bit(mask: int) -> int:
@@ -288,13 +288,13 @@ def _levels(walk, node) -> list[list]:
     return levels
 
 
-def _fiber(S: GapSemigroup, T: IdealSemigroup, pool, budget, node, gaps=True):
+def _fiber(S: GapSemigroup, T: IdealSemigroup, coords, pool, budget, node, gaps=True):
     """``node(n)`` for T and every node n reached from it by removing
     points of ``pool`` in tuple order (:func:`_walk`), by genus, then
-    sorted gaps (module docstring).  T is a fiber's start, which
-    :meth:`.IdealSemigroup._from_lost` certified, so the walk masks no
-    point T lost (:class:`_Masks`)."""
-    walk = _walk(_Masks(S, T.gaps), T, _tuple_order, budget, pool, gaps=gaps)
+    sorted gaps (module docstring).  T is a fiber's start, certified by
+    :meth:`.IdealSemigroup._from_lost`, so the walk masks no point T lost
+    (:class:`_Masks`), and ``coords`` gives its generators' coordinates."""
+    walk = _walk(_Masks(S, T.gaps, coords), T, _tuple_order, budget, pool, gaps=gaps)
     return [v for level in _levels(walk, node) for v in level]
 
 
@@ -389,12 +389,12 @@ class FrobeniusFiber:
 
 
 def _frobenius_start(S: GapSemigroup, f: Point, order: MonomialOrder, budget):
-    """The checks, candidates, top and pool of :func:`with_frobenius`:
-    ``(candidates, top, pool)``, with no top (and no candidates) when a
-    gap of S follows f, so that the fiber is empty.  One :func:`_down_set`
-    walk lists S's elements up to f, a down-set of (S, ≤_S), each charged
-    to ``budget``; x is a candidate when f − x ∉ S, read on the one split
-    N(f) of f."""
+    """The checks, candidates, top, pool and top coordinates of
+    :func:`with_frobenius`, with no top (nor candidates) when a gap of S
+    follows f: the fiber is empty.  One :func:`_down_set` walk lists S's
+    elements up to f, a down-set of (S, ≤_S), each charged to ``budget``;
+    x is a candidate when f − x ∉ S, read on the one split N(f) of f, and
+    the top's generators are read on the pool and the walk's steps out."""
     if not order.degree_compatible:
         raise NotDegreeCompatible(
             "the region below f is only finite for degree-compatible orders"
@@ -403,7 +403,7 @@ def _frobenius_start(S: GapSemigroup, f: Point, order: MonomialOrder, budget):
     if not any(f) or nf is None:
         raise ValueError(f"{f} is not a nonzero cone point")
     if S.gaps and order.compare(f, order.max(S.gaps)) == LT:
-        return frozenset(), None, None
+        return frozenset(), None, None, None
     G, key, kf, listed = S.as_generated(), order.key, order.key(f), count(1)
     msg, origin = list(zip(G.generators, G._gen_nums)), zero(S.dim)
 
@@ -418,7 +418,7 @@ def _frobenius_start(S: GapSemigroup, f: Point, order: MonomialOrder, budget):
             )
         return kept
 
-    down, _ = _down_set(origin, G._origin, msg, keep)
+    down, out = _down_set(origin, G._origin, msg, keep)
     candidates = frozenset(
         x for x, nx in down.items() if min(vsub(nf, nx)) < 0 or vsub(f, x) in S.gaps
     )
@@ -433,8 +433,9 @@ def _frobenius_start(S: GapSemigroup, f: Point, order: MonomialOrder, budget):
         )
     # the top loses the nonzero divisors of f in S, a down-set: the rest
     lost = down.keys() - candidates - {origin}
-    top = IdealSemigroup._from_lost(S, lost.__contains__, budget)
-    return candidates, top, pool
+    out.update((x, down[x]) for x in pool)
+    top = IdealSemigroup._from_lost(S, lost, out)
+    return candidates, top, pool, {g: out[g] for g in top.gens}
 
 
 def with_frobenius(
@@ -444,40 +445,40 @@ def with_frobenius(
 
     Requires a degree-compatible order so that the region below ``f`` is
     finite; plain lex is rejected.  The fiber's top, S less the nonzero
-    divisors of ``f`` (``f`` among them when in S), is built in one walk
-    over those divisors (:meth:`IdealSemigroup._from_lost`), and the removal
-    walk over the nonzero candidates lists the fiber from there, one
-    certified removal step per further result.
+    divisors of ``f`` (``f`` among them when in S), is read from the one
+    walk that lists S's elements up to ``f`` (:func:`_frobenius_start`),
+    and the removal walk over the nonzero candidates lists the fiber from
+    there, one certified removal step per further result.
     Raises :class:`BudgetExceeded` when the walk lists more than ``budget``
     elements of S up to ``f``, before any removal, or when the fiber has
     more than ``budget`` semigroups.
     """
     f = tuple(f)
-    candidates, top, pool = _frobenius_start(S, f, order, budget)
+    candidates, top, pool, coords = _frobenius_start(S, f, order, budget)
     if top is None:
         return FrobeniusFiber(f, candidates, ())
     # the walk lists the results in the canonical order
-    results = _fiber(S, top, pool, budget, lambda n: _semigroup(S, n))
+    results = _fiber(S, top, coords, pool, budget, lambda n: _semigroup(S, n))
     return FrobeniusFiber(f, candidates, tuple(results))
 
 
 def _multiplicity_start(S: GapSemigroup, M, verify=False):
-    """The root and pool of :func:`with_multiplicities`: ``(root, pool)``.
+    """The root, pool and root coordinates of :func:`with_multiplicities`.
 
     A result keeps M, which lies outside the pool.  Its per-ray least
     elements are M exactly when it lost every point of S on a ray below
     M's element there.  Those points form a down-set, since a sum on an
     extremal ray has both terms on it, so with ``verify`` the root is S
-    less them (:meth:`.IdealSemigroup._from_lost`), and the results are
-    the nodes of the walk from it; without, the root is S.
+    less them, read from one walk (:meth:`.IdealSemigroup._from_lost`), and
+    the results are the nodes of the walk from it; without, the root is S.
     """
-    ctx = apery_context(S, M)
+    ctx, G, origin = apery_context(S, M), S.as_generated(), zero(S.dim)
     rays = zip(S.cone.rays, ctx.ray_elements) if verify else ()
     below = {scale(j, d) for d, m in rays for j in range(1, sum(m) // sum(d))}
-    # the root loses at most these points, so only the fiber's results
-    # count against its budget
-    root = IdealSemigroup._from_lost(S, below.__contains__, len(below))
-    return root, ctx.core - {zero(S.dim)}
+    msg = list(zip(G.generators, G._gen_nums))
+    down, out = _down_set(origin, G._origin, msg, lambda y, ny: y in below)
+    root = IdealSemigroup._from_lost(S, down.keys() - {origin}, out)
+    return root, ctx.core - {origin}, {g: out[g] for g in root.gens}
 
 
 def with_multiplicities(
@@ -494,6 +495,6 @@ def with_multiplicities(
     Raises :class:`BudgetExceeded` when the fiber has more than ``budget``
     semigroups.
     """
-    root, pool = _multiplicity_start(S, M, verify_multiplicities)
+    root, pool, coords = _multiplicity_start(S, M, verify_multiplicities)
     # the walk lists the results in the canonical order
-    return tuple(_fiber(S, root, pool, budget, lambda n: _semigroup(S, n)))
+    return tuple(_fiber(S, root, coords, pool, budget, lambda n: _semigroup(S, n)))

@@ -10,11 +10,11 @@ same cone whose gap set extends the base's by the lost elements.  It is
 therefore represented as a :class:`GapSemigroup`, the subclass
 :class:`IdealSemigroup`, that also knows its base and the canonical
 generating set of its ideal part.  The lost elements form a finite down-set
-D of (S∖{0}, ≤_S), and one constructor (:meth:`IdealSemigroup._from_lost`)
-builds S ∖ D with its ideal generators from a test for D, by a walk over D
-alone: it serves :func:`isemigroup_from_ideal` and the start of each fiber
-in :mod:`.enumeration`.  The walk is the one that lists the Apery core
-in :mod:`.semigroups`: for M one element per extremal ray, the ideal M + S
+D of (S∖{0}, ≤_S), listed by the walk that lists the Apery core in
+:mod:`.semigroups`, and one constructor (:meth:`IdealSemigroup._from_lost`)
+reads S ∖ D and its ideal generators from that listing, with no walk of its
+own: it serves :func:`isemigroup_from_ideal` and each fiber's start in
+:mod:`.enumeration`.  For M one element per extremal ray, the ideal M + S
 has the canonical generators M and loses exactly Ap(S, M) ∖ {0}.
 """
 
@@ -153,45 +153,29 @@ class IdealSemigroup(GapSemigroup):
         return T
 
     @classmethod
-    def _from_lost(cls, S: GapSemigroup, is_lost, budget=DEFAULT_BUDGET):
-        """S less the finite down-set D = {y ∈ S∖{0} : is_lost(y)} of
-        (S∖{0}, ≤_S), with the canonical generators of S ∖ (D ∪ {0}).
+    def _from_lost(cls, S: GapSemigroup, lost, steps):
+        """S less a finite down-set ``lost`` = D of (S∖{0}, ≤_S), with the
+        canonical generators of S ∖ (D ∪ {0}), read from ``steps``, a map
+        from points to their cone coordinates.
 
-        The :func:`_down_set` walk along msg(S) lists D.  Its steps out of D
-        hold every ideal generator, and such a step y is one exactly when
-        each y − n′ (n′ ∈ msg(S)) in S lies in D ∪ {0}.  The walk reads
-        msg(S) in the cone coordinates that S's generated form gave it and
-        carries every other point's as a sum, so no point is split, and the
-        result is built unchecked (:meth:`_certified`).  ``is_lost`` is
-        asked once per step, and :class:`BudgetExceeded` is raised once D
-        has more than ``budget`` points.
+        Each generator is a step out of D, y = d + n′ ∉ D with d ∈ D ∪ {0}
+        and n′ ∈ msg(S), and a point y of S ∖ (D ∪ {0}) is one exactly when
+        each y − n′ (n′ ∈ msg(S)) in S lies in D ∪ {0}.  So the test holds
+        for any ``steps`` that contains the steps out of D and lies in
+        S ∖ (D ∪ {0}), such as the steps out of the :func:`_down_set` walk
+        that listed D.  It reads cone coordinates, so nothing is split or
+        walked, and the result is built unchecked (:meth:`_certified`).
         """
-        G, gaps = S.as_generated(), S.gaps
-        msg, origin, lost = list(zip(G.generators, G._gen_nums)), zero(S.dim), count(1)
-
-        def keep(y, ny):
-            if not is_lost(y):
-                return False
-            if (n := next(lost)) > budget:
-                raise BudgetExceeded(
-                    f"the ideal loses more than {budget} points",
-                    limit=budget,
-                    count=n,
-                    unit="lost points",
-                )
-            return True
-
-        down, steps = _down_set(origin, G._origin, msg, keep)
+        G, gaps = S.as_generated(), S.gaps.union(lost)
         gens = frozenset(
             y
             for y, ny in steps.items()
             if all(
-                min(vsub(ny, nn)) < 0 or (w := vsub(y, n)) in down or w in gaps
-                for n, nn in msg
+                min(vsub(ny, nn)) < 0 or (w := vsub(y, n)) in gaps or not any(w)
+                for n, nn in zip(G.generators, G._gen_nums)
             )
         )
-        del down[origin]
-        return cls._certified(S, gaps.union(down), gens)
+        return cls._certified(S, gaps, gens)
 
     @cached_property
     def gens(self) -> frozenset[Point]:
@@ -203,13 +187,28 @@ def isemigroup_from_ideal(P: Ideal, budget=DEFAULT_BUDGET) -> IdealSemigroup:
 
     The gap set is the base's plus every base element the ideal dropped,
     a down-set that is finite exactly when the ideal meets all rays, which
-    is required up front.  :meth:`IdealSemigroup._from_lost` lists it and
-    the ideal's generators in one walk; ``budget`` bounds the points the
-    ideal loses.  When 0 ∈ P nothing is lost and ``gens`` is msg(S).
+    is required up front.  One walk lists it, each point charged to
+    ``budget``, and :meth:`IdealSemigroup._from_lost` reads the generators
+    from its steps out.  When 0 ∈ P nothing is lost and ``gens`` is msg(S).
     """
     if not ideal_is_csemigroup(P):
         raise NotCSemigroup("the ideal misses an extremal ray; gaps are infinite")
-    return IdealSemigroup._from_lost(P.base, lambda y: not P.contains(y), budget)
+    S, G, lost = P.base, P.base.as_generated(), count(1)
+    msg, origin = list(zip(G.generators, G._gen_nums)), zero(S.dim)
+
+    def keep(y, ny):
+        kept = not P.contains(y)
+        if kept and (n := next(lost)) > budget:
+            raise BudgetExceeded(
+                f"the ideal loses more than {budget} points",
+                limit=budget,
+                count=n,
+                unit="lost points",
+            )
+        return kept
+
+    down, steps = _down_set(origin, G._origin, msg, keep)
+    return IdealSemigroup._from_lost(S, down.keys() - {origin}, steps)
 
 
 def imsg_of_isemigroup(T: IdealSemigroup) -> frozenset[Point]:

@@ -40,7 +40,7 @@ from csemigroups import (
     with_frobenius,
     with_multiplicities,
 )
-from csemigroups import enumeration
+from csemigroups import enumeration, ideals
 from csemigroups.lattice import scale
 from csemigroups.serialize import load_document, semigroup_to_document
 from bruteforce import (
@@ -108,23 +108,18 @@ def test_children_certificate_rejects_corrupt_parent(s1, deglex):
 def test_removal_steps_split_each_point_once(monkeypatch):
     # each walk runs on its own fresh base, on masks of its own, and leaves
     # the base as it was.  Its masks read msg(S) in the coordinates of the
-    # generated form and carry every other point's as a sum, so the points
+    # generated form and carry every other point's as a sum, and a fiber's
+    # start hands the walk the coordinates of its generators, so the points
     # split are exactly the Frobenius target (to check that it is a cone
-    # point), the ray elements M of the multiplicity fiber's Apery table,
-    # and the start's generators outside msg(S) (at the walk's root, while
-    # the start holds them), each once for each of these roles: (10, 2) is
-    # in M and a generator of the verified fiber's root, S less (5, 1).  No
-    # point the start lost or a step promoted is split, and the returned
-    # semigroups are built from the walk's certificate, unchecked; no step
-    # tests membership in point space.  Each base's generated form is built
-    # before the count, so its own descent splits are not counted, and its
-    # splitter, which the walk reads, is wrapped to count after.  The
-    # Frobenius fiber lists the cone points up to the grade 17 of its
-    # target; gaps() scans only up to the last gap grade 10, so the cone's
-    # graded-point cache is filled to grade 17 before the count too, and
-    # the lattice points that listing splits are not counted.  No walk
-    # masks a point its start lost: each fiber's start is certified, and
-    # every divisor a step reads lies outside that down-set.
+    # point) and the ray elements M of the multiplicity fiber's Apery table.
+    # No start generator, no point the start lost and no point a step
+    # promoted is split, and the returned semigroups are built from the
+    # walk's certificate, unchecked; no step tests membership in point
+    # space.  Each base's generated form is built before the count, so its
+    # own descent splits are not counted, and its splitter, which the walk
+    # reads, is wrapped to count after.  No walk masks a point its start
+    # lost: each fiber's start is certified, and every divisor a step reads
+    # lies outside that down-set.
     order = MonomialOrder("deglex")
     M = [(10, 2), (6, 2)]
     def tree(S):
@@ -145,8 +140,6 @@ def test_removal_steps_split_each_point_once(monkeypatch):
     for own, run in runs:
         S = gaps(GenSemigroup(S1_GENS))
         G = S.as_generated()
-        for g in range(18):
-            S.cone.graded_points(g)
         splits, walks = [], []
 
         def counted(split):
@@ -161,7 +154,7 @@ def test_removal_steps_split_each_point_once(monkeypatch):
             results = run(S)
         root = results[0]
         sizes.append(len(results))
-        assert sorted(splits) == sorted([*own, *root.gens - S.minimal_generators()])
+        assert sorted(splits) == sorted(own)
         assert vars(S).keys() <= {"cone", "gaps", "_generated", "_msg"}
         assert len(walks) == 1 and not walks[0].masks.keys() & root.gaps
     assert sizes == [1 + 8 + 30 + 77 + 166 + 334, 320, 352, 288]
@@ -321,7 +314,7 @@ def _removed(S, T, x):
 
 
 def _oracle_frobenius(S, f, order, budget):
-    _, top, pool = enumeration._frobenius_start(S, f, order, budget)
+    _, top, pool, _ = enumeration._frobenius_start(S, f, order, budget)
     return [] if top is None else fiber_by_walk(S, top, pool, budget)
 
 
@@ -419,9 +412,9 @@ def test_frobenius_top_matches_removal_steps(data, draws):
     walks = []
     fiber = enumeration._fiber
 
-    def recorded(S, T, pool, budget, node, gaps=True):
+    def recorded(S, T, coords, pool, budget, node, gaps=True):
         walks.append((T, pool))
-        return fiber(S, T, pool, budget, node, gaps)
+        return fiber(S, T, coords, pool, budget, node, gaps)
 
     with mock.patch.object(enumeration, "_fiber", recorded):
         got = _outcome(lambda: with_frobenius(S, f, order, budget=300).results)
@@ -434,10 +427,41 @@ def test_frobenius_top_matches_removal_steps(data, draws):
     assert (top.gaps, top.gens) == (expected.gaps, expected.gens)
 
     def from_expected():
-        walked = fiber(S, expected, pool, 300, lambda n: enumeration._semigroup(S, n))
+        walked = fiber(
+            S, expected, {}, pool, 300, lambda n: enumeration._semigroup(S, n)
+        )
         return sorted(walked, key=canonical_key)
 
     assert got == _outcome(from_expected)
+
+
+def test_each_start_walks_its_down_set_once(s1, deglex, monkeypatch):
+    # a start lists its down-set with one walk, and IdealSemigroup._from_lost
+    # reads the start's generators from that listing without a walk of its
+    # own (the Apery core's closure, a walk of the semigroups module, is not
+    # counted)
+    calls = []
+    walk = enumeration._down_set
+    for module in (ideals, enumeration):
+        def counted(*args, name=module.__name__):
+            calls.append(name.rsplit(".", 1)[1])
+            return walk(*args)
+
+        monkeypatch.setattr(module, "_down_set", counted)
+
+    def walks(start):
+        calls.clear()
+        start()
+        return sorted(calls)
+
+    n35 = gaps(GenSemigroup([(3,), (5,)]))
+    for S, f in [(s1, (14, 3)), (s1, (8, 2)), (n35, (4000,))]:
+        assert walks(lambda: with_frobenius(S, f, deglex)) == ["enumeration"]
+    P = ideal_from_set(s1, [(5, 1), (6, 2)])
+    assert walks(lambda: isemigroup_from_ideal(P)) == ["ideals"]
+    M, start = [(10, 2), (6, 2)], enumeration._multiplicity_start
+    for verify in (False, True):
+        assert walks(lambda: start(s1, M, verify)) == ["enumeration"]
 
 
 @given(data=simplicial_semigroups(), draws=st.data())
@@ -462,7 +486,7 @@ def test_frobenius_region_matches_cone_scan(data, draws):
     at_grade = [p for p in points(grade) if sum(p) == grade]
     assume(at_grade)
     f = draws.draw(st.sampled_from(at_grade))
-    candidates, top, pool = enumeration._frobenius_start(S, f, order, 10**6)
+    candidates, top, pool, _ = enumeration._frobenius_start(S, f, order, 10**6)
     expected, top_gaps, expected_pool = frobenius_region_by_scan(S, f, order)
     assert (candidates, pool) == (expected, expected_pool)
     if top_gaps is None:
@@ -687,7 +711,7 @@ def test_walk_matches_the_oracle_walk(base, draws):
         lambda: with_multiplicities(S, M, budget, verify_multiplicities=verify),
         lambda: _oracle_multiplicities(S, M, budget, verify),
     )
-    _, pool = enumeration._multiplicity_start(S, M)
+    _, pool, _ = enumeration._multiplicity_start(S, M)
     corrupt = IdealSemigroup(S, S.gaps, S.minimal_generators() | {bad})
     agree(corrupt, enumeration._tuple_order, pool=pool)
 
@@ -1162,6 +1186,17 @@ def _partition_numbers(n):
     return p
 
 
+def _plane_partition_numbers(n):
+    """pp(0), ..., pp(n), the coefficients of MacMahon's generating function
+    prod_j (1 - x^j)^(-j), multiplied out one factor 1 / (1 - x^j) at a time."""
+    pp = [1] + [0] * n
+    for j in range(1, n + 1):
+        for _ in range(j):
+            for m in range(j, n + 1):
+                pp[m] += pp[m - j]
+    return pp
+
+
 def _plane_partitions_in_box(a, b, c):
     """MacMahon's count of the plane partitions in an a × b × c box."""
     count = Fraction(1)
@@ -1172,29 +1207,30 @@ def _plane_partitions_in_box(a, b, c):
 
 def test_free_semigroups_match_their_closed_forms(n2, deglex):
     # on N^p a node is N^p less a down-set D of N^p \ {0}, and D with 0 is
-    # a (p-1)-dimensional partition: the tree's level k on N^2 counts the
-    # partitions of k + 1, and a multiplicity fiber lists the nonempty
-    # down-sets of the box below M, those that hold every ray point below
-    # M when verified
+    # a (p-1)-dimensional partition: the tree's level k counts the
+    # partitions of k + 1 on N^2 and the plane partitions of k + 1 on N^3,
+    # and a multiplicity fiber lists the nonempty down-sets of the box
+    # below M, those that hold every ray point below M when verified
+    n3 = GapSemigroup(Cone.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), [])
     assert tree_counts(n2, 14, deglex) == _partition_numbers(15)[1:]
+    assert tree_counts(n3, 9, deglex) == _plane_partition_numbers(10)[1:]
     for a, b in [(3, 4), (6, 6)]:
         M = [(a, 0), (0, b)]
         assert len(with_multiplicities(n2, M)) == math.comb(a + b, a) - 1
         verified = with_multiplicities(n2, M, verify_multiplicities=True)
         assert len(verified) == math.comb(a + b - 2, a - 1)
-    n3 = GapSemigroup(Cone.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), [])
     for a, count in [(2, 19), (3, 979)]:
-        M = [(a, 0, 0), (0, a, 0), (0, 0, a)]
-        assert len(with_multiplicities(n3, M)) == _plane_partitions_in_box(a, a, a) - 1
-        assert _plane_partitions_in_box(a, a, a) - 1 == count
+        assert _plane_partitions_in_box(a, a, a) == count + 1
+        assert len(with_multiplicities(n3, [(a, 0, 0), (0, a, 0), (0, 0, a)])) == count
 
 
-def _cut_fiber(S, start, pool, genus):
+def _cut_fiber(S, genus, start, pool, coords):
     """The gap sets of the fiber walk from ``start`` over ``pool``, cut at
-    ``genus``."""
+    ``genus``; ``coords`` are the cone coordinates of the start's
+    generators."""
     if start is None or start.genus > genus:
         return set()
-    M = enumeration._Masks(S, start.gaps)
+    M = enumeration._Masks(S, start.gaps, coords)
     walk = enumeration._walk(
         M, start, enumeration._tuple_order, 10**6, pool, depth=genus - start.genus
     )
@@ -1221,8 +1257,8 @@ def test_fibers_partition_the_tree(gens, nodes, deglex):
         by_m.setdefault(T.multiplicities(), set()).add(T.gaps)
     fibers = {}
     for f in {h for T in tree for h in T.gaps}:
-        _, start, pool = enumeration._frobenius_start(S, f, deglex, 10**6)
-        fibers[f] = _cut_fiber(S, start, pool, top)
+        _, *start = enumeration._frobenius_start(S, f, deglex, 10**6)
+        fibers[f] = _cut_fiber(S, top, *start)
     assert fibers == {f: by_f.get(f, set()) for f in fibers}
     # the root lies in the fiber of F(S); N^2 has no gaps, so its root in none
     assert [f for f, fiber in fibers.items() if S.gaps in fiber] == (
@@ -1237,5 +1273,5 @@ def test_fibers_partition_the_tree(gens, nodes, deglex):
           if sum(ray.index(m) for ray, m in zip(on_ray, M)) <= 5]
     assert by_m.keys() <= set(ms)
     for M in ms:
-        start, pool = enumeration._multiplicity_start(S, M, True)
-        assert _cut_fiber(S, start, pool, top) == by_m.get(M, set())
+        start = enumeration._multiplicity_start(S, M, True)
+        assert _cut_fiber(S, top, *start) == by_m.get(M, set())
