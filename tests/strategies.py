@@ -182,6 +182,32 @@ def simplicial_semigroups(draw, max_dim=3):
 
 
 @st.composite
+def band_csemigroups(draw, max_dim=3):
+    """Generators of a C-semigroup over one of ``SIMPLICIAL_CONES`` of
+    dimension at most ``max_dim``, by construction, so none is rejected.
+
+    Every cone point of grade a .. 2a+K (K the sum of the ray grades) and
+    up to three drawn cone points below grade a.  Every cone point of
+    grade at least a is a sum of those of grade a .. 2a+K (split it into
+    ray multiples and one point of the fundamental parallelepiped, each of
+    grade at most K), so the gaps are finite and lie below grade a.
+    Returns the generators, the cone test and a lister of the cone's
+    lattice points up to a grade, as ``simplicial_semigroups`` does.
+    """
+    rays, in_cone = draw(
+        st.sampled_from([c for c in SIMPLICIAL_CONES if len(c[0][0]) <= max_dim])
+    )
+    _, top, points = _low_grades(rays, in_cone)
+    a = draw(st.integers(1, top))
+    K = sum(map(sum, rays))
+    gens = [p for p in points(2 * a + K) if sum(p) >= a]
+    low = [p for p in points(a - 1) if any(p)]
+    if low:
+        gens += draw(st.lists(st.sampled_from(low), max_size=3))
+    return sorted(set(gens)), in_cone, points
+
+
+@st.composite
 def gap_documents(draw):
     """A gap-form document over one of ``SIMPLICIAL_CONES``, closed or not.
 

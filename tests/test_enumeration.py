@@ -61,7 +61,12 @@ from bruteforce import (
     walk_levels,
 )
 from conftest import S1_GENS
-from strategies import orthant_csemigroups, simplicial_semigroups, small_csemigroups
+from strategies import (
+    band_csemigroups,
+    orthant_csemigroups,
+    simplicial_semigroups,
+    small_csemigroups,
+)
 
 EXPECTED_POOL = [
     (5, 1), (9, 2), (9, 3), (10, 3), (12, 3), (13, 3), (13, 4),
@@ -1237,41 +1242,66 @@ def _cut_fiber(S, genus, start, pool, coords):
     return {frozenset(n[4]) for n in walk}
 
 
+def _fiber_partitions(S, order, top):
+    """The tree's nodes up to genus ``top``, grouped by Frobenius element
+    and by per-ray least elements, against the Frobenius fibers and the
+    verified multiplicity fibers cut at ``top``: each node has one
+    Frobenius element and one tuple of per-ray least elements, so the
+    groups are the fibers, and the starts of both fibers and the tree's
+    root are checked against each other, with no brute force.  Returns the
+    tree's semigroups and the Frobenius fibers, keyed by target."""
+    tree = [n.semigroup for level in enumerate_tree(S, top, order) for n in level]
+    by_f, by_m = {}, {}
+    for T in tree:
+        if T.gaps:
+            by_f.setdefault(frobenius(T, order), set()).add(T.gaps)
+        by_m.setdefault(T.multiplicities(), set()).add(T.gaps)
+    fibers = {}
+    for f in {h for T in tree for h in T.gaps}:
+        _, *start = enumeration._frobenius_start(S, f, order, 10**6)
+        fibers[f] = _cut_fiber(S, top, *start)
+    assert fibers == {f: by_f.get(f, set()) for f in fibers}
+    # a node loses at most top - genus(S) points, so at most that many ray
+    # points below its least element on each ray
+    lost = top - S.genus
+    on_ray = [
+        [scale(k, d) for k in range(1, 60) if scale(k, d) not in S.gaps][: lost + 1]
+        for d in S.cone.rays
+    ]
+    ms = [M for M in itertools.product(*on_ray)
+          if sum(ray.index(m) for ray, m in zip(on_ray, M)) <= lost]
+    assert by_m.keys() <= set(ms)
+    for M in ms:
+        start = enumeration._multiplicity_start(S, M, True)
+        assert _cut_fiber(S, top, *start) == by_m.get(M, set())
+    return tree, fibers
+
+
 @pytest.mark.parametrize(
     "gens, nodes",
     [(S1_GENS, 616), (((1, 0), (0, 1)), 29), (((5,), (7,), (9,)), 44)],
 )
 def test_fibers_partition_the_tree(gens, nodes, deglex):
-    # each node has one Frobenius element and one tuple of per-ray least
-    # elements, so grouped by either the tree's nodes are the fibers cut at
-    # the tree's genus: the starts of both fibers and the tree's root are
-    # checked against each other, with no brute force
     S = gaps(GenSemigroup(gens))
-    top = S.genus + 5
-    tree = [n.semigroup for level in enumerate_tree(S, top, deglex) for n in level]
+    tree, fibers = _fiber_partitions(S, deglex, S.genus + 5)
     assert len(tree) == nodes
-    by_f, by_m = {}, {}
-    for T in tree:
-        if T.gaps:
-            by_f.setdefault(frobenius(T, deglex), set()).add(T.gaps)
-        by_m.setdefault(T.multiplicities(), set()).add(T.gaps)
-    fibers = {}
-    for f in {h for T in tree for h in T.gaps}:
-        _, *start = enumeration._frobenius_start(S, f, deglex, 10**6)
-        fibers[f] = _cut_fiber(S, top, *start)
-    assert fibers == {f: by_f.get(f, set()) for f in fibers}
     # the root lies in the fiber of F(S); N^2 has no gaps, so its root in none
     assert [f for f, fiber in fibers.items() if S.gaps in fiber] == (
         [frobenius(S, deglex)] if S.gaps else []
     )
-    # a node loses at most 5 points, so at most 5 ray points below M
-    on_ray = [
-        [scale(k, d) for k in range(1, 60) if scale(k, d) not in S.gaps][:6]
-        for d in S.cone.rays
-    ]
-    ms = [M for M in itertools.product(*on_ray)
-          if sum(ray.index(m) for ray, m in zip(on_ray, M)) <= 5]
-    assert by_m.keys() <= set(ms)
-    for M in ms:
-        start = enumeration._multiplicity_start(S, M, True)
-        assert _cut_fiber(S, top, *start) == by_m.get(M, set())
+
+
+@given(data=band_csemigroups(), draws=st.data())
+@settings(max_examples=40, deadline=None)
+def test_fibers_partition_drawn_trees(data, draws):
+    """The partition identities of ``_fiber_partitions`` on C-semigroups
+    drawn in dimensions 1-3, over cones of lower dimension than their
+    lattice among them, under deglex and degrevlex with a drawn priority
+    (the Frobenius fiber needs a degree-compatible order), to a drawn
+    genus a few levels below the root."""
+    gens, _, _ = data
+    S = gaps(GenSemigroup(gens, warn_redundant=False))
+    priority = tuple(draws.draw(st.permutations(range(S.dim))))
+    name = draws.draw(st.sampled_from(["deglex", "degrevlex"]))
+    levels = draws.draw(st.integers(0, {1: 5, 2: 3, 3: 2}[S.dim]))
+    _fiber_partitions(S, MonomialOrder(name, priority), S.genus + levels)
