@@ -182,12 +182,13 @@ def simplicial_semigroups(draw, max_dim=3):
 
 
 @st.composite
-def band_csemigroups(draw, max_dim=3):
+def band_csemigroups(draw, max_dim=3, max_a=None):
     """Generators of a C-semigroup over one of ``SIMPLICIAL_CONES`` of
     dimension at most ``max_dim``, by construction, so none is rejected.
 
     Every cone point of grade a .. 2a+K (K the sum of the ray grades) and
-    up to three drawn cone points below grade a.  Every cone point of
+    up to three drawn cone points below grade a, with a up to
+    ``max_a[dim]`` (12, 6 and 4 in dimension 1, 2 and 3 by default).  Every cone point of
     grade at least a is a sum of those of grade a .. 2a+K (split it into
     ray multiples and one point of the fundamental parallelepiped, each of
     grade at most K), so the gaps are finite and lie below grade a.
@@ -197,8 +198,8 @@ def band_csemigroups(draw, max_dim=3):
     rays, in_cone = draw(
         st.sampled_from([c for c in SIMPLICIAL_CONES if len(c[0][0]) <= max_dim])
     )
-    _, top, points = _low_grades(rays, in_cone)
-    a = draw(st.integers(1, top))
+    dim, top, points = _low_grades(rays, in_cone)
+    a = draw(st.integers(1, top if max_a is None else max_a[dim]))
     K = sum(map(sum, rays))
     gens = [p for p in points(2 * a + K) if sum(p) >= a]
     low = [p for p in points(a - 1) if any(p)]
