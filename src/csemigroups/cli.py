@@ -122,38 +122,42 @@ def _chunks(doc, items):
     yield "]" + tail + "\n"
 
 
-class _PointTexts(dict):
-    """Lattice point → its JSON text ``[a, b]``, made on first demand, so a
-    hit is a plain dict lookup."""
-
-    def __missing__(self, point):
-        text = self[point] = "[" + ", ".join(map(str, point)) + "]"
-        return text
-
-
 def _semigroup_encoder(genus, full=True, removed=False):
-    """The text of ``{"gaps": ..., "genus": g, "imsg": ..., "removed": x}``
-    for a node of the removal walk (``enumeration._walk``) whose root has
+    """The maker, given the points that a removal walk's ranks name
+    (``enumeration._walk``), of the text of ``{"gaps": ..., "genus": g,
+    "imsg": ..., "removed": x}`` for each node of that walk whose root has
     genus ``genus``, as ``json.dumps`` with sorted keys writes it: ``gaps``
-    only when ``full``, ``removed`` only when ``removed``; the node's
-    point tuples are already sorted.  Each point is encoded once per
-    encoder, and each command call makes its own, so no text outlives the
-    call."""
-    texts = _PointTexts()
+    only when ``full``, ``removed`` only when ``removed`` (and ``full``).
+    A node's rank tuples are sorted, and ranks follow tuple order, so its
+    point lists are already sorted.  Each point is encoded once per walk,
+    into a list indexed by rank, and each command call makes its own, so
+    no text outlives the call."""
 
-    def listing(points):
-        return "[" + ", ".join(map(texts.__getitem__, points)) + "]"
+    def make(points):
+        texts = ["[" + ", ".join(map(str, p)) + "]" for p in points]
+        text, join = texts.__getitem__, ", ".join
 
-    def encode(node):
-        k, x, gens, _, hs = node
-        text = f'"genus": {genus + k}, "imsg": {listing(gens)}'
-        if full:
-            text = f'"gaps": {listing(hs)}, {text}'
-        if removed:
-            text = f'{text}, "removed": {"null" if x is None else texts[x]}'
-        return "{" + text + "}"
+        def tree_node(node):
+            k, x, gens, _, hs = node
+            return (
+                f'{{"gaps": [{join(map(text, hs))}], "genus": {genus + k}, '
+                f'"imsg": [{join(map(text, gens))}], '
+                f'"removed": {"null" if x is None else texts[x]}}}'
+            )
 
-    return encode
+        def full_node(node):
+            k, _, gens, _, hs = node
+            return (
+                f'{{"gaps": [{join(map(text, hs))}], "genus": {genus + k}, '
+                f'"imsg": [{join(map(text, gens))}]}}'
+            )
+
+        def node(node):
+            return f'{{"genus": {genus + node[0]}, "imsg": [{join(map(text, node[2]))}]}}'
+
+        return tree_node if removed else full_node if full else node
+
+    return make
 
 
 def cmd_gaps(args):
@@ -253,8 +257,9 @@ def cmd_tree(args):
     if args.full:
         # each node is kept only as its encoded text, so the walk's nodes
         # are dropped as it moves on; the budget binds before any byte is written
-        _, walk = enumeration._tree(G, args.max_genus, order, budget)
-        levels = enumeration._levels(walk, _semigroup_encoder(G.genus, removed=True))
+        _, points, walk = enumeration._tree(G, args.max_genus, order, budget)
+        encode = _semigroup_encoder(G.genus, removed=True)(points)
+        levels = enumeration._levels(walk, encode)
         counts = [len(level) for level in levels]
     else:
         counts = enumeration.tree_counts(G, args.max_genus, order, budget)

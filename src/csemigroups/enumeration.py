@@ -31,9 +31,11 @@ are helpers (:func:`_frobenius_start`, :func:`_multiplicity_start`).
 
 from __future__ import annotations
 
-from bisect import bisect
+from array import array
+from bisect import bisect, bisect_left
 from dataclasses import dataclass
 from itertools import count
+from operator import ge
 
 from .errors import BudgetExceeded, NotDegreeCompatible, SemigroupError
 from .lattice import LT, MonomialOrder, Point, scale, vadd, vsub, zero
@@ -53,186 +55,282 @@ def big_o(S: GapSemigroup, T, order: MonomialOrder) -> Point | None:
     return order.max(diff)
 
 
-class _Masks:
-    """The divisor masks of one removal walk over the base S from a start
-    that lost ``lost`` (S's gaps when None), made for that walk and dropped
-    with it: S itself keeps nothing.
+class _Universe:
+    """The finite universe of one removal walk, built once for that walk and
+    dropped with it, so the base S keeps nothing a walk wrote.
 
-    ``masks`` maps each point y of S∖{0} the walk met to D(y), the bitmask
-    of the z in S∖{0} with y − z ∈ S that the start kept; ``coords`` holds
-    those points' cone coordinates, and ``rows`` the up-rows (:meth:`row`)
-    of the points a step removed.  Every point is read in the cone
-    coordinates that S's generated form split msg(S) into, and msg(S) is
-    not split again, nor are the start's generators that ``coords`` gives.
+    ``points`` lists the universe in tuple order, and a point is named by
+    its index there, its rank: the points that can be an ideal generator of
+    a node the walk reaches, together with their divisors in S∖{0} that
+    the walk's masks do not skip, the root's gaps when the walk writes
+    gaps, and the root's generators and threshold.  ``masks`` maps the rank
+    of each point y with a divisor mask to D(y), the bits of the ranks of
+    the points z of the universe with y − z ∈ S (y itself among them);
+    ``rows`` maps it to y's up-row, one entry (rank, mask, bit) per sum
+    y + n (n ∈ msg(S)) in the universe, in rank order; ``after`` maps it
+    to the bits of the ranks that follow y under the walk's key and may be
+    removed (those in the pool, for a fiber).
 
-    What the start lost beyond S's gaps is a down-set L of S∖{0}, so the
-    masks stay exact off L: a chain of msg(S) steps from y ∉ L down to a
-    divisor z ∉ L lies above z, so outside L, and no lost point is again
-    a generator whose bit a step tests.
+    The root is ``root``, a node of :func:`_walk`, and ``first`` the bits
+    of its generators that it may remove.  A root the caller supplies is
+    certified step by step (``certify``): ``lost`` holds the ranks of its
+    generators that it lost, ``invalid`` the error of the first of its
+    generators, in ``gens`` order, that is no nonzero element of S of S's
+    dimension, and ``gens`` its generators, which name a divisor in an
+    error.
     """
 
-    def __init__(self, S: GapSemigroup, lost=None, coords=()):
-        G = S.as_generated()
-        self.msg = tuple(zip(G.generators, G._gen_nums))
-        self.dim, self.gaps, self.split = S.dim, S.gaps, G._numerators
-        self.lost = S.gaps if lost is None else lost
-        self.masks, self.coords, self.rows = {}, dict(coords) | dict(self.msg), {}
+    certify, lost, invalid, gens, after = False, frozenset(), None, frozenset(), {}
 
-    @staticmethod
-    def bit(mask: int) -> int:
-        """The bit of the point whose divisor mask is ``mask``, its highest."""
-        return 1 << (mask.bit_length() - 1)
+    def __init__(self, graded, listed, removable=None):
+        """Rank ``graded``, the points with a divisor mask as pairs (y, the
+        divisors y − n of y in the universe) in grade order, with the
+        further points ``listed``, and read the masks, and the rows of the
+        points in ``removable`` (every point of ``graded`` when None)."""
+        points = self.points = sorted(listed.union(y for y, _ in graded))
+        rank = {y: bisect_left(points, y) for y, _ in graded}
+        masks, ups, rows = {}, {}, {}
+        for y, divisors in graded:
+            r = rank[y]
+            d = ups[r] = 1 << r
+            for w in divisors:
+                d |= masks[rank[w]]
+            masks[r] = d
+        for y in rank if removable is None else removable:
+            rows[rank[y]] = []
+        for y, divisors in graded:
+            r = rank[y]
+            for w in divisors:
+                if (row := rows.get(rank[w])) is not None:
+                    row.append(r)
+        self.masks, self.rows = masks, {
+            r: tuple((z, masks[z], ups[z]) for z in sorted(row)) for r, row in rows.items()
+        }
 
-    def mask(self, y: Point, ny: Point) -> int:
-        """D(y) for a nonzero point y of S with cone coordinates ``ny``.
+    def follow(self, key=None, pool=None):
+        """Read ``after``: each rank with a mask, with the bits of the ranks
+        with a mask that follow it under ``key`` (tuple order when None)
+        and lie in ``pool``, if given.  A walk that expands no node below
+        its root reads none."""
+        points, after, acc = self.points, {}, 0
+        ranks = sorted(self.masks) if key is None else sorted(
+            self.masks, key=lambda r: key(points[r])
+        )
+        for r in reversed(ranks):
+            after[r] = acc
+            if pool is None or points[r] in pool:
+                acc |= 1 << r
+        self.after = after
 
-        D(y) is y's own bit together with D(y − n) for each n ∈ msg(S)
-        with y − n ∈ S∖{0} not lost, read on cone coordinates: N(y − n) =
-        N(y) − N(n) ≥ 0, so no point is split.  A mask is built on first
-        demand after those of its terms, and only then is y's bit drawn,
-        the next unused one, so it is the highest bit of D(y).
-        """
-        masks, coords, lost = self.masks, self.coords, self.lost
-        stack = [(y, ny)]
-        while stack:
-            z, nz = stack[-1]
-            if z in masks:
-                stack.pop()
+    def ranks(self, points) -> tuple[int, ...]:
+        """The sorted ranks of ``points``, which all lie in the universe."""
+        return tuple(sorted(bisect_left(self.points, y) for y in points))
+
+    def gap_ranks(self, gaps) -> array:
+        """The sorted ranks of the root's ``gaps``, as an array of machine
+        integers: a start can lose tens of thousands of points (⟨3,5⟩ at
+        f = 64,000 loses 63,992), and an int object per rank would cost
+        four times the memory of the array each node copies."""
+        return array("q", sorted(bisect_left(self.points, h) for h in gaps))
+
+
+def _window(S: GapSemigroup, bound: int, key, gaps=True) -> _Universe:
+    """The universe of the genus tree's walk from S, whose nodes at depth
+    d have generators with at most d + 1 divisors in S∖{0}.
+
+    W = {y ∈ S∖{0} : |D(y)| ≤ ``bound``} holds every generator of a node
+    at depth below ``bound``: each proper divisor of a generator was
+    removed.  W is a finite down-set, listed in grade order from msg(S) by
+    sums y + n whose every y + n − n′ in S∖{0} lies in W, with their divisor
+    masks, read on the cone coordinates that S's generated form split
+    msg(S) into and carried as sums, so nothing is split.  No point of W
+    divides a gap, and the up-rows hold only sums in W: a sum outside W
+    can never be promoted.  The root is S with msg(S), certified by S."""
+    G = S.as_generated()
+    msg = [(n, nn, sum(n), 1 << i) for i, (n, nn) in enumerate(zip(G.generators, G._gen_nums))]
+    coords, masks, graded, layers = {}, [], [], {}
+    for n, nn, g, b in msg:
+        layers.setdefault(g, {})[n] = [0, [], 0, None, nn]
+    while layers:
+        g = min(layers)
+        # each candidate y was reached from every y − n in W, which gave
+        # it the union of their masks: y joins W when that has fewer than
+        # ``bound`` bits and no other y − n is an element of S∖{0}
+        for y, (d, divisors, reached, w, nn) in layers.pop(g).items():
+            if d.bit_count() >= bound:
                 continue
-            mask, ready = 0, True
-            for n, nn in self.msg:
-                nw = vsub(nz, nn)
-                if min(nw) < 0 or not any(nw) or (w := vsub(z, n)) in lost:
-                    continue
-                if (dw := masks.get(w)) is None:
-                    stack.append((w, nw))
-                    ready = False
+            ny = nn if w is None else vadd(coords[w], nn)
+            if any(
+                all(map(ge, ny, nm)) and any(v := vsub(y, m)) and v not in S.gaps
+                for m, nm, _, b in msg
+                if not reached & b
+            ):
+                continue
+            coords[y], dy = ny, d | 1 << len(masks)
+            masks.append(dy)
+            graded.append((y, divisors))
+            if dy.bit_count() == bound:
+                continue  # each y + n has more than ``bound`` divisors
+            for n, nn, gn, b in msg:
+                layer = layers.setdefault(g + gn, {})
+                if (entry := layer.get(z := vadd(y, n))) is None:
+                    layer[z] = [dy, [y], b, y, nn]
                 else:
-                    mask |= dw
-            if ready:
-                coords[z] = nz
-                masks[z] = mask | 1 << len(masks)
-                stack.pop()
-        return masks[y]
-
-    def generator(self, g: Point) -> int:
-        """D(g) for an ideal generator g of a parent.
-
-        A point gets a mask only once it is known to be a nonzero element of
-        S of S's dimension, so on the walk's own path this check is a
-        lookup; a point that fails it raises :class:`SemigroupError` naming
-        it.
-        """
-        mask = self.masks.get(g)
-        if mask is not None:
-            return mask
-        if len(g) != self.dim:
-            raise SemigroupError(
-                f"ideal generator {g} does not match dimension {self.dim}"
-            )
-        ng = self.coords.get(g) or self.split(g)
-        if ng is None:
-            raise SemigroupError(f"ideal generator {g} lies outside the cone")
-        if not any(g) or g in self.gaps:
-            raise SemigroupError(f"ideal generator {g} is 0 or a gap of the base")
-        return self.mask(g, ng)
-
-    def row(self, x: Point) -> tuple[tuple[Point, int, int], ...]:
-        """R(x), for a masked point x: one entry (x + n, D(x + n), the
-        index of x + n's bit) per n ∈ msg(S), in msg order, built once.
-        x + n gets its cone coordinates as the sum N(x) + N(n), so no point
-        is split.  The row holds the bit's index, not the bit: a point's
-        bit is as wide as its mask, and a point lies in up to |msg(S)|
-        rows."""
-        row = self.rows.get(x)
-        if row is None:
-            nx, masks, entries = self.coords[x], self.masks, []
-            for n, nn in self.msg:
-                y = vadd(x, n)
-                dy = masks.get(y) or self.mask(y, vadd(nx, nn))
-                entries.append((y, dy, dy.bit_length() - 1))
-            row = self.rows[x] = tuple(entries)
-        return row
+                    entry[0] |= dy
+                    entry[1].append(y)
+                    entry[2] |= b
+    U = _Universe(graded, S.gaps if gaps else frozenset())
+    U.follow(key)
+    gens = U.ranks(G.generators)
+    bits = sum(1 << r for r in gens)
+    U.root, U.first = (0, None, gens, bits, U.gap_ranks(S.gaps) if gaps else None), bits
+    return U
 
 
-def _step(M: _Masks, lost, gens, bits, x: Point):
-    """The certified removal of the ideal generator x from a node of a walk
-    whose root lost ``lost``: the points it promotes, and the child's bits.
+def _rooted(
+    S: GapSemigroup, T, coords=(), key=None, pool=None, depth=None,
+    removed=None, skip=None, gaps=True,
+) -> _Universe:
+    """The universe of a walk from a root T that the caller supplies, over
+    the base S: T's generators, each sum y + n (n ∈ msg(S)) of a point y
+    the walk may remove, one within ``pool`` (in tuple order when ``key``
+    is None) or within ``depth`` steps of T, and their divisors in S∖{0}
+    outside ``skip``, listed downwards and ranked in grade order.  What T
+    lost beyond S's gaps is a down-set L of S∖{0}, so masks that skip it
+    stay exact off L: a chain of msg(S) steps from y ∉ L down to a divisor
+    z ∉ L lies above z, so outside L.  So ``skip`` is T's gaps by default,
+    or S's when T holds a generator that it lost, whose bit the masks of
+    its multiples then hold.
 
-    x must be no gap of the root and no other generator may divide it,
-    which makes it minimal in the ideal P, so P ∖ {x} is an ideal;
-    otherwise :class:`SemigroupError` names x.  The promoted x + n,
-    n ∈ msg(S), that no other generator divides are incomparable with each
-    other and with the kept generators, so the child's generators stay
-    canonical.  A generator that is no nonzero element of S is refused by
-    name.
-
-    Divisibility is read on the walk's divisor masks ``M``
-    (:meth:`_Masks.mask`): with K the bits of the generators ``gens``
-    other than x, x is certified by D(x) & K == 0 and x + n is promoted
-    when D(x + n) & K == 0.  The entries x + n come from x's up-row
-    (:meth:`_Masks.row`), built the first time the walk removes x, so a
-    step costs one ``&`` per n ∈ msg(S), whatever the number of generators
-    or the depth.  ``bits`` are the bits of ``gens``; at the root they are
-    None and each step reads them from ``gens``.
+    T's generators take their cone coordinates from ``coords`` or msg(S),
+    and are split otherwise; every other point's are carried as sums or
+    differences, so no point is split.  A generator that is no nonzero
+    element of S of S's dimension gets a rank but no mask, and the walk's
+    first step from T refuses it by name.
     """
-    if x in lost:
+    G = S.as_generated()
+    msg = list(zip(G.generators, G._gen_nums))
+    if skip is None:
+        skip = T.gaps if T.gaps.isdisjoint(T.gens) else S.gaps
+    known, valid, invalid = dict(coords) | dict(msg), {}, None
+    for g in T.gens:
+        if len(g) != S.dim:
+            text = f"ideal generator {g} does not match dimension {S.dim}"
+        elif (ng := known.get(g) or G._numerators(g)) is None:
+            text = f"ideal generator {g} lies outside the cone"
+        elif not any(g) or g in S.gaps:
+            text = f"ideal generator {g} is 0 or a gap of the base"
+        else:
+            valid[g] = ng
+            continue
+        invalid = invalid or SemigroupError(text)
+    # the generators T may remove, then the points the walk can make
+    # generators and remove, upwards from them
+    key = key or _tuple_order
+    above = None if removed is None else key(removed)
+    eligible = [
+        y for y in sorted(T.gens)
+        if (pool is None or y in pool) and (above is None or key(y) > above)
+    ]
+    reach, removable, steps = dict(valid), [], 0
+    frontier = [y for y in eligible if y in valid and y not in T.gaps]
+    while frontier and steps != depth:
+        removable += frontier
+        promoted = []
+        for y in frontier:
+            ny = reach[y]
+            for n, nn in msg:
+                z = vadd(y, n)
+                if z not in reach:
+                    reach[z] = vadd(ny, nn)
+                    promoted.append(z)
+        frontier = [z for z in promoted if pool is None or z in pool]
+        steps += 1
+    # and their divisors, downwards
+    down, stack, divisors = reach, list(reach), {}
+    while stack:
+        y = stack.pop()
+        below = divisors[y] = []
+        for n, nn in msg:
+            if (w := vsub(y, n)) not in down:
+                # S lies in the nonnegative orthant
+                if min(w) < 0 or not any(w) or w in skip:
+                    continue
+                if min(nw := vsub(down[y], nn)) < 0:
+                    continue
+                down[w] = nw
+                stack.append(w)
+            below.append(w)
+    graded = [(y, divisors[y]) for y in sorted(divisors, key=sum)]
+    listed = set(T.gens)
+    if gaps:
+        listed |= T.gaps
+    if removed is not None:
+        listed.add(removed)
+    U = _Universe(graded, listed, removable)
+    if depth != 1:
+        U.follow(None if key is _tuple_order else key, pool)
+    U.certify, U.invalid, U.gens = True, invalid, T.gens
+    gens = U.ranks(T.gens)
+    U.lost = frozenset(r for r in gens if U.points[r] in T.gaps)
+    U.first = sum(1 << r for r in U.ranks(eligible))
+    x = None if removed is None else bisect_left(U.points, removed)
+    U.root = (0, x, gens, sum(1 << r for r in gens), U.gap_ranks(T.gaps) if gaps else None)
+    return U
+
+
+def _refuse(U: _Universe, k, y, gens, rest):
+    """The certification of a step from a root the caller supplied, which
+    removes the generator of rank y from a node at depth k with generators
+    ``gens`` and the bits ``rest`` of the others.
+
+    y must be no gap of the root and no other generator may divide it,
+    which makes it minimal in the ideal P, so P ∖ {y} is an ideal;
+    otherwise :class:`SemigroupError` names it.  The first step from the
+    root also refuses a root generator that is no nonzero element of S.
+    The points a step promotes are incomparable with each other and with
+    the kept generators, so only the root's own generators can fail."""
+    x = U.points[y]
+    if y in U.lost:
         raise SemigroupError(f"ideal generator {x} is a gap of the parent")
-    masks, bit = M.masks, M.bit
-    if bits is None:
-        bits = 0
-        for g in gens:
-            bits |= bit(M.generator(g))
-    dx = masks.get(x) or M.generator(x)
-    rest = bits & ~bit(dx)
+    if k == 0 and U.invalid is not None:
+        raise U.invalid
+    dx = U.masks[y]
     if dx & rest:
-        g = next(g for g in frozenset(gens) - {x} if dx & bit(masks[g]))
+        named = U.gens if k == 0 else frozenset(tuple(U.points[r] for r in gens))
+        g = next(g for g in named - {x} if dx >> bisect_left(U.points, g) & 1)
         raise SemigroupError(f"ideal generator {x} is divisible by {g}")
-    promoted, child = [], rest
-    for y, dy, i in M.rows.get(x) or M.row(x):
-        if not dy & rest:
-            promoted.append(y)
-            child |= 1 << i
-    return promoted, child
 
 
-def _walk(
-    M: _Masks,
-    T: IdealSemigroup,
-    key,
-    budget,
-    pool=None,
-    depth=None,
-    removed=None,
-    gaps=True,
-):
-    """The nodes ``(k, x, gens, bits, gaps)`` of T and of every semigroup U
-    reached from it by k certified removal steps (:func:`_step`) on the
-    divisor masks ``M`` of the base S, made for this walk alone, depth
-    first: x is the point U's last step removed (``removed`` for T),
-    ``gens`` U's ideal generators as a sorted tuple, ``bits`` their bits in
-    ``M`` (None for T) and ``gaps`` U's gaps as a sorted tuple, or None
-    throughout when ``gaps`` is false.  U is no object: its genus is T's
-    plus k, and :func:`_semigroup` builds it.
+def _walk(U: _Universe, budget, depth=None, pool=None):
+    """The nodes ``(k, x, gens, bits, gaps)`` of the universe ``U``'s root T
+    and of every semigroup V reached from it by k certified removal steps,
+    depth first, on ranks in ``U``: x is the rank of the point V's last
+    step removed (T's threshold, or None), ``gens`` the sorted ranks of V's
+    ideal generators, ``bits`` their bits and ``gaps`` the sorted ranks of
+    V's gaps, or None throughout when the universe lists no gaps.  V is no
+    object: its genus is T's plus k, and :func:`_semigroup` builds it.
 
     A node that removed x has as children the removals of its generators
-    that follow x under ``key`` (every generator when x is None),
-    restricted to ``pool`` when one is given, in ascending tuple order.
-    With a key that extends ≤_S, every removable set of points is reached
-    once, in increasing key order, and the nodes of one depth come out in
-    the lexicographic order of their removal sequences: the breadth-first
-    order of that level, and in tuple order the fibers' canonical order
-    (module docstring).  A removed point never returns as a generator, so
-    a step reads the gaps of T alone.  Nodes at ``depth`` get no children.
-    Only the open siblings on the path to the current node are held.
-    Raises :class:`BudgetExceeded` once more than ``budget`` nodes are
-    emitted.
+    that follow x under the walk's key (``U.after``), in ascending tuple
+    order; the root removes those in ``U.first``.  With a key that extends
+    ≤_S, every removable set of points is reached once, in increasing key
+    order, and the nodes of one depth come out in the lexicographic order
+    of their removal sequences: the breadth-first order of that level, and
+    in tuple order the fibers' canonical order (module docstring).
+
+    A step that removes y keeps the other generators, with bits ``rest``,
+    and promotes each y + n of y's up-row with D(y + n) & rest == 0: no
+    other generator divides it.  The step reads one ``&`` per minimal
+    generator, whatever the number of generators or the depth, and a
+    removed point never returns as a generator.  A root the caller
+    supplies is certified at each step (:func:`_refuse`).  Nodes at
+    ``depth`` get no children.  Only the open siblings on the path to the
+    current node are held.  Raises :class:`BudgetExceeded` once more than
+    ``budget`` nodes are emitted, naming the size of ``pool`` if given.
     """
-    lost = T.gaps
-    hs = tuple(sorted(lost)) if gaps else None
-    # each point's key, computed once per walk
-    keys = {} if removed is None else {removed: key(removed)}
-    stack, emitted = [(0, removed, tuple(sorted(T.gens)), None, hs)], 0
+    rows, after, certify = U.rows, U.after, U.certify
+    stack, emitted = [U.root], 0
     while stack:
         node = stack.pop()
         emitted += 1
@@ -248,33 +346,87 @@ def _walk(
         k, x, gens, bits, hs = node
         if k == depth:
             continue
-        above = None if x is None else keys[x]
-        kids = []
-        for j, y in enumerate(gens):
-            if pool is not None and y not in pool:
-                continue
-            ky = keys.get(y)
-            if ky is None:
-                ky = keys[y] = key(y)
-            if above is not None and ky <= above:
-                continue
-            promoted, child = _step(M, lost, T.gens if bits is None else gens, bits, y)
+        e = U.first if k == 0 else bits & after[x]
+        if certify:
+            # in ascending order, so the least refused generator is named
+            c = e
+            while c:
+                by = c & -c
+                c ^= by
+                _refuse(U, k, by.bit_length() - 1, gens, bits ^ by)
+        k += 1
+        # pushed in descending order of y, so popped in ascending order
+        while e:
+            y = e.bit_length() - 1
+            by = 1 << y
+            e ^= by
+            rest = bits ^ by
+            child, promoted = rest, []
+            for z, dz, bz in rows[y]:
+                if not dz & rest:
+                    promoted.append(z)
+                    child |= bz
             # the kept generators are one sorted run, so the sort merges
+            j = bisect_left(gens, y)
             promoted += gens[:j]
             promoted += gens[j + 1 :]
             promoted.sort()
             hy = hs
             if hs is not None:
-                i = bisect(hs, y)
-                hy = hs[:i] + (y,) + hs[i:]
-            kids.append((k + 1, y, tuple(promoted), child, hy))
-        stack.extend(reversed(kids))  # popped in ascending order of y
+                hy = array("q", hs)
+                hy.insert(bisect(hs, y), y)
+            stack.append((k, y, tuple(promoted), child, hy))
 
 
-def _semigroup(base: GapSemigroup, node) -> IdealSemigroup:
+def _count(U: _Universe, budget, depth: int) -> list[int]:
+    """The number of nodes of each depth up to ``depth`` of :func:`_walk`
+    from the tree universe ``U``, on generator bits alone: a node at depth
+    ``depth`` − 1 adds the popcount of the generators it may remove, and
+    is not expanded, so the last level is counted, not built (Fromentin and
+    Hivert 2016).  Every counted node is charged to ``budget``."""
+    rows, after, last = U.rows, U.after, depth - 1
+    counts, stack, emitted = [0] * (depth + 1), [(0, None, U.root[3])], 0
+    while stack:
+        k, x, bits = stack.pop()
+        e = U.first if x is None else bits & after[x]
+        counts[k] += 1
+        emitted += 1
+        if k == last:
+            counts[depth] += (c := e.bit_count())
+            emitted += c
+        if emitted > budget:
+            raise BudgetExceeded(
+                f"removal walk emitted more than {budget} semigroups",
+                limit=budget,
+                count=budget + 1,
+                unit="semigroups",
+            )
+        if k >= last:
+            continue
+        while e:
+            y = e.bit_length() - 1
+            e ^= 1 << y
+            rest = child = bits ^ 1 << y
+            for _, dz, bz in rows[y]:
+                if not dz & rest:
+                    child |= bz
+            stack.append((k + 1, y, child))
+    return counts
+
+
+def _semigroup(base: GapSemigroup, points, node) -> IdealSemigroup:
     """The semigroup of a walk's node (:func:`_walk`) over ``base``, whose
-    steps certified every point it lost, so nothing is checked again."""
-    return IdealSemigroup._certified(base, node[4], node[2])
+    ranks name ``points`` and whose steps certified every point it lost, so
+    nothing is checked again."""
+    return IdealSemigroup._certified(
+        base, [points[r] for r in node[4]], [points[r] for r in node[2]]
+    )
+
+
+def _semigroups(base: GapSemigroup):
+    """The node maker of :func:`_fiber` that builds each node's semigroup
+    over ``base`` (:func:`_semigroup`)."""
+    return lambda points: lambda n: _semigroup(base, points, n)
 
 
 def _levels(walk, node) -> list[list]:
@@ -289,13 +441,15 @@ def _levels(walk, node) -> list[list]:
 
 
 def _fiber(S: GapSemigroup, T: IdealSemigroup, coords, pool, budget, node, gaps=True):
-    """``node(n)`` for T and every node n reached from it by removing
-    points of ``pool`` in tuple order (:func:`_walk`), by genus, then
-    sorted gaps (module docstring).  T is a fiber's start, certified by
+    """``node(points)(n)`` for T and every node n reached from it by
+    removing points of ``pool`` in tuple order (:func:`_walk`), by genus,
+    then sorted gaps (module docstring); ``points`` names the walk's
+    ranks.  T is a fiber's start, certified by
     :meth:`.IdealSemigroup._from_lost`, so the walk masks no point T lost
-    (:class:`_Masks`), and ``coords`` gives its generators' coordinates."""
-    walk = _walk(_Masks(S, T.gaps, coords), T, _tuple_order, budget, pool, gaps=gaps)
-    return [v for level in _levels(walk, node) for v in level]
+    (:func:`_rooted`), and ``coords`` gives its generators' coordinates."""
+    U = _rooted(S, T, coords, pool=pool, gaps=gaps)
+    walk = _walk(U, budget, pool=pool)
+    return [v for level in _levels(walk, node(U.points)) for v in level]
 
 
 def _tuple_order(x: Point) -> Point:
@@ -306,19 +460,20 @@ def _tuple_order(x: Point) -> Point:
 def children(S: GapSemigroup, T: IdealSemigroup, order: MonomialOrder):
     """Child nodes of T in the genus tree of S.
 
-    Exactly the certified removals (:func:`_step`) of the canonical ideal
-    generators exceeding ``big_o(S, T)``, in sorted order: the first step
-    of the tree's walk from T, built over T's base.  Each call builds its
-    own divisor masks, of every point of S∖{0} that divides one of T's
-    generators or their sums with msg(S), and recomputes ``big_o``; a
-    traversal that calls it once per node pays both per node.
-    :func:`enumerate_tree` and :func:`tree_counts` walk the whole tree on
-    one set of masks and carry the threshold down instead.
+    Exactly the certified removals (:func:`_refuse`) of the canonical
+    ideal generators exceeding ``big_o(S, T)``, in sorted order: the first
+    step of the tree's walk from T, built over T's base.  Each call builds
+    its own universe, of T's generators, their sums with msg(S) and every
+    divisor of those in S∖{0}, and recomputes ``big_o``; a traversal that
+    calls it once per node pays both per node.  :func:`enumerate_tree` and
+    :func:`tree_counts` walk the whole tree on one universe and carry the
+    threshold down instead.
     """
-    # at most one node per generator besides T, so the budget never binds
     removed = big_o(S, T, order)
-    walk = _walk(_Masks(S), T, order.key, len(T.gens) + 1, depth=1, removed=removed)
-    return [_semigroup(T.base, n) for n in walk if n[0]]
+    U = _rooted(S, T, key=order.key, depth=1, removed=removed)
+    # at most one node per generator besides T, so the budget never binds
+    walk = _walk(U, len(T.gens) + 1, depth=1)
+    return [_semigroup(T.base, U.points, n) for n in walk if n[0]]
 
 
 @dataclass(frozen=True)
@@ -330,18 +485,21 @@ class TreeNode:
     genus: int
 
 
-def _tree(
-    S: GapSemigroup, max_genus: int, order: MonomialOrder, budget: int, gaps=True
-):
-    """The number of levels of S's genus tree up to ``max_genus``, and the
-    walk (:func:`_walk`) that lists its nodes, with their gaps when
-    ``gaps``."""
-    levels = max_genus - S.genus + 1
-    if levels < 1:
+def _depth(S: GapSemigroup, max_genus: int) -> int:
+    """The depth of S's genus tree up to ``max_genus``."""
+    if max_genus < S.genus:
         raise ValueError(f"max_genus {max_genus} is below the root genus {S.genus}")
-    root = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
-    walk = _walk(_Masks(S), root, order.key, budget, depth=levels - 1, gaps=gaps)
-    return levels, walk
+    return max_genus - S.genus
+
+
+def _tree(S: GapSemigroup, max_genus: int, order: MonomialOrder, budget):
+    """The number of levels of S's genus tree up to ``max_genus``, the
+    points its walk's ranks name, and the walk (:func:`_walk`) that lists
+    its nodes with their gaps, over the window of its last level
+    (:func:`_window`)."""
+    depth = _depth(S, max_genus)
+    U = _window(S, depth + 1, order.key)
+    return depth + 1, U.points, _walk(U, budget, depth)
 
 
 def enumerate_tree(
@@ -353,25 +511,30 @@ def enumerate_tree(
     genus ``genus(S) + k``, grouped from the depth-first walk.  The
     threshold of a node's children is the point it removed: a child
     removes an x beyond every point its parent lost, so x is its
-    ``big_o``.  A node thus costs one certified removal step, O(|msg(S)|)
-    divisor-mask reads, and no work that grows with its depth.  Raises
-    :class:`BudgetExceeded` when the tree has more than ``budget`` nodes.
+    ``big_o``.  A node thus costs one removal step, O(|msg(S)|) reads of
+    precomputed divisor masks, and no work that grows with its depth.
+    Raises :class:`BudgetExceeded` when the tree has more than ``budget``
+    nodes.
     """
-    _, walk = _tree(S, max_genus, order, budget)
-    return _levels(walk, lambda n: TreeNode(_semigroup(S, n), n[1], S.genus + n[0]))
+    _, points, walk = _tree(S, max_genus, order, budget)
+
+    def node(n):
+        removed = None if n[1] is None else points[n[1]]
+        return TreeNode(_semigroup(S, points, n), removed, S.genus + n[0])
+
+    return _levels(walk, node)
 
 
 def tree_counts(
     S: GapSemigroup, max_genus: int, order: MonomialOrder, budget=DEFAULT_BUDGET
 ) -> list[int]:
-    """The sizes of :func:`enumerate_tree`'s levels, counted as the walk
-    streams, so only the open siblings on the path are held, and no node
-    carries its gaps."""
-    n, walk = _tree(S, max_genus, order, budget, gaps=False)
-    counts = [0] * n
-    for node in walk:
-        counts[node[0]] += 1
-    return counts
+    """The sizes of :func:`enumerate_tree`'s levels, counted on generator
+    bits as the walk streams (:func:`_count`), so only the open siblings
+    on the path are held, no node carries its gaps or its generators'
+    ranks, and the last level is counted by popcount, over the window of
+    the level before it."""
+    depth = _depth(S, max_genus)
+    return _count(_window(S, max(depth, 1), order.key, gaps=False), budget, depth)
 
 
 @dataclass(frozen=True)
@@ -458,7 +621,7 @@ def with_frobenius(
     if top is None:
         return FrobeniusFiber(f, candidates, ())
     # the walk lists the results in the canonical order
-    results = _fiber(S, top, coords, pool, budget, lambda n: _semigroup(S, n))
+    results = _fiber(S, top, coords, pool, budget, _semigroups(S))
     return FrobeniusFiber(f, candidates, tuple(results))
 
 
@@ -497,4 +660,4 @@ def with_multiplicities(
     """
     root, pool, coords = _multiplicity_start(S, M, verify_multiplicities)
     # the walk lists the results in the canonical order
-    return tuple(_fiber(S, root, coords, pool, budget, lambda n: _semigroup(S, n)))
+    return tuple(_fiber(S, root, coords, pool, budget, _semigroups(S)))

@@ -40,7 +40,6 @@ from csemigroups import (
     GenSemigroup,
     IdealSemigroup,
     SemigroupError,
-    enumeration,
 )
 
 
@@ -400,8 +399,8 @@ def removable_pairs(member, cone_points, base_gaps):
 
 
 def remove_in_point_space(S, T, x):
-    """The certified removal step (``enumeration._step``) with each "g
-    divides y" read as ``S.contains(y − g)``, one cone test per pair."""
+    """The certified removal step of the former walk with each "g divides
+    y" read as ``S.contains(y − g)``, one cone test per pair."""
     if x in T.gaps:
         raise SemigroupError(f"ideal generator {x} is a gap of the parent")
     rest = T.gens - {x}
@@ -413,9 +412,111 @@ def remove_in_point_space(S, T, x):
     return IdealSemigroup(S, T.gaps | {x}, rest | promoted)
 
 
+class DivisorMasks:
+    """The divisor masks of the former removal walk over the base S from a
+    start that lost ``lost`` (S's gaps when None), built on demand point by
+    point, which :func:`remove_by_masks` reads.
+
+    ``masks`` maps each point y of S∖{0} the walk met to D(y), the bitmask
+    of the z in S∖{0} with y − z ∈ S that the start kept; ``coords`` holds
+    those points' cone coordinates, and ``rows`` the up-rows (:meth:`row`)
+    of the points a step removed.  Every point is read in the cone
+    coordinates that S's generated form split msg(S) into, and msg(S) is
+    not split again, nor are the start's generators that ``coords`` gives.
+
+    What the start lost beyond S's gaps is a down-set L of S∖{0}, so the
+    masks stay exact off L: a chain of msg(S) steps from y ∉ L down to a
+    divisor z ∉ L lies above z, so outside L, and no lost point is again
+    a generator whose bit a step tests.
+    """
+
+    def __init__(self, S, lost=None, coords=()):
+        G = S.as_generated()
+        self.msg = tuple(zip(G.generators, G._gen_nums))
+        self.dim, self.gaps, self.split = S.dim, S.gaps, G._numerators
+        self.lost = S.gaps if lost is None else lost
+        self.masks, self.coords, self.rows = {}, dict(coords) | dict(self.msg), {}
+
+    @staticmethod
+    def bit(mask):
+        """The bit of the point whose divisor mask is ``mask``, its highest."""
+        return 1 << (mask.bit_length() - 1)
+
+    def mask(self, y, ny):
+        """D(y) for a nonzero point y of S with cone coordinates ``ny``.
+
+        D(y) is y's own bit together with D(y − n) for each n ∈ msg(S)
+        with y − n ∈ S∖{0} not lost, read on cone coordinates: N(y − n) =
+        N(y) − N(n) ≥ 0, so no point is split.  A mask is built on first
+        demand after those of its terms, and only then is y's bit drawn,
+        the next unused one, so it is the highest bit of D(y).
+        """
+        masks, coords, lost = self.masks, self.coords, self.lost
+        stack = [(y, ny)]
+        while stack:
+            z, nz = stack[-1]
+            if z in masks:
+                stack.pop()
+                continue
+            mask, ready = 0, True
+            for n, nn in self.msg:
+                nw = _sub(nz, nn)
+                if min(nw) < 0 or not any(nw) or (w := _sub(z, n)) in lost:
+                    continue
+                if (dw := masks.get(w)) is None:
+                    stack.append((w, nw))
+                    ready = False
+                else:
+                    mask |= dw
+            if ready:
+                coords[z] = nz
+                masks[z] = mask | 1 << len(masks)
+                stack.pop()
+        return masks[y]
+
+    def generator(self, g):
+        """D(g) for an ideal generator g of a parent.
+
+        A point gets a mask only once it is known to be a nonzero element of
+        S of S's dimension, so on the walk's own path this check is a
+        lookup; a point that fails it raises :class:`SemigroupError` naming
+        it.
+        """
+        mask = self.masks.get(g)
+        if mask is not None:
+            return mask
+        if len(g) != self.dim:
+            raise SemigroupError(
+                f"ideal generator {g} does not match dimension {self.dim}"
+            )
+        ng = self.coords.get(g) or self.split(g)
+        if ng is None:
+            raise SemigroupError(f"ideal generator {g} lies outside the cone")
+        if not any(g) or g in self.gaps:
+            raise SemigroupError(f"ideal generator {g} is 0 or a gap of the base")
+        return self.mask(g, ng)
+
+    def row(self, x):
+        """R(x), for a masked point x: one entry (x + n, D(x + n), the
+        index of x + n's bit) per n ∈ msg(S), in msg order, built once.
+        x + n gets its cone coordinates as the sum N(x) + N(n), so no point
+        is split.  The row holds the bit's index, not the bit: a point's
+        bit is as wide as its mask, and a point lies in up to |msg(S)|
+        rows."""
+        row = self.rows.get(x)
+        if row is None:
+            nx, masks, entries = self.coords[x], self.masks, []
+            for n, nn in self.msg:
+                y = _add(x, n)
+                dy = masks.get(y) or self.mask(y, _add(nx, nn))
+                entries.append((y, dy, dy.bit_length() - 1))
+            row = self.rows[x] = tuple(entries)
+        return row
+
+
 def remove_by_masks(M, T, x):
     """T less its ideal generator x, by the step on the divisor masks ``M``
-    (``enumeration._Masks``) of the base S that built each child of the
+    (:class:`DivisorMasks`) of the base S that built each child of the
     former walk over ``IdealSemigroup`` nodes: the generators' bits are
     read anew from T, the child is built and checked from its gap set,
     over T's base."""
@@ -491,7 +592,7 @@ def frobenius_top_by_removals(S, f):
     a linear extension of ≤_S, so each is an ideal generator when removed.
     """
     T = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
-    M = enumeration._Masks(S)
+    M = DivisorMasks(S)
     for g in range(1, sum(f) + 1):
         for x in S.cone.graded_points(g):
             if S.contains(x) and S.contains(_sub(f, x)):

@@ -41,7 +41,7 @@ from csemigroups import (
     with_multiplicities,
 )
 from csemigroups import enumeration, ideals
-from csemigroups.lattice import scale
+from csemigroups.lattice import scale, vadd
 from csemigroups.serialize import load_document, semigroup_to_document
 from bruteforce import (
     brute_apery_core,
@@ -111,17 +111,18 @@ def test_children_certificate_rejects_corrupt_parent(s1, deglex):
 
 
 def test_removal_steps_split_each_point_once(monkeypatch):
-    # each walk runs on its own fresh base, on masks of its own, and leaves
-    # the base as it was.  Its masks read msg(S) in the coordinates of the
-    # generated form and carry every other point's as a sum, and a fiber's
-    # start hands the walk the coordinates of its generators, so the points
-    # split are exactly the Frobenius target (to check that it is a cone
-    # point) and the ray elements M of the multiplicity fiber's Apery table.
-    # No start generator, no point the start lost and no point a step
-    # promoted is split, and the returned semigroups are built from the
-    # walk's certificate, unchecked; no step tests membership in point
-    # space.  Each base's generated form is built before the count, so its
-    # own descent splits are not counted, and its splitter, which the walk
+    # each walk runs on its own fresh base, on a universe of its own, and
+    # leaves the base as it was.  Its universe reads msg(S) in the
+    # coordinates of the generated form and carries every other point's as
+    # a sum or a difference, and a fiber's start hands the walk the
+    # coordinates of its generators, so the points split are exactly the
+    # Frobenius target (to check that it is a cone point) and the ray
+    # elements M of the multiplicity fiber's Apery table.  No start
+    # generator, no point the start lost and no point a step promoted is
+    # split, and the returned semigroups are built from the walk's
+    # certificate, unchecked; no step tests membership in point space.
+    # Each base's generated form is built before the count, so its own
+    # descent splits are not counted, and its splitter, which the universe
     # reads, is wrapped to count after.  No walk masks a point its start
     # lost: each fiber's start is certified, and every divisor a step reads
     # lies outside that down-set.
@@ -136,10 +137,14 @@ def test_removal_steps_split_each_point_once(monkeypatch):
         (M, lambda S: with_multiplicities(S, M)),
         (M, lambda S: with_multiplicities(S, M, verify_multiplicities=True)),
     ]
-    masks = enumeration._Masks
 
     def recorded(walks):
-        return lambda *args: walks.append(masks(*args)) or walks[-1]
+        class Recorded(enumeration._Universe):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                walks.append({self.points[r] for r in self.masks})
+
+        return Recorded
 
     sizes = []
     for own, run in runs:
@@ -155,21 +160,21 @@ def test_removal_steps_split_each_point_once(monkeypatch):
             patch.setattr(G, "_numerators", counted(G._numerators))
             patch.setattr(GapSemigroup, "contains", None)
             patch.setattr(Cone, "contains", None)
-            patch.setattr(enumeration, "_Masks", recorded(walks))
+            patch.setattr(enumeration, "_Universe", recorded(walks))
             results = run(S)
         root = results[0]
         sizes.append(len(results))
         assert sorted(splits) == sorted(own)
         assert vars(S).keys() <= {"cone", "gaps", "_generated", "_msg"}
-        assert len(walks) == 1 and not walks[0].masks.keys() & root.gaps
+        assert len(walks) == 1 and not walks[0] & root.gaps
     assert sizes == [1 + 8 + 30 + 77 + 166 + 334, 320, 352, 288]
     # the top of <3,5> at f = 4,000 loses 3,992 points, every point of S up
     # to f but the four candidates, and none of them gets a mask
     S, walks = gaps(GenSemigroup([(3,), (5,)])), []
     with monkeypatch.context() as patch:
-        patch.setattr(enumeration, "_Masks", recorded(walks))
+        patch.setattr(enumeration, "_Universe", recorded(walks))
         top = with_frobenius(S, (4000,), order).results[0]
-    assert len(walks) == 1 and not walks[0].masks.keys() & top.gaps
+    assert len(walks) == 1 and not walks[0] & top.gaps
 
 
 @pytest.mark.parametrize(
@@ -194,33 +199,52 @@ def test_removal_step_refuses_generators_outside_the_base(
         children(s1, corrupt, deglex)
 
 
-def test_walk_masks_hold_exactly_the_divisors():
-    # a walk's masks are its own, so no two walks draw bits from one store
-    # and no race is left to provoke: one walk's state, filled in a shuffled
-    # order, gives each point its own bit and holds exactly its divisors
-    for seed in range(3):
-        S = gaps(GenSemigroup(S1_GENS))
-        points = [x for x in fixture_cone_points(60) if any(x) and S.contains(x)]
-        M = enumeration._Masks(S)
-        for y in random.Random(seed).sample(points, len(points)):
-            M.generator(y)
-        point_of = {mask.bit_length() - 1: y for y, mask in M.masks.items()}
-        assert len(point_of) == len(M.masks) == len(points)
-        for y in points:
-            mask = M.masks[y]
-            divisors = {point_of[i] for i in range(mask.bit_length()) if mask >> i & 1}
-            assert divisors == {
-                z
-                for z in points
-                if z == y or S.contains(tuple(a - b for a, b in zip(y, z)))
-            }
+def _divisors_by_cone(S, points):
+    """Each point y of ``points`` with the points z of ``points`` that
+    divide it in S (y − z ∈ S, z = y among them), read by cone tests."""
+    return {
+        y: {z for z in points if z == y or S.contains(tuple(a - b for a, b in zip(y, z)))}
+        for y in points
+    }
+
+
+def _universe_divisors(U):
+    """Each point of the universe ``U`` with a mask, with the points whose
+    ranks its mask holds."""
+    return {
+        U.points[r]: {U.points[i] for i in range(d.bit_length()) if d >> i & 1}
+        for r, d in U.masks.items()
+    }
+
+
+def test_walk_masks_hold_exactly_the_divisors(deglex):
+    # the tree's window W_b, the points of S with at most b divisors in
+    # S minus 0, against a cone-test scan of S1 up to grade 60, and the
+    # masks of its universe against the divisors read by cone tests: each
+    # point has its own rank and its mask holds exactly its divisors.  The
+    # universe of a fiber's walk holds its start's generators and their
+    # sums with msg(S) within the pool, with the same masks
+    S = gaps(GenSemigroup(S1_GENS))
+    points = [x for x in fixture_cone_points(60) if any(x) and S.contains(x)]
+    divisors = _divisors_by_cone(S, points)
+    for bound in (1, 3, 6, 9):
+        U = enumeration._window(S, bound, deglex.key)
+        window = _universe_divisors(U)
+        assert window.keys() == {y for y, d in divisors.items() if len(d) <= bound}
+        assert window == {y: divisors[y] for y in window}
+        assert sorted(U.points) == U.points
+    root, pool, coords = enumeration._multiplicity_start(S, [(10, 2), (6, 2)])
+    U = enumeration._rooted(S, root, coords, pool=pool, skip=root.gaps)
+    fiber = _universe_divisors(U)
+    assert root.gens | {vadd(x, n) for x in pool for n in S1_GENS} <= fiber.keys()
+    assert fiber == _divisors_by_cone(S, list(fiber))
 
 
 def test_threads_sharing_the_up_rows():
     # four threads walk the tree of one fresh base at once, switching every
-    # microsecond, each on masks and up-rows of its own; each walk must
-    # match a serial walk on another fresh base, and the base must hold
-    # nothing a walk wrote
+    # microsecond, each on a universe of its own, masks and up-rows among
+    # it; each walk must match a serial walk on another fresh base, and the
+    # base must hold nothing a walk wrote
     def walk(S):
         levels = enumerate_tree(S, 9, MonomialOrder("deglex"))
         return [
@@ -313,9 +337,9 @@ def _oracle_children(S, T, order):
 
 def _removed(S, T, x):
     """The walk's one step from T that removes its generator x."""
-    M = enumeration._Masks(S)
-    walk = enumeration._walk(M, T, enumeration._tuple_order, 2, {x}, depth=1)
-    return [enumeration._semigroup(T.base, n) for n in walk if n[0]]
+    U = enumeration._rooted(S, T, pool={x}, depth=1)
+    walk = enumeration._walk(U, 2, depth=1, pool={x})
+    return [enumeration._semigroup(T.base, U.points, n) for n in walk if n[0]]
 
 
 def _oracle_frobenius(S, f, order, budget):
@@ -439,9 +463,7 @@ def test_frobenius_top_matches_removal_steps(data, draws):
     assert (top.gaps, top.gens) == (expected.gaps, expected.gens)
 
     def from_expected():
-        walked = fiber(
-            S, expected, {}, pool, 300, lambda n: enumeration._semigroup(S, n)
-        )
+        walked = fiber(S, expected, {}, pool, 300, enumeration._semigroups(S))
         return sorted(walked, key=canonical_key)
 
     assert got == _outcome(from_expected)
@@ -512,9 +534,9 @@ def test_frobenius_fiber_takes_one_removal_step_per_result(gens, f, count, monke
     # 18, 322 and 3,998 steps here
     S = gaps(GenSemigroup(gens))
     steps = []
-    step = enumeration._step
+    step = enumeration._refuse
     monkeypatch.setattr(
-        enumeration, "_step", lambda *args: steps.append(args[4]) or step(*args)
+        enumeration, "_refuse", lambda *args: steps.append(args[2]) or step(*args)
     )
     fiber = with_frobenius(S, f, MonomialOrder("deglex"))
     assert len(fiber.results) == count
@@ -559,10 +581,10 @@ def test_removal_path_matches_point_space(data, draws):
 def test_lean_child_matches_full_child(data, draws):
     """Down a drawn path of children, up to six levels below the root, each
     bare node of the walk matches the ``IdealSemigroup`` built and checked
-    from its gaps alone: its sorted gaps and generators are that
-    semigroup's, and its bits are those of that semigroup's generators in
-    the walk's own divisor masks.  Over an equal base that is not S, the
-    children keep that base."""
+    from its gaps alone: its sorted gap and generator ranks name that
+    semigroup's gaps and generators in the walk's own universe, and its
+    bits are those of that semigroup's generators' ranks.  Over an equal
+    base that is not S, the children keep that base."""
     gens, _, _ = data
     try:
         S = gaps(GenSemigroup(gens, warn_redundant=False))
@@ -571,24 +593,21 @@ def test_lean_child_matches_full_child(data, draws):
     order = MonomialOrder("deglex")
     T = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
     for _ in range(6):
-        M = enumeration._Masks(S)
-        walk = enumeration._walk(
-            M, T, order.key, len(T.gens) + 1, depth=1, removed=big_o(S, T, order)
-        )
+        removed = big_o(S, T, order)
+        U = enumeration._rooted(S, T, key=order.key, depth=1, removed=removed)
+        walk = enumeration._walk(U, len(T.gens) + 1, depth=1)
         nodes = [n for n in walk if n[0]]
         kids = children(S, T, order)
         assert len(nodes) == len(kids)
         if not kids:
             break
+        rank = {y: r for r, y in enumerate(U.points)}
         for (_, x, node_gens, bits, node_gaps), child in zip(nodes, kids):
-            full = IdealSemigroup(S, node_gaps)
-            assert x in full.gaps and x not in T.gaps
-            assert node_gaps == tuple(sorted(full.gaps))
-            assert node_gens == tuple(sorted(full.gens))
-            full_bits = 0
-            for g in full.gens:
-                full_bits |= M.bit(M.masks[g])
-            assert bits == full_bits
+            full = IdealSemigroup(S, [U.points[r] for r in node_gaps])
+            assert U.points[x] in full.gaps and U.points[x] not in T.gaps
+            assert list(node_gaps) == sorted(rank[h] for h in full.gaps)
+            assert node_gens == tuple(sorted(rank[g] for g in full.gens))
+            assert bits == sum(1 << rank[g] for g in full.gens)
             assert (child.gaps, child.gens, child.base, child.cone) == (
                 full.gaps, full.gens, full.base, full.cone
             )
@@ -631,18 +650,22 @@ def _walk_bases(draw):
     return S, points
 
 
-def _walk_outcome(nodes, M):
+def _walk_outcome(nodes, points):
     """What the library's walk gives, as the oracle's ``(k, x, gaps, gens)``
-    per node, or the error's type and message; every node's tuples are
-    sorted, and every node below the root carries its generators' bits in
-    the walk's own masks ``M``."""
+    per node with its ranks mapped back to the points they name, or the
+    error's type and message; every node's rank tuples are sorted, and
+    every node carries its generators' bits."""
     out = []
     try:
         for k, x, gens, bits, hs in nodes:
             assert list(gens) == sorted(gens) and list(hs) == sorted(hs)
-            if k:
-                assert bits == sum({M.bit(M.masks[g]) for g in gens})
-            out.append((k, x, frozenset(hs), frozenset(gens)))
+            assert bits == sum(1 << r for r in gens)
+            out.append((
+                k,
+                None if x is None else points[x],
+                frozenset(points[r] for r in hs),
+                frozenset(points[r] for r in gens),
+            ))
     except (SemigroupError, BudgetExceeded) as exc:
         return type(exc).__name__, str(exc)
     return out
@@ -673,13 +696,16 @@ def test_walk_matches_the_oracle_walk(base, draws):
     depth = draws.draw(st.integers(0, {1: 5, 2: 4, 3: 2}[S.dim]))
     root = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
 
-    def agree(T, key, pool=None, depth=None, removed=None):
-        M = enumeration._Masks(S)
-        nodes = enumeration._walk(M, T, key, budget, pool, depth, removed)
+    def agree(U, T, key, pool=None, depth=None, removed=None):
+        nodes = enumeration._walk(U, budget, depth, pool)
         oracle = removal_walk(S, T, key, budget, pool, depth, removed)
-        assert _walk_outcome(nodes, M) == _oracle_outcome(oracle)
+        assert _walk_outcome(nodes, U.points) == _oracle_outcome(oracle)
 
-    agree(root, order.key, depth=depth)
+    def rooted(T, key=None, pool=None, depth=None, removed=None):
+        U = enumeration._rooted(S, T, (), key, pool, depth, removed)
+        agree(U, T, key or enumeration._tuple_order, pool, depth, removed)
+
+    agree(enumeration._window(S, depth + 1, order.key), root, order.key, depth=depth)
 
     def tree():
         levels = enumerate_tree(S, S.genus + depth, order, budget)
@@ -698,7 +724,7 @@ def test_walk_matches_the_oracle_walk(base, draws):
     n = draws.draw(st.sampled_from(sorted(S.minimal_generators())))
     bad = draws.draw(st.sampled_from(lost + [tuple(a + b for a, b in zip(g, n))]))
     corrupt = IdealSemigroup(S, T.gaps, T.gens | {bad})
-    agree(corrupt, order.key, depth=2, removed=big_o(S, T, order))
+    rooted(corrupt, order.key, depth=2, removed=big_o(S, T, order))
 
     f = None
     if order.degree_compatible:
@@ -719,7 +745,7 @@ def test_walk_matches_the_oracle_walk(base, draws):
     )
     _, pool, _ = enumeration._multiplicity_start(S, M)
     corrupt = IdealSemigroup(S, S.gaps, S.minimal_generators() | {bad})
-    agree(corrupt, enumeration._tuple_order, pool=pool)
+    rooted(corrupt, pool=pool)
 
 
 @given(data=st.one_of(small_csemigroups(), orthant_csemigroups()), draws=st.data())
@@ -950,7 +976,7 @@ def test_frobenius_budget_checked_before_any_removal(n2, deglex, monkeypatch):
     def no_removal(*args):
         raise AssertionError("removal step taken before the budget check")
 
-    monkeypatch.setattr(enumeration, "_step", no_removal)
+    monkeypatch.setattr(enumeration, "_refuse", no_removal)
     with pytest.raises(BudgetExceeded):
         with_frobenius(n2, (400, 1), deglex, budget=10)
 
@@ -1236,11 +1262,10 @@ def _cut_fiber(S, genus, start, pool, coords):
     generators."""
     if start is None or start.genus > genus:
         return set()
-    M = enumeration._Masks(S, start.gaps, coords)
-    walk = enumeration._walk(
-        M, start, enumeration._tuple_order, 10**6, pool, depth=genus - start.genus
-    )
-    return {frozenset(n[4]) for n in walk}
+    depth = genus - start.genus
+    U = enumeration._rooted(S, start, coords, pool=pool, depth=depth, skip=start.gaps)
+    walk = enumeration._walk(U, 10**6, depth, pool)
+    return {frozenset(U.points[r] for r in n[4]) for n in walk}
 
 
 def _fiber_partitions(S, order, top):
