@@ -13,17 +13,21 @@ default exploration budget; it also bounds the nodes of the ``tree`` walk,
 the elements of S up to the ``frobenius-fixed`` target, the semigroups
 the ``frobenius-fixed`` and ``mult-fixed`` fibers list (each walks from
 its own start, so it counts nothing it does not list) and the lattice
-points a ``plot`` window may hold.  ``tree`` without
-``--full`` counts its levels as the depth-first walk streams, so it holds
-one path of the tree, not its levels.  ``tree --full``,
+points a ``plot`` window may hold; a ``tree`` node counted on the last
+level without being built is charged like any other.  ``tree`` without
+``--full`` counts its levels on the walk's generator bits as the
+depth-first walk streams, and counts its last level by popcount, so it
+holds one path of the tree, not its levels.  ``tree --full``,
 ``frobenius-fixed`` and ``mult-fixed`` write the document in pieces, one
-semigroup at a time, each joined from per-point texts that every command
-call builds once per lattice point (:func:`_semigroup_encoder`) straight
-from the removal walk's bare nodes, with no semigroup object built; the
-bytes equal those of the sorted-key encoding of the whole document.  The
-tree keeps each node only as its text until the walk ends, and so do the
-fibers; no command builds the whole text.  Every search and budget check
-ends before the first byte is written.
+semigroup at a time, each joined from the texts of the ranks the removal
+walk's bare nodes hold, which every command call encodes once per point of
+the walk's universe into a list indexed by rank
+(:func:`_semigroup_encoder`), with no semigroup object built; ranks follow
+tuple order, so the joined lists are sorted, and the bytes equal those of
+the sorted-key encoding of the whole document.  The tree keeps each node
+only as its text until the walk ends, and so do the fibers; no command
+builds the whole text.  Every search and budget check ends before the
+first byte is written.
 """
 
 from __future__ import annotations

@@ -1,32 +1,45 @@
 """Enumeration of the ideal-derived semigroups of a fixed C-semigroup.
 
 Each is S ∖ D for a finite down-set D of (S∖{0}, ≤_S), where x ≤_S y means
-y − x ∈ S, and each is built from a parent by one certified step that
-removes a minimal generator of the current ideal.  One depth-first removal
-walk (reverse search, Avis and Fukuda 1996) lists the genus tree and both
+y − x ∈ S, and each is built from a parent by one step that removes a
+minimal generator of the current ideal.  One depth-first removal walk
+(reverse search, Avis and Fukuda 1996) lists the genus tree and both
 fibers: a node's children remove its generators that follow the point it
 removed, under the semigroup's monomial order for the tree and in tuple
 order over a finite pool for the fibers.  The walk charges every node to a
 budget.  Grouped by depth (:func:`_levels`), its nodes are the tree's
-levels, which ``tree_counts`` counts as they stream (Fromentin and Hivert
-2016 walk the tree of numerical semigroups this way), and the fibers'
-results in the canonical order, genus then sorted gaps, with no sort:
-tuple order extends ≤_S (y − x ∈ ℕ^p), so depth is genus, and the least
-point of A △ B decides sorted(A ∪ C) against sorted(B ∪ C).  Each fiber
-is one walk from one start, S less a down-set (its target's divisors, or
-the ray points below M when verified) read with its generators from one
-walk's listing (:meth:`.IdealSemigroup._from_lost`), so it costs time per result.
+levels and the fibers' results in the canonical order, genus then sorted
+gaps, with no sort: tuple order extends ≤_S (y − x ∈ ℕ^p), so depth is
+genus, and the least point of A △ B decides sorted(A ∪ C) against
+sorted(B ∪ C).  Each fiber is one walk from one start, S less a down-set
+(its target's divisors, or the ray points below M when verified) read with
+its generators from one walk's listing (:meth:`.IdealSemigroup._from_lost`),
+so it costs time per result.
 
-A node of the walk is bare data (:func:`_walk`): its depth, the point it
-removed, its ideal generators as a sorted tuple with their bits in the
-walk's divisor masks, and its gaps as a sorted tuple, made from the
-parent's by one insertion, or None when the caller writes no gaps.  Each
-walk makes its own masks (:class:`_Masks`), of no point its start lost,
-and drops them when it ends, so the base S holds nothing a walk wrote.
-The command line encodes the nodes as they come; ``enumerate_tree``,
-``children`` and the fibers build an :class:`.IdealSemigroup`, unchecked,
-only for each node they return.  The fibers' checks, starts and pools
-are helpers (:func:`_frobenius_start`, :func:`_multiplicity_start`).
+The walk runs on integers.  Before it starts it builds a finite universe,
+ranked in tuple order (:class:`_Universe`): the points that can be an
+ideal generator of a node it reaches, with their divisors in S∖{0}.  For
+the tree that is the window of the points with at most d + 1 divisors,
+which holds every generator a node at depth d can have (:func:`_window`);
+for a root the caller supplies, a fiber's start or the parent of
+``children``, it is the root's generators and the sums the walk can
+promote (:func:`_rooted`).  A point is named by its rank, its divisors by
+a bitmask of ranks, and the universe holds each point's up-row and the
+ranks that follow it under the walk's key, so a step does one ``&`` per
+minimal generator and no tuple lookup (Fromentin and Hivert 2016 walk the
+tree of numerical semigroups on such bits).  A node (:func:`_walk`) is
+bare data: its depth, the rank it removed, its generators as a sorted rank
+tuple with their bits, and its gaps as a sorted rank array, made from the
+parent's by one insertion, or None when the caller writes no gaps; sorted
+ranks list their points in sorted order.  ``tree_counts`` works on the
+bits alone and counts the last level by popcount, without building it
+(:func:`_count`).  Each walk builds its universe and drops it when it
+ends, so the base S holds nothing a walk wrote, and no universe masks a
+point its start lost.  The command line encodes the nodes from per-rank
+texts as they come; ``enumerate_tree``, ``children`` and the fibers build
+an :class:`.IdealSemigroup`, unchecked, only for each node they return.
+The fibers' checks, starts and pools are helpers
+(:func:`_frobenius_start`, :func:`_multiplicity_start`).
 """
 
 from __future__ import annotations

@@ -43,8 +43,8 @@ generator reduction starts it at construction, before the object can be
 shared, with the entries any later descent would write, and queries,
 witnesses and the core closure extend it.  A :class:`GapSemigroup` holds
 its cone, its gaps and values derived from them once (its generated form
-and msg(S)); the removal walks of :mod:`.enumeration` keep their divisor
-masks and cone coordinates to themselves.
+and msg(S)); the removal walks of :mod:`.enumeration` keep their ranked
+universes, divisor masks and cone coordinates among them, to themselves.
 """
 
 from __future__ import annotations

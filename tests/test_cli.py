@@ -658,7 +658,7 @@ def _cli_calls(draw, tmp_dir):
     elif command == "ideal":
         argv += draw(st.lists(points, min_size=1, max_size=3))
     elif command == "tree":
-        argv += ["--max-genus", str(draw(st.integers(-2, 9)))]
+        argv += ["--max-genus", str(draw(st.integers(-2, 12)))]
         argv += ["--full"] if draw(st.booleans()) else []
     elif command == "frobenius-fixed":
         argv += ["--f", draw(points)]
@@ -686,17 +686,23 @@ def _cli_calls(draw, tmp_dir):
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_cli_fuzz_exits_cleanly(tmp_path_factory, data):
+    # budgets small enough that the walks' exit 3 is drawn often, and one
+    # that lets a tree of genus up to 12 or a small fiber finish
     argv = data.draw(_cli_calls(tmp_path_factory.mktemp("fuzz")))
+    budget = data.draw(st.sampled_from(["5", "40", "1000", "20000"]))
     out = io.StringIO()
-    with mock.patch.dict(os.environ, {"SEMIGROUP_BUDGET": "20000"}), \
+    with mock.patch.dict(os.environ, {"SEMIGROUP_BUDGET": budget}), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
-    assert code in (0, 2, 3), (argv, out.getvalue())
+    text = out.getvalue()
+    assert code in (0, 2, 3), (argv, budget, text)
+    if code == 3 and (doc := json.loads(text))["message"].startswith("removal walk"):
+        # a walk counts the node past its budget, even one it only counts
+        assert doc["count"] == doc["limit"] + 1 == int(budget) + 1, (argv, doc)
     if code == 0 and argv[0] != "plot":
         # every document is written with sorted keys and the default
         # separators, whatever writer built it
-        text = out.getvalue()
         assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", argv
