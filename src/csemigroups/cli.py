@@ -157,7 +157,8 @@ def _semigroup_encoder(genus, full=True, removed=False):
             )
 
         def node(node):
-            return f'{{"genus": {genus + node[0]}, "imsg": [{join(map(text, node[2]))}]}}'
+            k, _, gens, _, _ = node
+            return f'{{"genus": {genus + k}, "imsg": [{join(map(text, gens))}]}}'
 
         return tree_node if removed else full_node if full else node
 

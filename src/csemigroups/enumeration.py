@@ -85,15 +85,17 @@ class _Universe:
     removed (those in the pool, for a fiber).
 
     The root is ``root``, a node of :func:`_walk`, and ``first`` the bits
-    of its generators that it may remove.  A root the caller supplies is
-    certified step by step (``certify``): ``lost`` holds the ranks of its
-    generators that it lost, ``invalid`` the error of the first of its
-    generators, in ``gens`` order, that is no nonzero element of S of S's
-    dimension, and ``gens`` its generators, which name a divisor in an
-    error.
+    of its generators that it may remove; ``pool``, if any, is the set of
+    points a fiber's walk may remove, which its budget error names.  A
+    root the caller supplies is certified step by step (``certify``):
+    ``lost`` holds the ranks of its generators that it lost, ``invalid``
+    the error of the first of its generators, in ``gens`` order, that is no
+    nonzero element of S of S's dimension, and ``gens`` its generators,
+    which name a divisor in an error.
     """
 
-    certify, lost, invalid, gens, after = False, frozenset(), None, frozenset(), {}
+    certify, lost, invalid, gens = False, frozenset(), None, frozenset()
+    after, pool = {}, None
 
     def __init__(self, graded, listed, removable=None):
         """Rank ``graded``, the points with a divisor mask as pairs (y, the
@@ -117,7 +119,8 @@ class _Universe:
                 if (row := rows.get(rank[w])) is not None:
                     row.append(r)
         self.masks, self.rows = masks, {
-            r: tuple((z, masks[z], ups[z]) for z in sorted(row)) for r, row in rows.items()
+            r: tuple((z, masks[z], ups[z]) for z in sorted(row))
+            for r, row in rows.items()
         }
 
     def follow(self, key=None, pool=None):
@@ -148,19 +151,24 @@ class _Universe:
 
 
 def _window(S: GapSemigroup, bound: int, key, gaps=True) -> _Universe:
-    """The universe of the genus tree's walk from S, whose nodes at depth
-    d have generators with at most d + 1 divisors in S∖{0}.
-
-    W = {y ∈ S∖{0} : |D(y)| ≤ ``bound``} holds every generator of a node
-    at depth below ``bound``: each proper divisor of a generator was
-    removed.  W is a finite down-set, listed in grade order from msg(S) by
-    sums y + n whose every y + n − n′ in S∖{0} lies in W, with their divisor
-    masks, read on the cone coordinates that S's generated form split
-    msg(S) into and carried as sums, so nothing is split.  No point of W
-    divides a gap, and the up-rows hold only sums in W: a sum outside W
-    can never be promoted.  The root is S with msg(S), certified by S."""
+    """The universe of the genus tree's walk from S to depth ``bound`` − 1:
+    the window W = {y ∈ S∖{0} : |D(y)| ≤ ``bound``}, D(y) the divisors of
+    y in S∖{0}.  A generator of a node at depth d lost every proper
+    divisor, so it has at most d + 1 of them, and W holds every generator
+    of a node the walk reaches; a sum outside W is never promoted, so the
+    up-rows hold only sums in W.  W is a finite down-set, listed in grade
+    order from msg(S) through the sums y + n of its points, with their
+    divisor masks.  Cone coordinates are carried as sums from those that
+    S's generated form split msg(S) into, so nothing is split.  The root
+    is S with msg(S), which needs no certificate."""
     G = S.as_generated()
-    msg = [(n, nn, sum(n), 1 << i) for i, (n, nn) in enumerate(zip(G.generators, G._gen_nums))]
+    msg = [
+        (n, nn, sum(n), 1 << i)
+        for i, (n, nn) in enumerate(zip(G.generators, G._gen_nums))
+    ]
+    # a candidate of each grade: [the union of the masks of the points of W
+    # it was reached from, those points, the bits of the steps n that
+    # reached it, one such point and its step's coordinates]
     coords, masks, graded, layers = {}, [], [], {}
     for n, nn, g, b in msg:
         layers.setdefault(g, {})[n] = [0, [], 0, None, nn]
@@ -196,24 +204,25 @@ def _window(S: GapSemigroup, bound: int, key, gaps=True) -> _Universe:
     U.follow(key)
     gens = U.ranks(G.generators)
     bits = sum(1 << r for r in gens)
-    U.root, U.first = (0, None, gens, bits, U.gap_ranks(S.gaps) if gaps else None), bits
+    hs = U.gap_ranks(S.gaps) if gaps else None
+    U.root, U.first = (0, None, gens, bits, hs), bits
     return U
 
 
 def _rooted(
     S: GapSemigroup, T, coords=(), key=None, pool=None, depth=None,
-    removed=None, skip=None, gaps=True,
+    removed=None, gaps=True,
 ) -> _Universe:
     """The universe of a walk from a root T that the caller supplies, over
     the base S: T's generators, each sum y + n (n ∈ msg(S)) of a point y
     the walk may remove, one within ``pool`` (in tuple order when ``key``
     is None) or within ``depth`` steps of T, and their divisors in S∖{0}
-    outside ``skip``, listed downwards and ranked in grade order.  What T
-    lost beyond S's gaps is a down-set L of S∖{0}, so masks that skip it
-    stay exact off L: a chain of msg(S) steps from y ∉ L down to a divisor
-    z ∉ L lies above z, so outside L.  So ``skip`` is T's gaps by default,
-    or S's when T holds a generator that it lost, whose bit the masks of
-    its multiples then hold.
+    that T kept, listed downwards and ranked in grade order.  What T lost
+    beyond S's gaps is a down-set L of S∖{0}, so masks that skip it stay
+    exact off L: a chain of msg(S) steps from y ∉ L down to a divisor
+    z ∉ L lies above z, so outside L.  Only when T holds a generator that
+    it lost do the masks skip S's gaps alone, so that the masks of that
+    generator's multiples hold its bit.
 
     T's generators take their cone coordinates from ``coords`` or msg(S),
     and are split otherwise; every other point's are carried as sums or
@@ -223,8 +232,7 @@ def _rooted(
     """
     G = S.as_generated()
     msg = list(zip(G.generators, G._gen_nums))
-    if skip is None:
-        skip = T.gaps if T.gaps.isdisjoint(T.gens) else S.gaps
+    skip = T.gaps if T.gaps.isdisjoint(T.gens) else S.gaps
     known, valid, invalid = dict(coords) | dict(msg), {}, None
     for g in T.gens:
         if len(g) != S.dim:
@@ -283,12 +291,13 @@ def _rooted(
     U = _Universe(graded, listed, removable)
     if depth != 1:
         U.follow(None if key is _tuple_order else key, pool)
-    U.certify, U.invalid, U.gens = True, invalid, T.gens
+    U.certify, U.invalid, U.gens, U.pool = True, invalid, T.gens, pool
     gens = U.ranks(T.gens)
     U.lost = frozenset(r for r in gens if U.points[r] in T.gaps)
     U.first = sum(1 << r for r in U.ranks(eligible))
     x = None if removed is None else bisect_left(U.points, removed)
-    U.root = (0, x, gens, sum(1 << r for r in gens), U.gap_ranks(T.gaps) if gaps else None)
+    hs = U.gap_ranks(T.gaps) if gaps else None
+    U.root = (0, x, gens, sum(1 << r for r in gens), hs)
     return U
 
 
@@ -315,7 +324,7 @@ def _refuse(U: _Universe, k, y, gens, rest):
         raise SemigroupError(f"ideal generator {x} is divisible by {g}")
 
 
-def _walk(U: _Universe, budget, depth=None, pool=None):
+def _walk(U: _Universe, budget, depth=None):
     """The nodes ``(k, x, gens, bits, gaps)`` of the universe ``U``'s root T
     and of every semigroup V reached from it by k certified removal steps,
     depth first, on ranks in ``U``: x is the rank of the point V's last
@@ -340,9 +349,10 @@ def _walk(U: _Universe, budget, depth=None, pool=None):
     supplies is certified at each step (:func:`_refuse`).  Nodes at
     ``depth`` get no children.  Only the open siblings on the path to the
     current node are held.  Raises :class:`BudgetExceeded` once more than
-    ``budget`` nodes are emitted, naming the size of ``pool`` if given.
+    ``budget`` nodes are emitted, naming the size of the universe's pool,
+    if any.
     """
-    rows, after, certify = U.rows, U.after, U.certify
+    rows, after, certify, pool = U.rows, U.after, U.certify, U.pool
     stack, emitted = [U.root], 0
     while stack:
         node = stack.pop()
@@ -461,7 +471,7 @@ def _fiber(S: GapSemigroup, T: IdealSemigroup, coords, pool, budget, node, gaps=
     :meth:`.IdealSemigroup._from_lost`, so the walk masks no point T lost
     (:func:`_rooted`), and ``coords`` gives its generators' coordinates."""
     U = _rooted(S, T, coords, pool=pool, gaps=gaps)
-    walk = _walk(U, budget, pool=pool)
+    walk = _walk(U, budget)
     return [v for level in _levels(walk, node(U.points)) for v in level]
 
 

@@ -188,10 +188,11 @@ def band_csemigroups(draw, max_dim=3, max_a=None):
 
     Every cone point of grade a .. 2a+K (K the sum of the ray grades) and
     up to three drawn cone points below grade a, with a up to
-    ``max_a[dim]`` (12, 6 and 4 in dimension 1, 2 and 3 by default).  Every cone point of
-    grade at least a is a sum of those of grade a .. 2a+K (split it into
-    ray multiples and one point of the fundamental parallelepiped, each of
-    grade at most K), so the gaps are finite and lie below grade a.
+    ``max_a[dim]`` (12, 6 and 4 in dimension 1, 2 and 3 by default).
+    Every cone point of grade at least a is a sum of those of grade
+    a .. 2a+K (split it into ray multiples and one point of the fundamental
+    parallelepiped, each of grade at most K), so the gaps are finite and
+    lie below grade a.
     Returns the generators, the cone test and a lister of the cone's
     lattice points up to a grade, as ``simplicial_semigroups`` does.
     """

@@ -41,7 +41,7 @@ from csemigroups import (
     with_multiplicities,
 )
 from csemigroups import enumeration, ideals
-from csemigroups.lattice import scale, vadd
+from csemigroups.lattice import scale, vadd, vsub
 from csemigroups.serialize import load_document, semigroup_to_document
 from bruteforce import (
     brute_apery_core,
@@ -203,7 +203,7 @@ def _divisors_by_cone(S, points):
     """Each point y of ``points`` with the points z of ``points`` that
     divide it in S (y − z ∈ S, z = y among them), read by cone tests."""
     return {
-        y: {z for z in points if z == y or S.contains(tuple(a - b for a, b in zip(y, z)))}
+        y: {z for z in points if z == y or S.contains(vsub(y, z))}
         for y in points
     }
 
@@ -234,7 +234,7 @@ def test_walk_masks_hold_exactly_the_divisors(deglex):
         assert window == {y: divisors[y] for y in window}
         assert sorted(U.points) == U.points
     root, pool, coords = enumeration._multiplicity_start(S, [(10, 2), (6, 2)])
-    U = enumeration._rooted(S, root, coords, pool=pool, skip=root.gaps)
+    U = enumeration._rooted(S, root, coords, pool=pool)
     fiber = _universe_divisors(U)
     assert root.gens | {vadd(x, n) for x in pool for n in S1_GENS} <= fiber.keys()
     assert fiber == _divisors_by_cone(S, list(fiber))
@@ -338,7 +338,7 @@ def _oracle_children(S, T, order):
 def _removed(S, T, x):
     """The walk's one step from T that removes its generator x."""
     U = enumeration._rooted(S, T, pool={x}, depth=1)
-    walk = enumeration._walk(U, 2, depth=1, pool={x})
+    walk = enumeration._walk(U, 2, depth=1)
     return [enumeration._semigroup(T.base, U.points, n) for n in walk if n[0]]
 
 
@@ -697,7 +697,7 @@ def test_walk_matches_the_oracle_walk(base, draws):
     root = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
 
     def agree(U, T, key, pool=None, depth=None, removed=None):
-        nodes = enumeration._walk(U, budget, depth, pool)
+        nodes = enumeration._walk(U, budget, depth)
         oracle = removal_walk(S, T, key, budget, pool, depth, removed)
         assert _walk_outcome(nodes, U.points) == _oracle_outcome(oracle)
 
@@ -1263,8 +1263,8 @@ def _cut_fiber(S, genus, start, pool, coords):
     if start is None or start.genus > genus:
         return set()
     depth = genus - start.genus
-    U = enumeration._rooted(S, start, coords, pool=pool, depth=depth, skip=start.gaps)
-    walk = enumeration._walk(U, 10**6, depth, pool)
+    U = enumeration._rooted(S, start, coords, pool=pool, depth=depth)
+    walk = enumeration._walk(U, 10**6, depth)
     return {frozenset(U.points[r] for r in n[4]) for n in walk}
 
 
