@@ -47,7 +47,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect, bisect_left
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain, count
 from operator import ge
 
 from .errors import BudgetExceeded, NotDegreeCompatible, SemigroupError
@@ -102,7 +102,7 @@ class _Universe:
         divisors y − n of y in the universe) in grade order, with the
         further points ``listed``, and read the masks, and the rows of the
         points in ``removable`` (every point of ``graded`` when None)."""
-        points = self.points = sorted(listed.union(y for y, _ in graded))
+        points = self.points = sorted(set(chain(listed, (y for y, _ in graded))))
         rank = {y: bisect_left(points, y) for y, _ in graded}
         masks, ups, rows = {}, {}, {}
         for y, divisors in graded:
@@ -147,7 +147,7 @@ class _Universe:
         integers: a start can lose tens of thousands of points (⟨3,5⟩ at
         f = 64,000 loses 63,992), and an int object per rank would cost
         four times the memory of the array each node copies."""
-        return array("q", sorted(bisect_left(self.points, h) for h in gaps))
+        return array("q", (r for r, y in enumerate(self.points) if y in gaps))
 
 
 def _window(S: GapSemigroup, bound: int, key, gaps=True) -> _Universe:
@@ -200,7 +200,7 @@ def _window(S: GapSemigroup, bound: int, key, gaps=True) -> _Universe:
                     entry[0] |= dy
                     entry[1].append(y)
                     entry[2] |= b
-    U = _Universe(graded, S.gaps if gaps else frozenset())
+    U = _Universe(graded, S.gaps if gaps else ())
     U.follow(key)
     gens = U.ranks(G.generators)
     bits = sum(1 << r for r in gens)
@@ -283,11 +283,7 @@ def _rooted(
                 stack.append(w)
             below.append(w)
     graded = [(y, divisors[y]) for y in sorted(divisors, key=sum)]
-    listed = set(T.gens)
-    if gaps:
-        listed |= T.gaps
-    if removed is not None:
-        listed.add(removed)
+    listed = chain(T.gens, T.gaps if gaps else (), () if removed is None else [removed])
     U = _Universe(graded, listed, removable)
     if depth != 1:
         U.follow(None if key is _tuple_order else key, pool)

@@ -2,7 +2,6 @@ import gc
 import itertools
 import math
 import os
-import random
 import re
 import sys
 import threading
@@ -289,10 +288,10 @@ def _library_bytes():
 
 
 def test_repeated_fibers_leave_the_base_unchanged():
-    # each Frobenius fiber masks every divisor of its target, but on masks
-    # its walk makes and drops, so ten fibers at growing targets leave the
-    # base holding no more than one does (a memo on the base would keep
-    # every mask: 9.4 MB more after the tenth).  The cone's graded-point
+    # each Frobenius fiber's walk builds its universe and drops it, so ten
+    # fibers at growing targets leave the base holding no more than one
+    # does (a memo on the base that kept every divisor mask held 9.4 MB
+    # more after the tenth).  The cone's graded-point
     # cache is filled to the largest grade first: it belongs to the cone,
     # is shared by every semigroup built on it, and is bounded by the
     # largest grade asked, not by the number of calls.
@@ -547,7 +546,7 @@ def test_frobenius_fiber_takes_one_removal_step_per_result(gens, f, count, monke
 @settings(max_examples=60, deadline=None)
 def test_removal_path_matches_point_space(data, draws):
     """Down a drawn path of children, up to six levels below the root,
-    each call masking the divisors of a deeper parent's generators anew:
+    each call building the universe of a deeper parent's generators anew:
     each level's children, a corrupt parent holding a generator's
     multiple, and its removal give the same gap sets, ideal generators and
     error messages as the step in point space."""
