@@ -156,11 +156,11 @@ def _semigroup_encoder(genus, full=True, removed=False):
                 f'"imsg": [{join(map(text, gens))}]}}'
             )
 
-        def node(node):
+        def gens_node(node):
             k, _, gens, _, _ = node
             return f'{{"genus": {genus + k}, "imsg": [{join(map(text, gens))}]}}'
 
-        return tree_node if removed else full_node if full else node
+        return tree_node if removed else full_node if full else gens_node
 
     return make
 
