@@ -262,7 +262,7 @@ def cmd_tree(args):
     if args.full:
         # each node is kept only as its encoded text, so the walk's nodes
         # are dropped as it moves on; the budget binds before any byte is written
-        _, points, walk = enumeration._tree(G, args.max_genus, order, budget)
+        points, walk = enumeration._tree(G, args.max_genus, order, budget)
         encode = _semigroup_encoder(G.genus, removed=True)(points)
         levels = enumeration._levels(walk, encode)
         counts = [len(level) for level in levels]

@@ -6,12 +6,12 @@ minimal generator of the current ideal.  One depth-first removal walk
 (reverse search, Avis and Fukuda 1996) lists the genus tree and both
 fibers: a node's children remove its generators that follow the point it
 removed, under the semigroup's monomial order for the tree and in tuple
-order over a finite pool for the fibers.  The walk charges every node to a
-budget.  Grouped by depth (:func:`_levels`), its nodes are the tree's
-levels and the fibers' results in the canonical order, genus then sorted
-gaps, with no sort: tuple order extends ≤_S (y − x ∈ ℕ^p), so depth is
-genus, and the least point of A △ B decides sorted(A ∪ C) against
-sorted(B ∪ C).  Each fiber is one walk from one start, S less a down-set
+order over a finite pool for the fibers and ``children``.  The walk
+charges every node to a budget.  Grouped by depth (:func:`_levels`), its
+nodes are the tree's levels and the fibers' results in the canonical
+order, genus then sorted gaps, with no sort: tuple order extends ≤_S
+(y − x ∈ ℕ^p), so depth is genus, and the least point of A △ B decides
+sorted(A ∪ C) against sorted(B ∪ C).  Each fiber is one walk from one start, S less a down-set
 (its target's divisors, or the ray points below M when verified) read with
 its generators from one walk's listing (:meth:`.IdealSemigroup._from_lost`),
 so it costs time per result.
@@ -23,11 +23,13 @@ the tree that is the window of the points with at most d + 1 divisors,
 which holds every generator a node at depth d can have (:func:`_window`);
 for a root the caller supplies, a fiber's start or the parent of
 ``children``, it is the root's generators and the sums the walk can
-promote (:func:`_rooted`).  A point is named by its rank, its divisors by
-a bitmask of ranks, and the universe holds each point's up-row and the
-ranks that follow it under the walk's key, so a step does one ``&`` per
-minimal generator and no tuple lookup (Fromentin and Hivert 2016 walk the
-tree of numerical semigroups on such bits).  A node (:func:`_walk`) is
+promote (:func:`_rooted`), where the root is certified, once
+(:func:`_certify`): no step below a root can fail, so the walk checks
+nothing.  A point is named by its rank, its divisors by a bitmask of
+ranks, and the universe holds each point's up-row and the ranks that
+follow it under the walk's key, so a step does one ``&`` per minimal
+generator and no tuple lookup (Fromentin and Hivert 2016 walk the tree of
+numerical semigroups on such bits).  A node (:func:`_walk`) is
 bare data: its depth, the rank it removed, its generators as a sorted rank
 tuple with their bits, and its gaps as a sorted rank array, made from the
 parent's by one insertion, or None when the caller writes no gaps; sorted
@@ -86,15 +88,9 @@ class _Universe:
 
     The root is ``root``, a node of :func:`_walk`, and ``first`` the bits
     of its generators that it may remove; ``pool``, if any, is the set of
-    points a fiber's walk may remove, which its budget error names.  A
-    root the caller supplies is certified step by step (``certify``):
-    ``lost`` holds the ranks of its generators that it lost, ``invalid``
-    the error of the first of its generators, in ``gens`` order, that is no
-    nonzero element of S of S's dimension, and ``gens`` its generators,
-    which name a divisor in an error.
+    points a pool walk may remove, which its budget error names.
     """
 
-    certify, lost, invalid, gens = False, frozenset(), None, frozenset()
     after, pool = {}, None
 
     def __init__(self, graded, listed, removable=None):
@@ -210,25 +206,24 @@ def _window(S: GapSemigroup, bound: int, key, gaps=True) -> _Universe:
 
 
 def _rooted(
-    S: GapSemigroup, T, coords=(), key=None, pool=None, depth=None,
-    removed=None, gaps=True,
+    S: GapSemigroup, T, coords=(), pool=None, depth=None, gaps=True
 ) -> _Universe:
     """The universe of a walk from a root T that the caller supplies, over
     the base S: T's generators, each sum y + n (n ∈ msg(S)) of a point y
-    the walk may remove, one within ``pool`` (in tuple order when ``key``
-    is None) or within ``depth`` steps of T, and their divisors in S∖{0}
-    that T kept, listed downwards and ranked in grade order.  What T lost
-    beyond S's gaps is a down-set L of S∖{0}, so masks that skip it stay
-    exact off L: a chain of msg(S) steps from y ∉ L down to a divisor
-    z ∉ L lies above z, so outside L.  Only when T holds a generator that
-    it lost do the masks skip S's gaps alone, so that the masks of that
-    generator's multiples hold its bit.
+    the walk may remove, one within ``pool`` or within ``depth`` steps of
+    T, and their divisors in S∖{0} that T kept, listed downwards and ranked
+    in grade order.  What T lost beyond S's gaps is a down-set L of S∖{0},
+    so masks that skip it stay exact off L: a chain of msg(S) steps from
+    y ∉ L down to a divisor z ∉ L lies above z, so outside L.  Only when T
+    holds a generator that it lost do the masks skip S's gaps alone, so
+    that the masks of that generator's multiples hold its bit.
 
     T's generators take their cone coordinates from ``coords`` or msg(S),
     and are split otherwise; every other point's are carried as sums or
     differences, so no point is split.  A generator that is no nonzero
-    element of S of S's dimension gets a rank but no mask, and the walk's
-    first step from T refuses it by name.
+    element of S of S's dimension gets a rank but no mask.  T's step is
+    certified before the universe is returned (:func:`_certify`), so a
+    corrupt T is refused before any node is walked.
     """
     G = S.as_generated()
     msg = list(zip(G.generators, G._gen_nums))
@@ -247,12 +242,7 @@ def _rooted(
         invalid = invalid or SemigroupError(text)
     # the generators T may remove, then the points the walk can make
     # generators and remove, upwards from them
-    key = key or _tuple_order
-    above = None if removed is None else key(removed)
-    eligible = [
-        y for y in sorted(T.gens)
-        if (pool is None or y in pool) and (above is None or key(y) > above)
-    ]
+    eligible = sorted(T.gens if pool is None else T.gens & pool)
     reach, removable, steps = dict(valid), [], 0
     frontier = [y for y in eligible if y in valid and y not in T.gaps]
     while frontier and steps != depth:
@@ -283,48 +273,50 @@ def _rooted(
                 stack.append(w)
             below.append(w)
     graded = [(y, divisors[y]) for y in sorted(divisors, key=sum)]
-    listed = chain(T.gens, T.gaps if gaps else (), () if removed is None else [removed])
-    U = _Universe(graded, listed, removable)
+    U = _Universe(graded, chain(T.gens, T.gaps if gaps else ()), removable)
     if depth != 1:
-        U.follow(None if key is _tuple_order else key, pool)
-    U.certify, U.invalid, U.gens, U.pool = True, invalid, T.gens, pool
+        U.follow(pool=pool)
     gens = U.ranks(T.gens)
-    U.lost = frozenset(r for r in gens if U.points[r] in T.gaps)
-    U.first = sum(1 << r for r in U.ranks(eligible))
-    x = None if removed is None else bisect_left(U.points, removed)
-    hs = U.gap_ranks(T.gaps) if gaps else None
-    U.root = (0, x, gens, sum(1 << r for r in gens), hs)
+    bits = sum(1 << r for r in gens)
+    U.pool, U.first = pool, sum(1 << r for r in U.ranks(eligible))
+    _certify(U, T, bits, invalid)
+    U.root = (0, None, gens, bits, U.gap_ranks(T.gaps) if gaps else None)
     return U
 
 
-def _refuse(U: _Universe, k, y, gens, rest):
-    """The certification of a step from a root the caller supplied, which
-    removes the generator of rank y from a node at depth k with generators
-    ``gens`` and the bits ``rest`` of the others.
-
-    y must be no gap of the root and no other generator may divide it,
-    which makes it minimal in the ideal P, so P ∖ {y} is an ideal;
-    otherwise :class:`SemigroupError` names it.  The first step from the
-    root also refuses a root generator that is no nonzero element of S.
-    The points a step promotes are incomparable with each other and with
-    the kept generators, so only the root's own generators can fail."""
-    x = U.points[y]
-    if y in U.lost:
-        raise SemigroupError(f"ideal generator {x} is a gap of the parent")
-    if k == 0 and U.invalid is not None:
-        raise U.invalid
-    dx = U.masks[y]
-    if dx & rest:
-        named = U.gens if k == 0 else frozenset(tuple(U.points[r] for r in gens))
-        g = next(g for g in named - {x} if dx >> bisect_left(U.points, g) & 1)
-        raise SemigroupError(f"ideal generator {x} is divisible by {g}")
+def _certify(U: _Universe, T, bits, invalid):
+    """Refuse the supplied root T of the universe ``U`` unless each
+    generator y that T may remove (``U.first``) is minimal in T's ideal P,
+    so that P ∖ {y} is an ideal; ``bits`` are the bits of T's generators.
+    In ascending rank order, so the least refused generator is named, y
+    must be no gap of T, every generator of T must be a nonzero element of
+    S of S's dimension (``invalid`` is the error of the first that is
+    not), and no other generator may divide y; otherwise
+    :class:`SemigroupError` names it.  No step below T needs a check: the
+    points a step promotes are incomparable with each other and with the
+    kept generators, and a generator that a deeper node removes is one T
+    may remove or one a step promoted."""
+    e = U.first
+    while e:
+        by = e & -e
+        e ^= by
+        y = by.bit_length() - 1
+        x = U.points[y]
+        if x in T.gaps:
+            raise SemigroupError(f"ideal generator {x} is a gap of the parent")
+        if invalid is not None:
+            raise invalid
+        dx = U.masks[y]
+        if dx & (bits ^ by):
+            g = next(g for g in T.gens - {x} if dx >> bisect_left(U.points, g) & 1)
+            raise SemigroupError(f"ideal generator {x} is divisible by {g}")
 
 
 def _walk(U: _Universe, budget, depth=None):
     """The nodes ``(k, x, gens, bits, gaps)`` of the universe ``U``'s root T
-    and of every semigroup V reached from it by k certified removal steps,
+    and of every semigroup V reached from it by k removal steps,
     depth first, on ranks in ``U``: x is the rank of the point V's last
-    step removed (T's threshold, or None), ``gens`` the sorted ranks of V's
+    step removed (None for T), ``gens`` the sorted ranks of V's
     ideal generators, ``bits`` their bits and ``gaps`` the sorted ranks of
     V's gaps, or None throughout when the universe lists no gaps.  V is no
     object: its genus is T's plus k, and :func:`_semigroup` builds it.
@@ -341,14 +333,15 @@ def _walk(U: _Universe, budget, depth=None):
     and promotes each y + n of y's up-row with D(y + n) & rest == 0: no
     other generator divides it.  The step reads one ``&`` per minimal
     generator, whatever the number of generators or the depth, and a
-    removed point never returns as a generator.  A root the caller
-    supplies is certified at each step (:func:`_refuse`).  Nodes at
+    removed point never returns as a generator.  No step is checked: a
+    root the caller supplies was certified where its universe was built
+    (:func:`_certify`), and no step below a root can fail.  Nodes at
     ``depth`` get no children.  Only the open siblings on the path to the
     current node are held.  Raises :class:`BudgetExceeded` once more than
     ``budget`` nodes are emitted, naming the size of the universe's pool,
     if any.
     """
-    rows, after, certify, pool = U.rows, U.after, U.certify, U.pool
+    rows, after, pool = U.rows, U.after, U.pool
     stack, emitted = [U.root], 0
     while stack:
         node = stack.pop()
@@ -366,13 +359,6 @@ def _walk(U: _Universe, budget, depth=None):
         if k == depth:
             continue
         e = U.first if k == 0 else bits & after[x]
-        if certify:
-            # in ascending order, so the least refused generator is named
-            c = e
-            while c:
-                by = c & -c
-                c ^= by
-                _refuse(U, k, by.bit_length() - 1, gens, bits ^ by)
         k += 1
         # pushed in descending order of y, so popped in ascending order
         while e:
@@ -471,25 +457,23 @@ def _fiber(S: GapSemigroup, T: IdealSemigroup, coords, pool, budget, node, gaps=
     return [v for level in _levels(walk, node(U.points)) for v in level]
 
 
-def _tuple_order(x: Point) -> Point:
-    """The fibers' walk key: tuple order, which extends ≤_S."""
-    return x
-
-
 def children(S: GapSemigroup, T: IdealSemigroup, order: MonomialOrder):
     """Child nodes of T in the genus tree of S.
 
-    Exactly the certified removals (:func:`_refuse`) of the canonical
-    ideal generators exceeding ``big_o(S, T)``, in sorted order: the first
-    step of the tree's walk from T, built over T's base.  Each call builds
-    its own universe, of T's generators, their sums with msg(S) and every
+    Exactly the removals of the canonical ideal generators exceeding
+    ``big_o(S, T)``, in sorted order: a walk of depth 1 from T, built over
+    T's base, whose pool is those generators.  A corrupt T is refused by
+    name (:func:`_certify`).  Each call builds its own universe, of T's
+    generators, the sums of those in the pool with msg(S) and every
     divisor of those in S∖{0}, and recomputes ``big_o``; a traversal that
     calls it once per node pays both per node.  :func:`enumerate_tree` and
     :func:`tree_counts` walk the whole tree on one universe and carry the
     threshold down instead.
     """
-    removed = big_o(S, T, order)
-    U = _rooted(S, T, key=order.key, depth=1, removed=removed)
+    x = big_o(S, T, order)
+    kx = None if x is None else order.key(x)
+    pool = {g for g in T.gens if kx is None or order.key(g) > kx}
+    U = _rooted(S, T, pool=pool, depth=1)
     # at most one node per generator besides T, so the budget never binds
     walk = _walk(U, len(T.gens) + 1, depth=1)
     return [_semigroup(T.base, U.points, n) for n in walk if n[0]]
@@ -512,13 +496,13 @@ def _depth(S: GapSemigroup, max_genus: int) -> int:
 
 
 def _tree(S: GapSemigroup, max_genus: int, order: MonomialOrder, budget):
-    """The number of levels of S's genus tree up to ``max_genus``, the
-    points its walk's ranks name, and the walk (:func:`_walk`) that lists
-    its nodes with their gaps, over the window of its last level
+    """The points that the ranks of the walk of S's genus tree up to
+    ``max_genus`` name, and that walk (:func:`_walk`), which lists the
+    tree's nodes with their gaps over the window of its last level
     (:func:`_window`)."""
     depth = _depth(S, max_genus)
     U = _window(S, depth + 1, order.key)
-    return depth + 1, U.points, _walk(U, budget, depth)
+    return U.points, _walk(U, budget, depth)
 
 
 def enumerate_tree(
@@ -535,7 +519,7 @@ def enumerate_tree(
     Raises :class:`BudgetExceeded` when the tree has more than ``budget``
     nodes.
     """
-    _, points, walk = _tree(S, max_genus, order, budget)
+    points, walk = _tree(S, max_genus, order, budget)
 
     def node(n):
         removed = None if n[1] is None else points[n[1]]

@@ -198,6 +198,32 @@ def test_removal_step_refuses_generators_outside_the_base(
         children(s1, corrupt, deglex)
 
 
+@pytest.mark.parametrize("depth, in_pool", [(0, False), (2, False), (None, True)])
+def test_corrupt_root_refused_before_any_node(s1, deglex, depth, in_pool, monkeypatch):
+    # a supplied root is certified where its universe is built, so a gap, a
+    # generator's multiple or an off-cone point among its generators is
+    # refused before the walk yields its first node, at depth 0 too, and
+    # children refuses it without starting a walk
+    T = children(s1, _root(s1), deglex)[0]
+    (lost,) = T.gaps - s1.gaps
+    g = min(T.gens)
+    monkeypatch.setattr(enumeration, "_walk", None)
+    for bad, reason in [
+        (lost, "is a gap of the parent"),
+        (vadd(g, (5, 1)), "is divisible by"),
+        ((1, 2), "lies outside the cone"),
+    ]:
+        corrupt = IdealSemigroup(s1, T.gaps, T.gens | {bad})
+        message = re.escape(f"ideal generator {bad} {reason}")
+        pool = {bad} if in_pool else None
+        with pytest.raises(SemigroupError, match=message):
+            enumeration._rooted(s1, corrupt, pool=pool, depth=depth)
+        # the lost point is T's threshold, which children never removes
+        if bad != lost:
+            with pytest.raises(SemigroupError, match=message):
+                children(s1, corrupt, deglex)
+
+
 def _divisors_by_cone(S, points):
     """Each point y of ``points`` with the points z of ``points`` that
     divide it in S (y − z ∈ S, z = y among them), read by cone tests."""
@@ -529,14 +555,19 @@ def test_frobenius_region_matches_cone_scan(data, draws):
 )
 def test_frobenius_fiber_takes_one_removal_step_per_result(gens, f, count, monkeypatch):
     # the top is built without removal steps, so every step is the walk's,
-    # one per result below the top; one step per divisor of f would make
-    # 18, 322 and 3,998 steps here
+    # one per node it yields below the top; one step per divisor of f would
+    # make 18, 322 and 3,998 steps here
     S = gaps(GenSemigroup(gens))
     steps = []
-    step = enumeration._refuse
-    monkeypatch.setattr(
-        enumeration, "_refuse", lambda *args: steps.append(args[2]) or step(*args)
-    )
+    walk = enumeration._walk
+
+    def counted(*args):
+        for node in walk(*args):
+            if node[0]:
+                steps.append(node[1])
+            yield node
+
+    monkeypatch.setattr(enumeration, "_walk", counted)
     fiber = with_frobenius(S, f, MonomialOrder("deglex"))
     assert len(fiber.results) == count
     assert len(steps) == count - 1
@@ -575,6 +606,12 @@ def test_removal_path_matches_point_space(data, draws):
         T = draws.draw(st.sampled_from(kids))
 
 
+def _above(S, T, order):
+    """T's generators above ``big_o(S, T)``, the pool of ``children``."""
+    x = big_o(S, T, order)
+    return {g for g in T.gens if x is None or order.key(g) > order.key(x)}
+
+
 @given(data=simplicial_semigroups(), draws=st.data())
 @settings(max_examples=60, deadline=None)
 def test_lean_child_matches_full_child(data, draws):
@@ -592,8 +629,7 @@ def test_lean_child_matches_full_child(data, draws):
     order = MonomialOrder("deglex")
     T = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
     for _ in range(6):
-        removed = big_o(S, T, order)
-        U = enumeration._rooted(S, T, key=order.key, depth=1, removed=removed)
+        U = enumeration._rooted(S, T, pool=_above(S, T, order), depth=1)
         walk = enumeration._walk(U, len(T.gens) + 1, depth=1)
         nodes = [n for n in walk if n[0]]
         kids = children(S, T, order)
@@ -684,25 +720,31 @@ def test_walk_matches_the_oracle_walk(base, draws):
     ``IdealSemigroup`` nodes whose step reads each divisibility in point
     space: the same nodes (depth, removed point, gaps, ideal generators) in
     the same order, or the same error, for the genus tree under deglex,
-    lex and degrevlex with a priority, from its root and from a corrupt
-    parent that holds a lost point or a generator's multiple, and for both
-    fibers, whose results and levels the library's functions list, and
-    over the multiplicity pool from a corrupt root, at budgets that do and
-    do not bind."""
+    lex and degrevlex with a priority from its root, for a walk of depth 2
+    over the generators above a corrupt parent's threshold, which holds a
+    lost point or a generator's multiple, for both fibers, whose results
+    and levels the library's functions list, and over the multiplicity
+    pool from a corrupt root, at budgets that do and do not bind.  A
+    corrupt root's error is raised where its universe is built."""
     S, points = base
     order = draws.draw(_tree_orders(S.dim))
     budget = draws.draw(st.sampled_from([5, 40, 400]))
     depth = draws.draw(st.integers(0, {1: 5, 2: 4, 3: 2}[S.dim]))
     root = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
 
-    def agree(U, T, key, pool=None, depth=None, removed=None):
+    def agree(U, T, key, pool=None, depth=None):
         nodes = enumeration._walk(U, budget, depth)
-        oracle = removal_walk(S, T, key, budget, pool, depth, removed)
+        oracle = removal_walk(S, T, key, budget, pool, depth)
         assert _walk_outcome(nodes, U.points) == _oracle_outcome(oracle)
 
-    def rooted(T, key=None, pool=None, depth=None, removed=None):
-        U = enumeration._rooted(S, T, (), key, pool, depth, removed)
-        agree(U, T, key or enumeration._tuple_order, pool, depth, removed)
+    def rooted(T, pool, depth=None):
+        try:
+            U = enumeration._rooted(S, T, pool=pool, depth=depth)
+        except SemigroupError as exc:
+            oracle = removal_walk(S, T, lambda x: x, budget, pool, depth)
+            assert _oracle_outcome(oracle) == (type(exc).__name__, str(exc))
+            return
+        agree(U, T, lambda x: x, pool, depth)
 
     agree(enumeration._window(S, depth + 1, order.key), root, order.key, depth=depth)
 
@@ -723,7 +765,7 @@ def test_walk_matches_the_oracle_walk(base, draws):
     n = draws.draw(st.sampled_from(sorted(S.minimal_generators())))
     bad = draws.draw(st.sampled_from(lost + [tuple(a + b for a, b in zip(g, n))]))
     corrupt = IdealSemigroup(S, T.gaps, T.gens | {bad})
-    rooted(corrupt, order.key, depth=2, removed=big_o(S, T, order))
+    rooted(corrupt, _above(S, corrupt, order), depth=2)
 
     f = None
     if order.degree_compatible:
@@ -971,11 +1013,11 @@ def test_budget_exceeded_carries_its_facts(s1, deglex):
 
 def test_frobenius_budget_checked_before_any_removal(n2, deglex, monkeypatch):
     # on N^2 at (400, 1) the 80,200 nonzero candidates prove more than 10
-    # results, so no certified removal step may run
+    # results, so no removal walk may start
     def no_removal(*args):
-        raise AssertionError("removal step taken before the budget check")
+        raise AssertionError("removal walk started before the budget check")
 
-    monkeypatch.setattr(enumeration, "_refuse", no_removal)
+    monkeypatch.setattr(enumeration, "_walk", no_removal)
     with pytest.raises(BudgetExceeded):
         with_frobenius(n2, (400, 1), deglex, budget=10)
 
