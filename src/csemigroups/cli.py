@@ -19,15 +19,16 @@ level without being built is charged like any other.  ``tree`` without
 depth-first walk streams, and counts its last level by popcount, so it
 holds one path of the tree, not its levels.  ``tree --full``,
 ``frobenius-fixed`` and ``mult-fixed`` write the document in pieces, one
-semigroup at a time, each joined from the texts of the ranks the removal
-walk's bare nodes hold, which every command call encodes once per point of
-the walk's universe into a list indexed by rank
-(:func:`_semigroup_encoder`), with no semigroup object built; ranks follow
-tuple order, so the joined lists are sorted, and the bytes equal those of
-the sorted-key encoding of the whole document.  The tree keeps each node
-only as its text until the walk ends, and so do the fibers; no command
-builds the whole text.  Every search and budget check ends before the
-first byte is written.
+semigroup at a time, with no semigroup object built: the removal walk's
+bare nodes hold the bits of their generators' and gaps' ranks, and each
+node's text is its parent's, edited by the points its step removed and
+promoted, the parent being the last node the depth-first walk emitted one
+level up (:func:`_semigroup_encoder`).  Only the root's lists are joined
+whole, from its ranks in tuple order, so every list is sorted, and the
+bytes equal those of the sorted-key encoding of the whole document.  The
+tree keeps each node only as its text until the walk ends, and so do the
+fibers; no command builds the whole text.  Every search and budget check
+ends before the first byte is written.
 """
 
 from __future__ import annotations
@@ -126,39 +127,87 @@ def _chunks(doc, items):
     yield "]" + tail + "\n"
 
 
+def _item(point):
+    """The text of ``point`` in a JSON list, with the separator after it."""
+    return "[" + ", ".join(map(str, point)) + "], "
+
+
 def _semigroup_encoder(genus, full=True, removed=False):
     """The maker, given the points that a removal walk's ranks name
     (``enumeration._walk``), of the text of ``{"gaps": ..., "genus": g,
     "imsg": ..., "removed": x}`` for each node of that walk whose root has
     genus ``genus``, as ``json.dumps`` with sorted keys writes it: ``gaps``
     only when ``full``, ``removed`` only when ``removed`` (and ``full``).
-    A node's rank tuples are sorted, and ranks follow tuple order, so its
-    point lists are already sorted.  Each point is encoded once per walk,
-    into a list indexed by rank, and each command call makes its own, so
-    no text outlives the call."""
+    It must be called on the nodes in the order the walk emits them.
+
+    The root's point lists are joined from its ranks, read upwards from
+    its bits; ranks follow tuple order, so the lists are sorted.  Every other
+    node's lists are its parent's, edited: the walk is depth first, so the
+    parent is the last node seen one level up, and the maker keeps the
+    generator bits and both lists of each level on the current path.  The
+    point the node removed leaves the generator list, and each point it
+    promoted joins it, as the point it removed joins the gap list, before
+    the text of the next larger rank set in the node's bits, or at the
+    end.  Each list is held as its items, each point's text followed by
+    its separator, so a point's item is found (``str.find``) and removed
+    (``str.replace``) exactly: ``[`` only opens a point and all points
+    have one dimension.  An edited point is encoded once per walk, and
+    each command call makes its own maker, so no text outlives the call."""
 
     def make(points):
-        texts = ["[" + ", ".join(map(str, p)) + "]" for p in points]
-        text, join = texts.__getitem__, ", ".join
+        # each point's item by rank, made when first read (``items[r] or
+        # item(r)``): a walk edits few of its universe's points
+        items = [None] * len(points)
+        path = []  # (generator bits, generator items, gap items) per depth
+
+        def item(r):
+            text = items[r] = _item(points[r])
+            return text
+
+        def joined(bits):
+            ranks = enumeration._ranks(bits)
+            return "".join(map(_item, map(points.__getitem__, ranks)))
+
+        def insert(listed, r, bits):
+            text, above = items[r] or item(r), bits >> r + 1
+            if not above:
+                return listed + text
+            s = r + (above & -above).bit_length()
+            i = listed.find(items[s] or item(s))
+            return listed[:i] + text + listed[i:]
+
+        def lists(node):
+            k, x, bits, hs = node
+            if k == 0:
+                gens, gaps = joined(bits), None if hs is None else joined(hs)
+            else:
+                parent, gens, gaps = path[k - 1]
+                gens = gens.replace(items[x] or item(x), "", 1)
+                promoted = bits & ~parent
+                while promoted:
+                    z = promoted.bit_length() - 1
+                    promoted ^= 1 << z
+                    gens = insert(gens, z, bits)
+                if gaps is not None:
+                    gaps = insert(gaps, x, hs)
+            path[k:] = [(bits, gens, gaps)]
+            return gens[:-2], None if gaps is None else gaps[:-2]
 
         def tree_node(node):
-            k, x, gens, _, hs = node
+            gens, gaps = lists(node)  # which made the item of x
+            k, x = node[0], node[1]
             return (
-                f'{{"gaps": [{join(map(text, hs))}], "genus": {genus + k}, '
-                f'"imsg": [{join(map(text, gens))}], '
-                f'"removed": {"null" if x is None else texts[x]}}}'
+                f'{{"gaps": [{gaps}], "genus": {genus + k}, "imsg": [{gens}], '
+                f'"removed": {"null" if x is None else items[x][:-2]}}}'
             )
 
         def full_node(node):
-            k, _, gens, _, hs = node
-            return (
-                f'{{"gaps": [{join(map(text, hs))}], "genus": {genus + k}, '
-                f'"imsg": [{join(map(text, gens))}]}}'
-            )
+            gens, gaps = lists(node)
+            return f'{{"gaps": [{gaps}], "genus": {genus + node[0]}, "imsg": [{gens}]}}'
 
         def gens_node(node):
-            k, _, gens, _, _ = node
-            return f'{{"genus": {genus + k}, "imsg": [{join(map(text, gens))}]}}'
+            gens, _ = lists(node)
+            return f'{{"genus": {genus + node[0]}, "imsg": [{gens}]}}'
 
         return tree_node if removed else full_node if full else gens_node
 

@@ -30,26 +30,29 @@ ranks, and the universe holds each point's up-row and the ranks that
 follow it under the walk's key, so a step does one ``&`` per minimal
 generator and no tuple lookup (Fromentin and Hivert 2016 walk the tree of
 numerical semigroups on such bits).  A node (:func:`_walk`) is
-bare data: its depth, the rank it removed, its generators as a sorted rank
-tuple with their bits, and its gaps as a sorted rank array, made from the
-parent's by one insertion, or None when the caller writes no gaps; sorted
-ranks list their points in sorted order.  ``tree_counts`` works on the
-bits alone and counts the last level by popcount, without building it
-(:func:`_count`).  Each walk builds its universe and drops it when it
-ends, so the base S holds nothing a walk wrote, and no universe masks a
-point its start lost.  The command line encodes the nodes from per-rank
-texts as they come; ``enumerate_tree``, ``children`` and the fibers build
-an :class:`.IdealSemigroup`, unchecked, only for each node they return.
+bare data: its depth, the rank it removed, the bits of its generators'
+ranks and those of its gaps' ranks, the parent's with one more bit, or
+None when the caller writes no gaps.  It holds no rank tuple: ranks
+follow tuple order, so the set bits of a node, read upwards
+(:func:`_ranks`), list its points in sorted order.  The walk is depth
+first, so a node's parent is the last node it emitted one level up.
+``tree_counts`` steps as the walk does on generator bits alone and counts
+the last level by popcount, without building it (:func:`_count`).  Each
+walk builds its universe and drops it when it ends, so the base S holds
+nothing a walk wrote, and no universe masks a point its start lost.  The
+command line writes each node's text by editing its parent's, as the
+nodes come; ``enumerate_tree``, ``children`` and the fibers decode bits
+to points and build an :class:`.IdealSemigroup`, unchecked, only for
+each node they return.
 The fibers' checks, starts and pools are helpers
 (:func:`_frobenius_start`, :func:`_multiplicity_start`).
 """
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect, bisect_left
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import chain, compress, count
 from operator import ge
 
 from .errors import BudgetExceeded, NotDegreeCompatible, SemigroupError
@@ -70,6 +73,27 @@ def big_o(S: GapSemigroup, T, order: MonomialOrder) -> Point | None:
     return order.max(diff)
 
 
+# maps the binary digits of an integer to the bytes 0 and 1
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bits(ranks, size: int) -> int:
+    """The integer whose set bits are ``ranks``, each below ``size``, built
+    in time linear in ``size``: a root can hold tens of thousands of gaps
+    (⟨3,5⟩ at f = 64,000 loses 63,992), and a sum of shifted ones would
+    take quadratic time."""
+    buf = bytearray((size + 7) >> 3)
+    for r in ranks:
+        buf[r >> 3] |= 1 << (r & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _ranks(bits: int):
+    """The ranks set in ``bits``, ascending, read in time linear in the
+    length of ``bits`` from its binary digits, lowest first."""
+    return compress(count(), bin(bits)[:1:-1].encode().translate(_DIGITS))
+
+
 class _Universe:
     """The finite universe of one removal walk, built once for that walk and
     dropped with it, so the base S keeps nothing a walk wrote.
@@ -81,8 +105,8 @@ class _Universe:
     gaps, and the root's generators and threshold.  ``masks`` maps the rank
     of each point y with a divisor mask to D(y), the bits of the ranks of
     the points z of the universe with y − z ∈ S (y itself among them);
-    ``rows`` maps it to y's up-row, one entry (rank, mask, bit) per sum
-    y + n (n ∈ msg(S)) in the universe, in rank order; ``after`` maps it
+    ``rows`` maps it to y's up-row, one pair (mask, bit) per sum
+    y + n (n ∈ msg(S)) in the universe; ``after`` maps it
     to the bits of the ranks that follow y under the walk's key and may be
     removed (those in the pool, for a fiber).
 
@@ -115,8 +139,7 @@ class _Universe:
                 if (row := rows.get(rank[w])) is not None:
                     row.append(r)
         self.masks, self.rows = masks, {
-            r: tuple((z, masks[z], ups[z]) for z in sorted(row))
-            for r, row in rows.items()
+            r: tuple((masks[z], ups[z]) for z in row) for r, row in rows.items()
         }
 
     def follow(self, key=None, pool=None):
@@ -134,16 +157,12 @@ class _Universe:
                 acc |= 1 << r
         self.after = after
 
-    def ranks(self, points) -> tuple[int, ...]:
-        """The sorted ranks of ``points``, which all lie in the universe."""
-        return tuple(sorted(bisect_left(self.points, y) for y in points))
-
-    def gap_ranks(self, gaps) -> array:
-        """The sorted ranks of the root's ``gaps``, as an array of machine
-        integers: a start can lose tens of thousands of points (⟨3,5⟩ at
-        f = 64,000 loses 63,992), and an int object per rank would cost
-        four times the memory of the array each node copies."""
-        return array("q", (r for r, y in enumerate(self.points) if y in gaps))
+    def bits(self, points) -> int:
+        """The bits of the ranks of the points of the set ``points``, read
+        by one scan of the universe: a root's gaps can be tens of
+        thousands of points."""
+        ranks = (r for r, y in enumerate(self.points) if y in points)
+        return _bits(ranks, len(self.points))
 
 
 def _window(S: GapSemigroup, bound: int, key, gaps=True) -> _Universe:
@@ -198,10 +217,8 @@ def _window(S: GapSemigroup, bound: int, key, gaps=True) -> _Universe:
                     entry[2] |= b
     U = _Universe(graded, S.gaps if gaps else ())
     U.follow(key)
-    gens = U.ranks(G.generators)
-    bits = sum(1 << r for r in gens)
-    hs = U.gap_ranks(S.gaps) if gaps else None
-    U.root, U.first = (0, None, gens, bits, hs), bits
+    bits = U.bits(frozenset(G.generators))
+    U.root, U.first = (0, None, bits, U.bits(S.gaps) if gaps else None), bits
     return U
 
 
@@ -242,9 +259,9 @@ def _rooted(
         invalid = invalid or SemigroupError(text)
     # the generators T may remove, then the points the walk can make
     # generators and remove, upwards from them
-    eligible = sorted(T.gens if pool is None else T.gens & pool)
+    eligible = T.gens if pool is None else T.gens & pool
     reach, removable, steps = dict(valid), [], 0
-    frontier = [y for y in eligible if y in valid and y not in T.gaps]
+    frontier = [y for y in sorted(eligible) if y in valid and y not in T.gaps]
     while frontier and steps != depth:
         removable += frontier
         promoted = []
@@ -276,11 +293,10 @@ def _rooted(
     U = _Universe(graded, chain(T.gens, T.gaps if gaps else ()), removable)
     if depth != 1:
         U.follow(pool=pool)
-    gens = U.ranks(T.gens)
-    bits = sum(1 << r for r in gens)
-    U.pool, U.first = pool, sum(1 << r for r in U.ranks(eligible))
+    bits = U.bits(T.gens)
+    U.pool, U.first = pool, U.bits(eligible)
     _certify(U, T, bits, invalid)
-    U.root = (0, None, gens, bits, U.gap_ranks(T.gaps) if gaps else None)
+    U.root = (0, None, bits, U.bits(T.gaps) if gaps else None)
     return U
 
 
@@ -313,13 +329,15 @@ def _certify(U: _Universe, T, bits, invalid):
 
 
 def _walk(U: _Universe, budget, depth=None):
-    """The nodes ``(k, x, gens, bits, gaps)`` of the universe ``U``'s root T
-    and of every semigroup V reached from it by k removal steps,
-    depth first, on ranks in ``U``: x is the rank of the point V's last
-    step removed (None for T), ``gens`` the sorted ranks of V's
-    ideal generators, ``bits`` their bits and ``gaps`` the sorted ranks of
-    V's gaps, or None throughout when the universe lists no gaps.  V is no
-    object: its genus is T's plus k, and :func:`_semigroup` builds it.
+    """The nodes ``(k, x, bits, gaps)`` of the universe ``U``'s root T and
+    of every semigroup V reached from it by k removal steps, depth first,
+    on ranks in ``U``: x is the rank of the point V's last step removed
+    (None for T), ``bits`` the bits of the ranks of V's ideal generators
+    and ``gaps`` those of V's gaps, or None throughout when the universe
+    lists no gaps.  V is no object: its genus is T's plus k,
+    :func:`_ranks` reads its points in sorted order from its bits, and
+    :func:`_semigroup` builds it.  Depth first, a node at depth k > 0 is a
+    child of the last node emitted at depth k − 1.
 
     A node that removed x has as children the removals of its generators
     that follow x under the walk's key (``U.after``), in ascending tuple
@@ -331,15 +349,15 @@ def _walk(U: _Universe, budget, depth=None):
 
     A step that removes y keeps the other generators, with bits ``rest``,
     and promotes each y + n of y's up-row with D(y + n) & rest == 0: no
-    other generator divides it.  The step reads one ``&`` per minimal
-    generator, whatever the number of generators or the depth, and a
-    removed point never returns as a generator.  No step is checked: a
-    root the caller supplies was certified where its universe was built
-    (:func:`_certify`), and no step below a root can fail.  Nodes at
-    ``depth`` get no children.  Only the open siblings on the path to the
-    current node are held.  Raises :class:`BudgetExceeded` once more than
-    ``budget`` nodes are emitted, naming the size of the universe's pool,
-    if any.
+    other generator divides it.  It reads one ``&`` per minimal generator,
+    whatever the number of generators or the depth, sets y's bit in the
+    gaps, and builds no rank list; a removed point never returns as a
+    generator.  No step is checked: a root the caller supplies was
+    certified where its universe was built (:func:`_certify`), and no step
+    below a root can fail.  Nodes at ``depth`` get no children.  Only the
+    open siblings on the path to the current node are held.  Raises
+    :class:`BudgetExceeded` once more than ``budget`` nodes are emitted,
+    naming the size of the universe's pool, if any.
     """
     rows, after, pool = U.rows, U.after, U.pool
     stack, emitted = [U.root], 0
@@ -347,15 +365,9 @@ def _walk(U: _Universe, budget, depth=None):
         node = stack.pop()
         emitted += 1
         if emitted > budget:
-            raise BudgetExceeded(
-                f"removal walk emitted more than {budget} semigroups"
-                + ("" if pool is None else f" over a pool of {len(pool)} points"),
-                limit=budget,
-                count=emitted,
-                unit="semigroups",
-            )
+            raise _exceeded(budget, emitted, pool)
         yield node
-        k, x, gens, bits, hs = node
+        k, x, bits, hs = node
         if k == depth:
             continue
         e = U.first if k == 0 else bits & after[x]
@@ -365,22 +377,23 @@ def _walk(U: _Universe, budget, depth=None):
             y = e.bit_length() - 1
             by = 1 << y
             e ^= by
-            rest = bits ^ by
-            child, promoted = rest, []
-            for z, dz, bz in rows[y]:
+            rest = child = bits ^ by
+            for dz, bz in rows[y]:
                 if not dz & rest:
-                    promoted.append(z)
                     child |= bz
-            # the kept generators are one sorted run, so the sort merges
-            j = bisect_left(gens, y)
-            promoted += gens[:j]
-            promoted += gens[j + 1 :]
-            promoted.sort()
-            hy = hs
-            if hs is not None:
-                hy = array("q", hs)
-                hy.insert(bisect(hs, y), y)
-            stack.append((k, y, tuple(promoted), child, hy))
+            stack.append((k, y, child, None if hs is None else hs | by))
+
+
+def _exceeded(budget, count, pool=None) -> BudgetExceeded:
+    """The error of a removal walk that emitted ``count`` > ``budget``
+    semigroups, naming the size of its ``pool``, if any."""
+    return BudgetExceeded(
+        f"removal walk emitted more than {budget} semigroups"
+        + ("" if pool is None else f" over a pool of {len(pool)} points"),
+        limit=budget,
+        count=count,
+        unit="semigroups",
+    )
 
 
 def _count(U: _Universe, budget, depth: int) -> list[int]:
@@ -388,9 +401,11 @@ def _count(U: _Universe, budget, depth: int) -> list[int]:
     from the tree universe ``U``, on generator bits alone: a node at depth
     ``depth`` − 1 adds the popcount of the generators it may remove, and
     is not expanded, so the last level is counted, not built (Fromentin and
-    Hivert 2016).  Every counted node is charged to ``budget``."""
+    Hivert 2016).  Every counted node is charged to ``budget``.  It steps
+    as :func:`_walk` does, inline: a generator's resumption per node would
+    cost about a tenth of the count's time."""
     rows, after, last = U.rows, U.after, depth - 1
-    counts, stack, emitted = [0] * (depth + 1), [(0, None, U.root[3])], 0
+    counts, stack, emitted = [0] * (depth + 1), [(0, None, U.root[2])], 0
     while stack:
         k, x, bits = stack.pop()
         e = U.first if x is None else bits & after[x]
@@ -400,19 +415,14 @@ def _count(U: _Universe, budget, depth: int) -> list[int]:
             counts[depth] += (c := e.bit_count())
             emitted += c
         if emitted > budget:
-            raise BudgetExceeded(
-                f"removal walk emitted more than {budget} semigroups",
-                limit=budget,
-                count=budget + 1,
-                unit="semigroups",
-            )
+            raise _exceeded(budget, budget + 1)
         if k >= last:
             continue
         while e:
             y = e.bit_length() - 1
             e ^= 1 << y
             rest = child = bits ^ 1 << y
-            for _, dz, bz in rows[y]:
+            for dz, bz in rows[y]:
                 if not dz & rest:
                     child |= bz
             stack.append((k + 1, y, child))
@@ -422,10 +432,12 @@ def _count(U: _Universe, budget, depth: int) -> list[int]:
 def _semigroup(base: GapSemigroup, points, node) -> IdealSemigroup:
     """The semigroup of a walk's node (:func:`_walk`) over ``base``, whose
     ranks name ``points`` and whose steps certified every point it lost, so
-    nothing is checked again."""
-    return IdealSemigroup._certified(
-        base, [points[r] for r in node[4]], [points[r] for r in node[2]]
-    )
+    nothing is checked again.  The API reads bits as points here, only for
+    the semigroups it returns."""
+    _, _, bits, hs = node
+    point = points.__getitem__
+    gaps, gens = map(point, _ranks(hs)), map(point, _ranks(bits))
+    return IdealSemigroup._certified(base, gaps, gens)
 
 
 def _semigroups(base: GapSemigroup):
@@ -436,7 +448,8 @@ def _semigroups(base: GapSemigroup):
 
 def _levels(walk, node) -> list[list]:
     """Level k lists ``node(n)`` for the nodes n of depth k of a walk
-    (:func:`_walk`), in the order the walk emits them."""
+    (:func:`_walk`), calling ``node`` once per node in the order the walk
+    emits them, so ``node`` sees each parent before its children."""
     levels = []
     for n in walk:
         if n[0] == len(levels):
@@ -533,9 +546,8 @@ def tree_counts(
 ) -> list[int]:
     """The sizes of :func:`enumerate_tree`'s levels, counted on generator
     bits as the walk streams (:func:`_count`), so only the open siblings
-    on the path are held, no node carries its gaps or its generators'
-    ranks, and the last level is counted by popcount, over the window of
-    the level before it."""
+    on the path are held, no node carries its gaps, and the last level is
+    counted by popcount, over the window of the level before it."""
     depth = _depth(S, max_genus)
     return _count(_window(S, max(depth, 1), order.key, gaps=False), budget, depth)
 

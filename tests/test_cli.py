@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from csemigroups import (
     GapSemigroup,
+    GenSemigroup,
     MonomialOrder,
     apery_context,
     enumerate_tree,
@@ -22,11 +23,11 @@ from csemigroups import (
     with_frobenius,
     with_multiplicities,
 )
-from csemigroups import cli
+from csemigroups import cli, enumeration
 from csemigroups.cli import main
 from csemigroups.serialize import load_semigroup, semigroup_to_document
 from conftest import D3_GENS, S1_GENS, S2_GENS
-from strategies import gap_documents
+from strategies import band_csemigroups, gap_documents
 
 
 @pytest.fixture()
@@ -322,6 +323,104 @@ def test_main_writes_the_default_encoding(capsys, request, tmp_path, source, arg
         near = slice(max(i - 40, 0), i + 40)
         pytest.fail(f"documents differ at {i}: {out[near]!r} != {expected[near]!r}")
     assert out == expected
+
+
+@st.composite
+def _walked_calls(draw, tmp_dir):
+    """A ``tree --full``, ``frobenius-fixed`` or ``mult-fixed`` call (with
+    and without ``--full`` and ``--verify-multiplicities``) on a
+    C-semigroup drawn in dimension 1-3, written as a generator or a gap
+    document, under deglex, lex or degrevlex (the Frobenius fiber needs a
+    degree-compatible order), with no, a reversed or a drawn priority."""
+    gens, _, points = draw(band_csemigroups(max_a={1: 8, 2: 3, 3: 2}))
+    S = gaps(GenSemigroup(gens, warn_redundant=False))
+    if draw(st.booleans()):
+        doc = {"p": S.dim, "generators": sorted(map(list, S.minimal_generators()))}
+    else:
+        rays, gap_list = sorted(map(list, S.cone.rays)), sorted(map(list, S.gaps))
+        doc = {"p": S.dim, "rays": rays, "gaps": gap_list}
+    command = draw(st.sampled_from(["tree", "frobenius-fixed", "mult-fixed"]))
+    kinds = ["deglex", "degrevlex"] + (["lex"] if command != "frobenius-fixed" else [])
+    doc["order"] = draw(st.sampled_from(kinds))
+    priority = draw(st.one_of(
+        st.none(),
+        st.just(list(range(S.dim))[::-1]),
+        st.permutations(range(S.dim)),
+    ))
+    if priority is not None:
+        doc["priority"] = list(priority)
+    path = tmp_dir / "walked.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path)]
+    if command == "tree":
+        depth = draw(st.integers(0, {1: 7, 2: 4, 3: 3}[S.dim]))
+        argv += ["--max-genus", str(S.genus + depth), "--full"]
+    elif command == "frobenius-fixed":
+        top = {1: 14, 2: 5, 3: 3}[S.dim]
+        f = draw(st.sampled_from([p for p in points(top) if any(p)]))
+        argv += ["--f", ",".join(map(str, f))]
+    else:
+        for m in S.multiplicities():
+            argv += ["--m", ",".join(map(str, m))]
+        argv += draw(st.sampled_from([
+            [], ["--full"], ["--verify-multiplicities"],
+            ["--full", "--verify-multiplicities"],
+        ]))
+    return argv
+
+
+def _library_walk(args):
+    """The base, the points and the removal walk, with gaps, behind a
+    ``tree``, ``frobenius-fixed`` or ``mult-fixed`` call, or None when a
+    fiber is empty before any walk."""
+    S, order = load_semigroup(args.semigroup)
+    G = S if isinstance(S, GapSemigroup) else gaps(S)
+    order, budget = order or MonomialOrder("deglex"), 10**6
+    if args.command == "tree":
+        return G, *enumeration._tree(G, args.max_genus, order, budget)
+    if args.command == "frobenius-fixed":
+        f = tuple(map(int, args.f.split(",")))
+        _, root, pool, coords = enumeration._frobenius_start(G, f, order, budget)
+        if root is None:
+            return None
+    else:
+        M = [tuple(map(int, m.split(","))) for m in args.m]
+        verify = args.verify_multiplicities
+        root, pool, coords = enumeration._multiplicity_start(G, M, verify)
+    U = enumeration._rooted(G, root, coords, pool=pool)
+    return G, U.points, enumeration._walk(U, budget)
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_walked_nodes_encode_as_the_library_lists_them(tmp_path_factory, data):
+    # the CLI writes each node's text by editing its parent's; every text
+    # it writes, in order, must be the sorted-key encoding of that node as
+    # enumerate_tree, with_frobenius or with_multiplicities returns it, so
+    # the whole document must be; and the parent the encoder edits must be
+    # the last node the walk emitted one level up
+    argv = data.draw(_walked_calls(tmp_path_factory.mktemp("walked")))
+    args = cli.build_parser().parse_args(argv)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0, (argv, out.getvalue())
+    doc = whole_document(args)
+    assert out.getvalue() == json.dumps(doc, sort_keys=True) + "\n", argv
+    walked = _library_walk(args)
+    if walked is None:
+        return
+    base, points, walk = walked
+    last = []
+    for node in walk:
+        k, x = node[0], node[1]
+        if k:
+            parent = enumeration._semigroup(base, points, last[k - 1])
+            child = enumeration._semigroup(base, points, node)
+            assert points[x] in parent.gens
+            assert child.gaps == parent.gaps | {points[x]}
+        del last[k:]
+        last.append(node)
 
 
 def test_parser_reuse_keeps_output(capsys, s1_file):

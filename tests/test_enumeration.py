@@ -233,13 +233,33 @@ def _divisors_by_cone(S, points):
     }
 
 
+def _set_ranks(bits):
+    """The ranks set in ``bits``, ascending, read one bit at a time, so that
+    no check shares the walk's decoder (``enumeration._ranks``)."""
+    return [r for r in range(bits.bit_length()) if bits >> r & 1]
+
+
 def _universe_divisors(U):
     """Each point of the universe ``U`` with a mask, with the points whose
     ranks its mask holds."""
     return {
-        U.points[r]: {U.points[i] for i in range(d.bit_length()) if d >> i & 1}
-        for r, d in U.masks.items()
+        U.points[r]: {U.points[i] for i in _set_ranks(d)} for r, d in U.masks.items()
     }
+
+
+@given(ranks=st.sets(st.integers(0, 300)), size=st.integers(0, 40))
+def test_rank_bits_round_trip(ranks, size):
+    # the walk's bits are built from ranks and read back as ranks, in
+    # ascending order, by byte and digit strings in linear time; a set of
+    # ranks of a root as large as <3,5>'s at f = 64,000 too
+    size += max(ranks, default=-1) + 1
+    bits = enumeration._bits(iter(ranks), size)
+    assert bits == sum(1 << r for r in ranks)
+    assert list(enumeration._ranks(bits)) == sorted(ranks) == _set_ranks(bits)
+    big = range(0, 64_000, 1 + len(ranks))
+    bits = enumeration._bits(big, 64_000)
+    assert list(enumeration._ranks(bits)) == list(big)
+    assert bits.bit_count() == len(big)
 
 
 def test_walk_masks_hold_exactly_the_divisors(deglex):
@@ -617,10 +637,9 @@ def _above(S, T, order):
 def test_lean_child_matches_full_child(data, draws):
     """Down a drawn path of children, up to six levels below the root, each
     bare node of the walk matches the ``IdealSemigroup`` built and checked
-    from its gaps alone: its sorted gap and generator ranks name that
-    semigroup's gaps and generators in the walk's own universe, and its
-    bits are those of that semigroup's generators' ranks.  Over an equal
-    base that is not S, the children keep that base."""
+    from its gaps alone: its gap and generator bits are those of the ranks
+    of that semigroup's gaps and generators in the walk's own universe.
+    Over an equal base that is not S, the children keep that base."""
     gens, _, _ = data
     try:
         S = gaps(GenSemigroup(gens, warn_redundant=False))
@@ -637,11 +656,10 @@ def test_lean_child_matches_full_child(data, draws):
         if not kids:
             break
         rank = {y: r for r, y in enumerate(U.points)}
-        for (_, x, node_gens, bits, node_gaps), child in zip(nodes, kids):
-            full = IdealSemigroup(S, [U.points[r] for r in node_gaps])
+        for (_, x, bits, gap_bits), child in zip(nodes, kids):
+            full = IdealSemigroup(S, [U.points[r] for r in _set_ranks(gap_bits)])
             assert U.points[x] in full.gaps and U.points[x] not in T.gaps
-            assert list(node_gaps) == sorted(rank[h] for h in full.gaps)
-            assert node_gens == tuple(sorted(rank[g] for g in full.gens))
+            assert gap_bits == sum(1 << rank[h] for h in full.gaps)
             assert bits == sum(1 << rank[g] for g in full.gens)
             assert (child.gaps, child.gens, child.base, child.cone) == (
                 full.gaps, full.gens, full.base, full.cone
@@ -687,18 +705,21 @@ def _walk_bases(draw):
 
 def _walk_outcome(nodes, points):
     """What the library's walk gives, as the oracle's ``(k, x, gaps, gens)``
-    per node with its ranks mapped back to the points they name, or the
-    error's type and message; every node's rank tuples are sorted, and
-    every node carries its generators' bits."""
+    per node with its bits read one at a time as the ranks of the points
+    they name, or the error's type and message; every node is bare, its
+    generators and gaps two integers, and the walk's own decoder reads
+    their ranks in ascending order."""
     out = []
     try:
-        for k, x, gens, bits, hs in nodes:
-            assert list(gens) == sorted(gens) and list(hs) == sorted(hs)
-            assert bits == sum(1 << r for r in gens)
+        for k, x, bits, hs in nodes:
+            assert type(bits) is int and type(hs) is int
+            gens, gap_ranks = _set_ranks(bits), _set_ranks(hs)
+            assert list(enumeration._ranks(bits)) == gens
+            assert list(enumeration._ranks(hs)) == gap_ranks
             out.append((
                 k,
                 None if x is None else points[x],
-                frozenset(points[r] for r in hs),
+                frozenset(points[r] for r in gap_ranks),
                 frozenset(points[r] for r in gens),
             ))
     except (SemigroupError, BudgetExceeded) as exc:
@@ -713,6 +734,30 @@ def _oracle_outcome(walk):
         return type(exc).__name__, str(exc)
 
 
+def _agrees_with_oracle_walk(S, U, T, key, budget, pool=None, depth=None):
+    """The library's walk on the universe ``U`` of the root T gives the
+    nodes, or the error, of the oracle walk from T."""
+    nodes = enumeration._walk(U, budget, depth)
+    oracle = removal_walk(S, T, key, budget, pool, depth)
+    assert _walk_outcome(nodes, U.points) == _oracle_outcome(oracle)
+
+
+def _rooted_outcome(S, T, pool, budget, depth=None):
+    """The walk from a supplied root T over ``pool`` against the oracle
+    walk, in tuple order.  T may be refused where its universe is built,
+    and the oracle must then raise the same error, which is returned;
+    otherwise both give the same nodes, and None is returned."""
+    try:
+        U = enumeration._rooted(S, T, pool=pool, depth=depth)
+    except SemigroupError as exc:
+        error = type(exc).__name__, str(exc)
+        oracle = removal_walk(S, T, lambda x: x, budget, pool, depth)
+        assert _oracle_outcome(oracle) == error
+        return error
+    _agrees_with_oracle_walk(S, U, T, lambda x: x, budget, pool, depth)
+    return None
+
+
 @given(base=_walk_bases(), draws=st.data())
 @settings(max_examples=120, deadline=None)
 def test_walk_matches_the_oracle_walk(base, draws):
@@ -721,9 +766,9 @@ def test_walk_matches_the_oracle_walk(base, draws):
     space: the same nodes (depth, removed point, gaps, ideal generators) in
     the same order, or the same error, for the genus tree under deglex,
     lex and degrevlex with a priority from its root, for a walk of depth 2
-    over the generators above a corrupt parent's threshold, which holds a
-    lost point or a generator's multiple, for both fibers, whose results
-    and levels the library's functions list, and over the multiplicity
+    over the generators above a corrupt parent's threshold and its extra
+    generator, a lost point or a generator's multiple, for both fibers,
+    whose results and levels the library's functions list, and over the multiplicity
     pool from a corrupt root, at budgets that do and do not bind.  A
     corrupt root's error is raised where its universe is built."""
     S, points = base
@@ -731,22 +776,8 @@ def test_walk_matches_the_oracle_walk(base, draws):
     budget = draws.draw(st.sampled_from([5, 40, 400]))
     depth = draws.draw(st.integers(0, {1: 5, 2: 4, 3: 2}[S.dim]))
     root = IdealSemigroup(S, S.gaps, gens=S.minimal_generators())
-
-    def agree(U, T, key, pool=None, depth=None):
-        nodes = enumeration._walk(U, budget, depth)
-        oracle = removal_walk(S, T, key, budget, pool, depth)
-        assert _walk_outcome(nodes, U.points) == _oracle_outcome(oracle)
-
-    def rooted(T, pool, depth=None):
-        try:
-            U = enumeration._rooted(S, T, pool=pool, depth=depth)
-        except SemigroupError as exc:
-            oracle = removal_walk(S, T, lambda x: x, budget, pool, depth)
-            assert _oracle_outcome(oracle) == (type(exc).__name__, str(exc))
-            return
-        agree(U, T, lambda x: x, pool, depth)
-
-    agree(enumeration._window(S, depth + 1, order.key), root, order.key, depth=depth)
+    U = enumeration._window(S, depth + 1, order.key)
+    _agrees_with_oracle_walk(S, U, root, order.key, budget, depth=depth)
 
     def tree():
         levels = enumerate_tree(S, S.genus + depth, order, budget)
@@ -765,7 +796,9 @@ def test_walk_matches_the_oracle_walk(base, draws):
     n = draws.draw(st.sampled_from(sorted(S.minimal_generators())))
     bad = draws.draw(st.sampled_from(lost + [tuple(a + b for a, b in zip(g, n))]))
     corrupt = IdealSemigroup(S, T.gaps, T.gens | {bad})
-    rooted(corrupt, _above(S, corrupt, order), depth=2)
+    # a lost point is T's threshold, never above it: the pool holds it, so
+    # that its refusal as a gap of the parent meets the oracle's
+    _rooted_outcome(S, corrupt, _above(S, corrupt, order) | {bad}, budget, depth=2)
 
     f = None
     if order.degree_compatible:
@@ -786,7 +819,28 @@ def test_walk_matches_the_oracle_walk(base, draws):
     )
     _, pool, _ = enumeration._multiplicity_start(S, M)
     corrupt = IdealSemigroup(S, S.gaps, S.minimal_generators() | {bad})
-    rooted(corrupt, pool=pool)
+    _rooted_outcome(S, corrupt, pool, budget)
+
+
+def test_lost_generator_refusal_meets_the_oracle(s1, deglex):
+    # the corrupt parent of the oracle comparison above whose extra
+    # generator is its own lost point (5,1): that point is its threshold, so
+    # outside the generators above it, where both walks refuse only the
+    # multiple (10,2) it divides; in the pool that adds it, both refuse
+    # (5,1) itself, first in tuple order, as a gap of the parent
+    T = children(s1, _root(s1), deglex)[0]
+    (lost,) = T.gaps - s1.gaps
+    corrupt = IdealSemigroup(s1, T.gaps, T.gens | {lost})
+    above = _above(s1, corrupt, deglex)
+    assert lost == (5, 1) and lost not in above
+    assert _rooted_outcome(s1, corrupt, above, 40, depth=2) == (
+        "SemigroupError",
+        "ideal generator (10, 2) is divisible by (5, 1)",
+    )
+    assert _rooted_outcome(s1, corrupt, above | {lost}, 40, depth=2) == (
+        "SemigroupError",
+        "ideal generator (5, 1) is a gap of the parent",
+    )
 
 
 @given(data=st.one_of(small_csemigroups(), orthant_csemigroups()), draws=st.data())
@@ -1306,7 +1360,7 @@ def _cut_fiber(S, genus, start, pool, coords):
     depth = genus - start.genus
     U = enumeration._rooted(S, start, coords, pool=pool, depth=depth)
     walk = enumeration._walk(U, 10**6, depth)
-    return {frozenset(U.points[r] for r in n[4]) for n in walk}
+    return {frozenset(U.points[r] for r in _set_ranks(n[3])) for n in walk}
 
 
 def _fiber_partitions(S, order, top):
